@@ -17,7 +17,6 @@ from .circulant import (
 )
 from .core import (
     as_matrix,
-    apply_cycle_power,
     cycle_reorder,
     cycle_reorder_inverse,
     frobenius,
@@ -59,7 +58,6 @@ from .genmat import (
 from .report import ApproxReport
 from .svd import (
     TruncatedSVD,
-    qr_decompose,
     randomized_partial_svd,
     svd_first_order_multiply,
     svd_reconstruct,
@@ -81,7 +79,6 @@ __all__ = [
     "SparseRowMatrix",
     "TruncatedSVD",
     "UnsupportedQualifierError",
-    "apply_cycle_power",
     "apriori_relative_error",
     "as_matrix",
     "circulant_component",
@@ -101,7 +98,6 @@ __all__ = [
     "haar_product_moments",
     "matmul_naive",
     "posterior_relative_error",
-    "qr_decompose",
     "randomized_outer_product_multiply",
     "randomized_partial_svd",
     "read_csv",

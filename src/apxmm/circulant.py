@@ -4,13 +4,13 @@ Any n x n matrix splits uniquely as A = sum_k R_k D^k with R_k circulant and
 D = diag(omega^q), omega = exp(2i*pi/n). The components are orthogonal under
 the Frobenius inner product, so keeping the largest few is an L2-optimal
 truncation within this family. The multiply kernels never materialize the
-truncated approximant: a circulant is diagonal in the Fourier basis, so each
-component costs one diagonal scaling plus one row rotation in the transformed
-domain.
+truncated approximant: a circulant is diagonal in the Fourier basis, so the
+kept sum is Ahat = W* P W with P a sparse matrix of k nonzeros per row, and
+each product is two FFT passes around one sparse-dense product.
 
 Sign conventions (fixed by the cross-check test optimized == materialized):
 with W(p,q) = exp(-2i*pi*p*q/n)/sqrt(n) and (C^k z)_i = z_{(i-k) mod n},
-the identities used are W D^k = C^k W and D^{-k} W* = W* C^{-k}.
+R_k = W* diag(fft(columns[k])) W and W D^k = C^k W.
 """
 
 from __future__ import annotations
@@ -20,8 +20,10 @@ import time
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.fft
+import scipy.sparse
 
-from .core import as_matrix, cycle_reorder, unitary_dft
+from .core import as_matrix, cycle_reorder, cycle_reorder_inverse, unitary_dft
 from .errest import ErrorModel, apriori_relative_error, posterior_relative_error
 from .report import ApproxReport
 
@@ -34,6 +36,9 @@ __all__ = [
     "circulant_first_order_multiply",
     "top_indices",
 ]
+
+# rows of the spectrum rescaled and measured together in circulant_decompose
+_BLOCK_ROWS = 16
 
 
 @dataclass
@@ -77,18 +82,23 @@ def circulant_decompose(A) -> CirculantSpectrum:
     j-th first-column entry of every R_k modulated by omega^{k.}; one forward
     unitary DFT down each column plus a 1/sqrt(n) rescale therefore yields
     all first columns at once (row k of the result is R_k's first column).
+    The rescale stays a separate step: folding it into the transform moves
+    the last bits of the magnitudes, and for a real A those bits decide which
+    half of a conjugate pair (k, n-k) circulant_select keeps at the cut.
     """
     A = as_matrix(A)
     n = A.shape[0]
     if A.shape[1] != n:
         raise ValueError(f"square matrix required, got {A.shape}")
-    S = unitary_dft(cycle_reorder(A, "right"), "forward", axis=0) / math.sqrt(n)
-    return CirculantSpectrum(
-        n=n,
-        columns=S,
-        magnitudes=np.linalg.norm(S, axis=1),
-        selected=list(range(n)),
-    )
+    S = unitary_dft(cycle_reorder(A, "right"), "forward", axis=0)
+    magnitudes = np.empty(n)
+    # rescale and measure each row block while it is in cache
+    for i in range(0, n, _BLOCK_ROWS):
+        block = S[i:i + _BLOCK_ROWS]
+        block /= math.sqrt(n)
+        magnitudes[i:i + _BLOCK_ROWS] = np.linalg.norm(block, axis=1)
+    return CirculantSpectrum(n=n, columns=S, magnitudes=magnitudes,
+                             selected=list(range(n)))
 
 
 def circulant_component(A, k: int) -> np.ndarray:
@@ -114,17 +124,15 @@ def circulant_select(spectrum: CirculantSpectrum, k: int) -> CirculantSpectrum:
 
 
 def circulant_materialize(spectrum: CirculantSpectrum) -> np.ndarray:
-    """Dense sum_{k in selected} R_k D^k, O(|selected| n^2), complex output."""
-    n = spectrum.n
-    out = np.zeros((n, n), dtype=np.complex128)
-    if not spectrum.selected:
-        return out
-    idx = np.arange(n)
-    cyc = (idx[:, None] - idx[None, :]) % n
-    omega = np.exp(2j * np.pi * idx / n)
-    for k in spectrum.selected:
-        out += spectrum.columns[k][cyc] * (omega**k)[None, :]
-    return out
+    """Dense sum_{k in selected} R_k D^k, O(|selected| n^2), complex output.
+
+    Entry (i, q) is sum_k columns[k][(i-q) mod n] omega^{kq}: one rank-|selected|
+    product G = E columns[selected] with E[q, k] = omega^{kq}, whose row q
+    the right cycle reordering scatters back along cycle q of the result.
+    """
+    n, sel = spectrum.n, np.asarray(spectrum.selected, dtype=np.intp)
+    E = np.exp(2j * np.pi * (np.outer(np.arange(n), sel) % n) / n)
+    return cycle_reorder_inverse(E @ spectrum.columns[sel], "right")
 
 
 def _residual_norm(A_norm_sq: float, spectrum: CirculantSpectrum) -> float:
@@ -133,44 +141,30 @@ def _residual_norm(A_norm_sq: float, spectrum: CirculantSpectrum) -> float:
     return math.sqrt(max(0.0, A_norm_sq - kept))
 
 
-def _left_product(spectrum: CirculantSpectrum, FB: np.ndarray) -> np.ndarray:
-    """(sum_{t in selected} R_t D^t) B given FB = W B, without materializing.
+def _fourier_operator(spectrum: CirculantSpectrum) -> scipy.sparse.csr_array:
+    """P with sum_{t in selected} R_t D^t = W* P W, k nonzeros per row.
 
-    R_t D^t B = W* diag(L_t) C^t (W B) with L_t the unnormalized FFT of R_t's
-    first column, by W D^t = C^t W. Accumulation runs in ascending t for a
-    deterministic summation order.
+    R_t D^t = W* diag(L_t) W D^t = W* diag(L_t) C^t W with L_t the
+    unnormalized FFT of R_t's first column, so P[i, (i-t) mod n] = L_t[i].
+    Each row stores its entries in ascending t, the summation order.
     """
-    acc = np.zeros_like(FB, dtype=np.complex128)
-    for t in spectrum.selected:
-        L = np.fft.fft(spectrum.columns[t])
-        acc += L[:, None] * np.roll(FB, t, axis=0)
-    return unitary_dft(acc, "inverse", axis=0)
-
-
-def _right_product(spectrum: CirculantSpectrum, G: np.ndarray) -> np.ndarray:
-    """G (sum_{t in selected} R_t D^t) without materializing the sum.
-
-    Works on the conjugate transpose: (G Bhat)* = sum_t D^{-t} W* diag(L_t*) W G*,
-    and D^{-t} W* = W* C^{-t} turns the outer phase into a row rotation.
-    """
-    X = unitary_dft(G.conj().T, "forward", axis=0)
-    acc = np.zeros_like(X, dtype=np.complex128)
-    for t in spectrum.selected:
-        L = np.fft.fft(spectrum.columns[t])
-        acc += np.roll(L.conj()[:, None] * X, -t, axis=0)
-    return unitary_dft(acc, "inverse", axis=0).conj().T
+    n, sel = spectrum.n, np.asarray(spectrum.selected, dtype=np.intp)
+    L = scipy.fft.fft(spectrum.columns[sel], axis=1)
+    cols = (np.arange(n)[:, None] - sel[None, :]) % n
+    return scipy.sparse.csr_array((L.T.ravel(), cols.ravel(), sel.size * np.arange(n + 1)),
+                                  shape=(n, n))
 
 
 def circulant_first_order_multiply(A, B, k: int, order: int,
                                    model: ErrorModel | None = None):
     """Approximate A @ B keeping the k largest circulant components of each.
 
-    order 0 computes Ahat @ B with Ahat applied in the Fourier domain (the
-    left factor is the only one truncated); order 1 adds the correction
-    dA @ Bhat, with the residual dA = A - Ahat as the single dense
-    intermediate. Both cost O(k n^2 + n^2 log n). The result is complex for
-    real inputs; take the real part at the caller if wanted. Deterministic,
-    no randomness involved.
+    order 0 computes Ahat @ B = W* P_a W B with the sparse P_a of
+    _fourier_operator (the left factor is the only one truncated); order 1
+    adds the correction dA @ Bhat = dA W* P_b W, with the residual
+    dA = A - Ahat as the single dense intermediate. Both cost
+    O(k n^2 + n^2 log n). The result is complex for real inputs; take the
+    real part at the caller if wanted. Deterministic, no randomness involved.
     """
     A = as_matrix(A)
     B = as_matrix(B)
@@ -190,12 +184,14 @@ def circulant_first_order_multiply(A, B, k: int, order: int,
     norm_da = _residual_norm(norm_a**2, spec_a)
     norm_db = _residual_norm(norm_b**2, spec_b)
 
-    term1 = _left_product(spec_a, unitary_dft(B, "forward", axis=0))
-    if order == 0:
-        M = term1
-    else:
+    # Ahat B = W* (P_a (W B)) and dA Bhat = ((dA W*) P_b) W; scipy's transforms
+    # take real input at about half cost and may overwrite the intermediates
+    PWB = _fourier_operator(spec_a) @ scipy.fft.fft(B, axis=0, norm="ortho")
+    M = scipy.fft.ifft(PWB, axis=0, norm="ortho", overwrite_x=True)
+    if order == 1:
         dA = A - circulant_materialize(spec_a)
-        M = term1 + _right_product(spec_b, dA)
+        G = scipy.fft.ifft(dA, axis=1, norm="ortho", overwrite_x=True) @ _fourier_operator(spec_b)
+        M += scipy.fft.fft(G, axis=1, norm="ortho", overwrite_x=True)
     wall = time.perf_counter() - t0
 
     if model is None:

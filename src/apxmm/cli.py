@@ -409,17 +409,19 @@ def _bench_one(method, order_name, kind_a, kind_b, n, sel, trial, seed_base):
 
     order = _ORDER_NUM.get(order_name, 0)
     if method in ("svd", "cd", "sfft"):
-        k = components_for(n, sel)
-        M, report = run_method(method, order, A, B, s=sel, k=k, seed=trial)
-        s_col, k_col = sel, k
+        M, report = run_method(method, order, A, B, s=sel,
+                               k=components_for(n, sel), seed=trial)
+        s_col = sel
     elif method == "lowrank":
         M, report = run_method(method, 0, A, B, c=sel, seed=trial)
-        s_col, k_col = None, sel
+        s_col = None
     else:
         M, report = AB, ApproxReport(method="naive", order=0, k=0,
                                      norm_da=0.0, norm_db=0.0,
                                      wall_time=naive_wall)
-        s_col, k_col = None, None
+        s_col = None
+    # the k the method reports it used; svd counts its own rank from s
+    k_col = None if method == "naive" else report.k
 
     row = BenchRow(
         method=method,

@@ -8,6 +8,7 @@ products are tested against.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 __all__ = [
     "as_matrix",
@@ -16,7 +17,6 @@ __all__ = [
     "unitary_dft",
     "cycle_reorder",
     "cycle_reorder_inverse",
-    "apply_cycle_power",
     "relative_error",
 ]
 
@@ -103,6 +103,20 @@ def _check_square(A) -> int:
     return A.shape[0]
 
 
+def _wrapped_diagonals(A2: np.ndarray, start, step_i, step_j) -> np.ndarray:
+    """Fresh n x n array out[i, j] = A2[start + i * step_i + j * step_j].
+
+    A2 holds a square matrix twice along one axis, so each cyclic index
+    (i +- j) mod n is a plain offset into it and the gather is one strided
+    view, copied; no index arrays are built.
+    """
+    n = min(A2.shape)
+    s0, s1 = A2.strides
+    strides = tuple(a * s0 + b * s1 for a, b in (step_i, step_j))
+    view = as_strided(A2[start[0]:, start[1]:], (n, n), strides, writeable=False)
+    return view.copy()
+
+
 def cycle_reorder(A, side: str) -> np.ndarray:
     """Arrange the n cycles of a square matrix into columns.
 
@@ -117,40 +131,25 @@ def cycle_reorder(A, side: str) -> np.ndarray:
     """
     A = as_matrix(A)
     n = _check_square(A)
-    I, J = np.indices((n, n))
     if side == "right":
-        return A[(I + J) % n, I]
+        return _wrapped_diagonals(np.vstack((A, A)), (0, 0), (1, 1), (1, 0))
     if side == "left":
-        return A[I, (I - J) % n]
+        return _wrapped_diagonals(np.hstack((A, A)), (0, n), (1, 1), (0, -1))
     raise ValueError(f"unknown side {side!r}")
 
 
 def cycle_reorder_inverse(At, side: str) -> np.ndarray:
-    """Inverse of cycle_reorder: scatter columns back to matrix cycles."""
+    """Inverse of cycle_reorder: scatter columns back to matrix cycles.
+
+    side="right": result[r, c] = At[c, (r-c) % n]; the left reordering is
+    its own inverse.
+    """
     At = as_matrix(At)
     n = _check_square(At)
-    R, C = np.indices((n, n))
     if side == "right":
-        return At[C, (R - C) % n]
+        return _wrapped_diagonals(np.hstack((At, At)), (0, n), (0, 1), (1, -1))
     if side == "left":
-        return At[R, (R - C) % n]
-    raise ValueError(f"unknown side {side!r}")
-
-
-def apply_cycle_power(M, k: int, side: str) -> np.ndarray:
-    """Multiply by the k-th power of the cyclic shift C.
-
-    side="left" computes C^k M (rows rotate down by k); side="right" computes
-    M C^k (columns rotate left by k). Pure permutation, no arithmetic.
-    """
-    M = as_matrix(M)
-    n = M.shape[0] if side == "left" else M.shape[1]
-    if not 0 <= k < n:
-        raise ValueError(f"k={k} out of range [0, {n})")
-    if side == "left":
-        return np.roll(M, k, axis=0)
-    if side == "right":
-        return np.roll(M, -k, axis=1)
+        return _wrapped_diagonals(np.hstack((At, At)), (0, n), (1, 1), (0, -1))
     raise ValueError(f"unknown side {side!r}")
 
 

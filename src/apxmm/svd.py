@@ -20,13 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_matrix, frobenius
+from .core import as_matrix
 from .errest import ErrorModel, apriori_relative_error, posterior_relative_error
 from .report import ApproxReport
 
 __all__ = [
     "TruncatedSVD",
-    "qr_decompose",
     "component_count",
     "randomized_partial_svd",
     "svd_residual_norm",
@@ -67,15 +66,6 @@ class TruncatedSVD:
         return self.sigma.size
 
 
-def qr_decompose(Y):
-    """Thin QR of an m x k sketch, m >= k. Returns (Q, R) with Q m x k."""
-    Y = as_matrix(Y)
-    m, k = Y.shape
-    if m < k:
-        raise ValueError(f"need at least as many rows as columns, got {m} x {k}")
-    return np.linalg.qr(Y, mode="reduced")
-
-
 def component_count(n: int, s: int) -> int:
     """Retained rank k = min(s * floor(log2 n) + 1, n) for an oversampling level s."""
     if n < 1:
@@ -113,10 +103,10 @@ def randomized_partial_svd(A, s: int, seed, power_iterations: int = 0,
     rng = np.random.default_rng(seed)
     phi = rng.standard_normal((n, min(k + _OVERSAMPLING, m, n)))
     Y = A @ phi
-    Q, _ = qr_decompose(Y)
+    Q, _ = np.linalg.qr(Y, mode="reduced")
     for _ in range(power_iterations):
-        Q, _ = qr_decompose(A.T @ Q)
-        Q, _ = qr_decompose(A @ Q)
+        Q, _ = np.linalg.qr(A.T @ Q, mode="reduced")
+        Q, _ = np.linalg.qr(A @ Q, mode="reduced")
     B = Q.T @ A
     # SVD of the tall B^T = W diag(sigma) Z^T, so B = Z diag(sigma) W^T:
     # LAPACK takes the tall transpose about twice as fast as the wide B
@@ -194,7 +184,7 @@ def svd_first_order_multiply(A, B, s: int, order: int, seed,
     normB = math.sqrt(db.source_frobenius_sq)
     apriori = (apriori_relative_error(normA, normB, norm_da, norm_db, model)
                if normA > 0 and normB > 0 else None)
-    norm_M = frobenius(M)
+    norm_M = float(np.linalg.norm(M))
     posterior = (posterior_relative_error(norm_da, norm_db, norm_M, n_inner)
                  if norm_M > 0 else None)
     report = ApproxReport(

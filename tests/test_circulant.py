@@ -80,6 +80,20 @@ def test_materialize_selected_subset():
                     atol=1e-12)
 
 
+def test_materialize_partial_matches_component_oracle():
+    # sum of R_t D^t over a partial selection, each R_t built from the
+    # cycle-averaging oracle rather than from the FFT decomposition
+    rng = np.random.default_rng(9)
+    for n in (8, 31):
+        A = rng.standard_normal((n, n))
+        spec = circulant_select(circulant_decompose(A), 0)
+        spec.selected = [0, 2, 3, n - 1]
+        omega = np.exp(2j * np.pi * np.arange(n) / n)
+        ref = sum(scipy.linalg.circulant(circulant_component(A, t)) * omega**t
+                  for t in spec.selected)
+        assert np.linalg.norm(circulant_materialize(spec) - ref) < 1e-12 * np.linalg.norm(ref)
+
+
 def test_top_indices_tie_rule():
     assert top_indices([1.0, 3.0, 3.0, 2.0], 2) == [1, 2]
     assert top_indices([1.0, 3.0, 3.0, 2.0], 3) == [1, 2, 3]
@@ -174,6 +188,25 @@ def test_first_order_identity_64():
     gap = matmul_naive(A, B).astype(complex) - M
     resid = matmul_naive(dA, dB)
     assert np.linalg.norm(gap - resid) < 1e-8 * np.linalg.norm(A @ B)
+
+
+def test_multiply_edge_budgets():
+    rng = np.random.default_rng(10)
+    n = 12
+    A = rng.standard_normal((n, n))
+    B = rng.standard_normal((n, n))
+    for order in (0, 1):
+        M, _ = circulant_first_order_multiply(A, B, 0, order)
+        assert np.all(M == 0.0)
+    M, rep = circulant_first_order_multiply(A, B, n, 0)
+    assert np.linalg.norm(M - A @ B) < 1e-10 * np.linalg.norm(A @ B)
+    assert rep.norm_da < 1e-6 * np.linalg.norm(A)
+    for order in (0, 1):
+        M, rep = circulant_first_order_multiply([[3.0]], [[2.0]], 1, order)
+        assert_allclose(M, [[6.0]], rtol=1e-15)
+        assert rep.k == 1
+        M, _ = circulant_first_order_multiply([[3.0]], [[2.0]], 0, order)
+        assert np.all(M == 0.0)
 
 
 def test_multiply_validation():

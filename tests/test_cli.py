@@ -360,6 +360,20 @@ def test_bench_combination_count(tmp_path, capsys):
     assert len(lines) == 9
 
 
+def test_bench_k_column_is_the_k_used(tmp_path, capsys):
+    # svd counts its rank as s * floor(log2 n) + 1 = 10 at n=512, s=1,
+    # not the ceil(s * log2 n) = 9 budget handed to cd and sfft
+    conf = tmp_path / "b.conf"
+    conf.write_text("methods = svd:zeroth\nkinds = general:general\n"
+                    "sizes = 512\ns = 1\ntrials = 1\n", encoding="ascii")
+    out = tmp_path / "rows.csv"
+    code, _, _ = run_cli(capsys, "bench", "--config", str(conf), "--out", str(out))
+    assert code == 0
+    row = out.read_text().strip().splitlines()[1].split(",")
+    assert row[0] == "svd" and row[2] == "512" and row[5] == "1"
+    assert row[6] == "10"
+
+
 def test_bench_workers_match_serial(tmp_path, capsys):
     conf = tmp_path / "b.conf"
     conf.write_text("methods = cd:first\nkinds = toeplitz:general\n"

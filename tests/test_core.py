@@ -3,7 +3,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from apxmm.core import (
-    apply_cycle_power,
     as_matrix,
     cycle_reorder,
     cycle_reorder_inverse,
@@ -134,19 +133,32 @@ def test_cycle_reorder_roundtrip():
         cycle_reorder(np.ones((2, 3)), "right")
 
 
-def test_apply_cycle_power():
-    M = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert_allclose(apply_cycle_power(M, 1, "left"), [[3.0, 4.0], [1.0, 2.0]])
-    assert_allclose(apply_cycle_power(M, 1, "right"), [[2.0, 1.0], [4.0, 3.0]])
-    # C^k as a matrix has its ones on cycle k
-    n = 6
-    Ck = apply_cycle_power(np.eye(n), 2, "left")
-    i, j = np.nonzero(Ck)
-    assert np.all((i - j) % n == 2)
-    with pytest.raises(ValueError):
-        apply_cycle_power(M, 2, "left")
-    with pytest.raises(ValueError):
-        apply_cycle_power(M, -1, "right")
+def _cycle_reorder_reference(A, side):
+    I, J = np.indices(A.shape)
+    n = A.shape[0]
+    return A[(I + J) % n, I] if side == "right" else A[I, (I - J) % n]
+
+
+def _cycle_reorder_inverse_reference(At, side):
+    R, C = np.indices(At.shape)
+    n = At.shape[0]
+    return At[C, (R - C) % n] if side == "right" else At[R, (R - C) % n]
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64])
+def test_cycle_reorder_matches_index_reference(n):
+    rng = np.random.default_rng(n)
+    real = rng.standard_normal((n, n))
+    cplx = real + 1j * rng.standard_normal((n, n))
+    sliced = rng.standard_normal((2 * n, 3 * n))[::2, 1::3]
+    for A in (real, cplx, np.asfortranarray(cplx), sliced, sliced.T):
+        for side in ("right", "left"):
+            for fn, ref in ((cycle_reorder, _cycle_reorder_reference),
+                            (cycle_reorder_inverse, _cycle_reorder_inverse_reference)):
+                out = fn(A, side)
+                assert_allclose(out, ref(A, side), rtol=0, atol=0)
+                assert out.flags.c_contiguous and out.flags.writeable
+                assert not np.shares_memory(out, A)
 
 
 def test_relative_error():

@@ -6,42 +6,11 @@ from apxmm.core import matmul_naive, relative_error
 from apxmm.svd import (
     TruncatedSVD,
     component_count,
-    qr_decompose,
     randomized_partial_svd,
     svd_first_order_multiply,
     svd_reconstruct,
     svd_residual_norm,
 )
-
-
-def test_qr_single_column():
-    Q, R = qr_decompose(np.array([[3.0], [4.0]]))
-    assert abs(R[0, 0]) == pytest.approx(5.0)
-    assert_allclose(np.abs(Q[:, 0]), [0.6, 0.8], atol=1e-15)
-    assert_allclose(Q @ R, [[3.0], [4.0]], atol=1e-14)
-
-
-def test_qr_orthonormal_input():
-    rng = np.random.default_rng(0)
-    Y0, _ = np.linalg.qr(rng.standard_normal((10, 4)))
-    Q, R = qr_decompose(Y0)
-    # already orthonormal: Q can differ only by column signs, R by sign on I
-    assert_allclose(np.abs(Q), np.abs(Y0), atol=1e-12)
-    assert_allclose(np.abs(R), np.eye(4), atol=1e-12)
-
-
-def test_qr_reconstruction():
-    rng = np.random.default_rng(1)
-    Y = rng.standard_normal((20, 5))
-    Q, R = qr_decompose(Y)
-    assert np.linalg.norm(Q @ R - Y) / np.linalg.norm(Y) < 1e-12
-    assert_allclose(Q.T @ Q, np.eye(5), atol=1e-12)
-    assert_allclose(R, np.triu(R), atol=0)
-
-
-def test_qr_rejects_wide():
-    with pytest.raises(ValueError):
-        qr_decompose(np.ones((3, 5)))
 
 
 def test_component_count():
