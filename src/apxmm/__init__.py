@@ -36,10 +36,8 @@ from .errest import (
     uniform_product_moment,
 )
 from .fsparse import (
-    FourierRowSpectrum,
     SparseRowMatrix,
     fft_sparse_first_order_multiply,
-    fourier_row_decompose,
     sparse_dense_multiply,
     topk_sparsify,
 )
@@ -70,7 +68,6 @@ __all__ = [
     "ApproxReport",
     "CirculantSpectrum",
     "ErrorModel",
-    "FourierRowSpectrum",
     "HaarMoments",
     "IndexRangeError",
     "MalformedHeaderError",
@@ -91,7 +88,6 @@ __all__ = [
     "cycle_reorder_inverse",
     "estimate_front_constant",
     "fft_sparse_first_order_multiply",
-    "fourier_row_decompose",
     "frobenius",
     "generate",
     "generate_haar_orthogonal",

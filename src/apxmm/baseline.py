@@ -23,9 +23,11 @@ def randomized_outer_product_multiply(A, B, c: int, seed):
 
     p_k is proportional to ||A column k|| * ||B row k||; a candidate k
     (uniform) is accepted when U * max_j p_j < p_k, with U uniform on [0, 1).
-    Each loop draws k first, then U. Zero-probability indices are never
-    accepted; if every p_k is zero the product is identically zero and there
-    is nothing to sample, so that degenerate input is rejected.
+    Each loop draws k first, then U. The c accepted terms are summed as one
+    GEMM of the rescaled sampled columns with the sampled rows.
+    Zero-probability indices are never accepted; if every p_k is zero the
+    product is identically zero and there is nothing to sample, so that
+    degenerate input is rejected.
     """
     A = as_matrix(A)
     B = as_matrix(B)
@@ -44,15 +46,14 @@ def randomized_outer_product_multiply(A, B, c: int, seed):
     pmax = float(p.max())
 
     rng = np.random.default_rng(seed)
-    dtype = np.complex128 if np.iscomplexobj(A) or np.iscomplexobj(B) else np.float64
-    M = np.zeros((A.shape[0], B.shape[1]), dtype=dtype)
-    accepted = 0
-    while accepted < c:
+    idx = []
+    while len(idx) < c:
         k = int(rng.integers(0, n))
         u = float(rng.uniform())
         if u * pmax < p[k]:
-            M += np.outer(A[:, k], B[k, :]) / (c * p[k])
-            accepted += 1
+            idx.append(k)
+    idx = np.array(idx)
+    M = (A[:, idx] / (c * p[idx])) @ B[idx]
     wall = time.perf_counter() - t0
 
     report = ApproxReport(

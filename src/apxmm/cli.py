@@ -70,12 +70,13 @@ def operation_count(method: str, n: int, k: int = 0, c: int = 0) -> float:
     """Leading-term arithmetic-operation model per method (multiply+add = 2).
 
     svd:     6 k n^2   (sketch product, projection, factored apply)
-    cd:      4 k n^2 + 5 n^2 ceil(log2 n)   (k scale-and-roll passes over an
-             n x n Fourier block in each of the two terms, plus the
-             decompose / forward / inverse FFT passes)
+    cd:      4 k n^2 + 5 n^2 ceil(log2 n)   (the kept sum is W* P W with P
+             sparse, k nonzeros per row: one sparse-dense product with P in
+             each of the two terms, plus the decompose / forward / inverse
+             FFT passes)
     sfft:    8 k n^2 + 2 n^2 ceil(log2 n)   (two k-per-row sparse-dense
              products in complex arithmetic, plus the two transforms)
-    lowrank: 2 c n^2   (c scaled outer products)
+    lowrank: 2 c n^2   (one rank-c GEMM of the scaled samples)
     naive:   2 n^3
     """
     L = math.ceil(math.log2(n)) if n > 1 else 1
@@ -249,10 +250,10 @@ def cmd_sweep(args, parser) -> int:
             return 0
         errs = []
         for t, (A, B, AB) in enumerate(pairs):
-            M, _ = run_method(args.method, order, A, B, s=s, k=k, seed=t)
+            M, report = run_method(args.method, order, A, B, s=s, k=k, seed=t)
             errs.append(relative_error(M, AB))
         mean_err = float(np.mean(errs))
-        print(_json_line({"s": s, "k": k, "mean_rel_err": mean_err}),
+        print(_json_line({"s": s, "k": report.k, "mean_rel_err": mean_err}),
               file=sys.stderr)
         if mean_err <= args.tol:
             print(s)

@@ -36,11 +36,9 @@ def as_matrix(a, allow_complex: bool = True) -> np.ndarray:
         if not allow_complex:
             raise ValueError("complex entries not allowed here")
         m = m.astype(np.complex128, copy=False)
-        finite = np.isfinite(m.real) & np.isfinite(m.imag)
     else:
         m = m.astype(np.float64, copy=False)
-        finite = np.isfinite(m)
-    if not finite.all():
+    if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite (no NaN/Inf)")
     return m
 

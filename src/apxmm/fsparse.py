@@ -15,6 +15,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .core import as_matrix, unitary_dft
 from .errest import ErrorModel, apriori_relative_error, posterior_relative_error
@@ -22,147 +23,111 @@ from .report import ApproxReport
 
 __all__ = [
     "SparseRowMatrix",
-    "FourierRowSpectrum",
-    "fourier_row_decompose",
     "topk_sparsify",
     "sparse_dense_multiply",
     "fft_sparse_first_order_multiply",
 ]
 
 
-@dataclass
+@dataclass(eq=False)
 class SparseRowMatrix:
-    """Row-major sparse matrix: entries[i] is a list of (column, value).
+    """Row-sparse matrix held as one CSR array.
 
     Column indices are strictly increasing within a row and the stored values
     are exactly the source entries at those positions (no rescaling).
     """
 
-    rows: int
-    cols: int
-    entries: list[list[tuple[int, complex]]]
+    csr: sp.csr_array
 
     def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
-            raise ValueError("negative dimensions")
-        if len(self.entries) != self.rows:
-            raise ValueError("need one entry list per row")
-        for i, row in enumerate(self.entries):
-            last = -1
-            for j, _ in row:
-                if not 0 <= j < self.cols:
-                    raise ValueError(f"column {j} out of range in row {i}")
-                if j <= last:
-                    raise ValueError(f"row {i} columns not strictly increasing")
-                last = j
+        if not isinstance(self.csr, sp.csr_array):
+            raise TypeError("csr must be a scipy.sparse.csr_array")
+        rows, cols = self.positions()
+        if cols.size and (cols.min() < 0 or cols.max() >= self.csr.shape[1]):
+            raise ValueError(f"column index out of range for {self.csr.shape[1]} columns")
+        # the row-major offsets increase strictly exactly when every row's
+        # columns do
+        if np.any(np.diff(rows * self.csr.shape[1] + cols) <= 0):
+            raise ValueError("row columns not strictly increasing")
 
     @property
     def nnz(self) -> int:
-        return sum(len(r) for r in self.entries)
+        return int(self.csr.nnz)
+
+    def positions(self) -> tuple[np.ndarray, np.ndarray]:
+        """Row and column index of every stored entry, in storage order."""
+        rows = np.repeat(np.arange(self.csr.shape[0], dtype=np.int64),
+                         np.diff(self.csr.indptr))
+        return rows, self.csr.indices
 
     def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.rows, self.cols), dtype=np.complex128)
-        for i, row in enumerate(self.entries):
-            for j, v in row:
-                out[i, j] = v
+        out = np.zeros(self.csr.shape, dtype=self.csr.dtype)
+        out[self.positions()] = self.csr.data
         return out
 
 
-@dataclass
-class FourierRowSpectrum:
-    """Weights and directions of the row-wise Fourier split A = sum_k f_k 1^T D^k.
-
-    weights[k] = sqrt(n) * ||f_k||_2 so that sum weights^2 = ||A||_F^2;
-    directions[:, k] is f_k normalized to unit length (zero column where the
-    weight vanishes).
-    """
-
-    weights: np.ndarray
-    directions: np.ndarray
-
-    def __post_init__(self):
-        if self.weights.ndim != 1 or self.directions.ndim != 2:
-            raise ValueError("weights must be 1-D, directions 2-D")
-        if self.directions.shape[1] != self.weights.size:
-            raise ValueError("one direction column per weight required")
-        if np.any(self.weights < 0):
-            raise ValueError("weights must be nonnegative")
-
-
-def fourier_row_decompose(A) -> FourierRowSpectrum:
-    """Split an m x n matrix into rank-one Fourier components, O(mn log n).
-
-    Row i of A is the Fourier series sum_k f[i, k] omega^{k.}, so one forward
-    unitary DFT per row recovers all coefficient columns f_k at once.
-    """
-    A = as_matrix(A)
-    n = A.shape[1]
-    F = unitary_dft(A, "forward", axis=1) / math.sqrt(n)
-    weights = math.sqrt(n) * np.linalg.norm(F, axis=0)
-    directions = np.zeros_like(F)
-    nz = weights > 0
-    directions[:, nz] = F[:, nz] / np.linalg.norm(F[:, nz], axis=0)
-    return FourierRowSpectrum(weights=weights, directions=directions)
-
-
-def _row_budgets(k, rows: int, cols: int) -> list[int]:
-    if np.isscalar(k):
-        if k < 0:
-            raise ValueError("k must be >= 0")
-        return [min(int(k), cols)] * rows
-    ks = [int(v) for v in k]
-    if len(ks) != rows:
-        raise ValueError(f"need one budget per row, got {len(ks)} for {rows} rows")
-    if any(v < 0 for v in ks):
-        raise ValueError("budgets must be >= 0")
-    return [min(v, cols) for v in ks]
-
-
-def topk_sparsify(M, k) -> SparseRowMatrix:
+def topk_sparsify(M, k: int) -> SparseRowMatrix:
     """Keep the k largest-modulus entries of each row, zeroing the rest.
 
     Ties are broken toward the lower column index. k above the column count
-    is clamped; a per-row budget may be passed as a sequence instead of one
-    scalar. Deterministic.
+    is clamped. One partial sort selects every row at once; only rows with
+    a tie at the cut are redone. Deterministic.
     """
     M = as_matrix(M)
+    if not np.isscalar(k):
+        raise TypeError("k must be one budget shared by every row")
+    if k < 0:
+        raise ValueError("k must be >= 0")
     rows, cols = M.shape
-    budgets = _row_budgets(k, rows, cols)
-    entries: list[list[tuple[int, complex]]] = []
-    for i in range(rows):
-        ki = budgets[i]
-        if ki == 0:
-            entries.append([])
-            continue
-        keep = np.argsort(-np.abs(M[i]), kind="stable")[:ki]
-        entries.append([(int(j), complex(M[i, j])) for j in sorted(keep)])
-    return SparseRowMatrix(rows=rows, cols=cols, entries=entries)
+    k = min(int(k), cols)
+    keep = np.empty((rows, 0), dtype=np.intp)
+    if k > 0:
+        mag = np.abs(M)
+        keep = np.argpartition(mag, cols - k, axis=1)[:, cols - k:]
+        cut = np.take_along_axis(mag, keep[:, :1], axis=1)
+        # rows with a tie at the cut take every entry above it and then the
+        # lowest columns among those equal to it
+        tied = np.flatnonzero(np.count_nonzero(mag >= cut, axis=1) > k)
+        above, at_cut = mag[tied] > cut[tied], mag[tied] == cut[tied]
+        room = k - np.count_nonzero(above, axis=1)
+        pick = above | (at_cut & (np.cumsum(at_cut, axis=1) <= room[:, None]))
+        keep[tied] = np.nonzero(pick)[1].reshape(-1, k)
+        keep.sort(axis=1)
+    vals = np.take_along_axis(M, keep, axis=1).astype(np.complex128, copy=False)
+    csr = sp.csr_array((vals.ravel(), keep.ravel(), np.arange(rows + 1) * k),
+                       shape=(rows, cols))
+    return SparseRowMatrix(csr)
 
 
 def sparse_dense_multiply(S: SparseRowMatrix, B, side: str = "left") -> np.ndarray:
     """S @ B (side="left") or B @ S (side="right"), O(nnz * dense width).
 
-    Accumulates scaled rows (or columns) of B directly from the entry lists;
-    never densifies S.
+    One CSR-dense product; never densifies S.
     """
     B = as_matrix(B)
+    rows, cols = S.csr.shape
     if side == "left":
-        if S.cols != B.shape[0]:
-            raise ValueError(f"dimension mismatch: ({S.rows},{S.cols}) x {B.shape}")
-        out = np.zeros((S.rows, B.shape[1]), dtype=np.complex128)
-        for i, row in enumerate(S.entries):
-            for j, v in row:
-                out[i] += v * B[j]
-        return out
+        if cols != B.shape[0]:
+            raise ValueError(f"dimension mismatch: ({rows},{cols}) x {B.shape}")
+        return S.csr @ B
     if side == "right":
-        if B.shape[1] != S.rows:
-            raise ValueError(f"dimension mismatch: {B.shape} x ({S.rows},{S.cols})")
-        out = np.zeros((B.shape[0], S.cols), dtype=np.complex128)
-        for i, row in enumerate(S.entries):
-            for j, v in row:
-                out[:, j] += B[:, i] * v
-        return out
+        if B.shape[1] != rows:
+            raise ValueError(f"dimension mismatch: {B.shape} x ({rows},{cols})")
+        return B @ S.csr
     raise ValueError(f"unknown side {side!r}")
+
+
+def _zero_kept(X: np.ndarray, S: SparseRowMatrix) -> np.ndarray:
+    """X with the entries S keeps set to zero, in place: X - dense(S) bit for
+    bit when S holds X's own entries."""
+    X[S.positions()] = 0.0
+    return X
+
+
+def _fro(X: np.ndarray) -> float:
+    """Frobenius norm from one contiguous dot; np.linalg.norm takes two
+    strided passes over a complex array."""
+    return math.sqrt(np.vdot(X, X).real)
 
 
 def fft_sparse_first_order_multiply(A, B, k: int, order: int,
@@ -173,9 +138,10 @@ def fft_sparse_first_order_multiply(A, B, k: int, order: int,
     Forms Atil = A W* and Btil = W B, sparsifies both to k entries per row
     (sparsify_b="cols" switches B's truncation to per-column), then evaluates
 
-      order 0: SA @ dense(SB)
-      order 1: SA @ Btil + (Atil - dense(SA)) @ SB
+      order 0: SA @ SB                    (one sparse-sparse product)
+      order 1: SA @ Btil + dAt @ SB       (dAt = Atil - dense(SA))
 
+    The residues are Atil and Btil with the kept entries zeroed in place.
     The result is complex; residual norms in the report are those of the
     transformed factors, which equal the untransformed ones by unitarity.
     """
@@ -197,34 +163,30 @@ def fft_sparse_first_order_multiply(A, B, k: int, order: int,
     SA = topk_sparsify(Atil, k)
     if sparsify_b == "rows":
         SB = topk_sparsify(Btil, k)
-        SB_dense = SB.to_dense()
     else:
-        SBt = topk_sparsify(Btil.T, k)
-        SB_dense = SBt.to_dense().T
-        SB = None
-    dAt = Atil - SA.to_dense()
-    dBt = Btil - SB_dense
-    norm_da = float(np.linalg.norm(dAt))
-    norm_db = float(np.linalg.norm(dBt))
+        SB = SparseRowMatrix(topk_sparsify(Btil.T, k).csr.T.tocsr())
 
     if order == 0:
-        M = sparse_dense_multiply(SA, SB_dense, "left")
+        prod = SA.csr @ SB.csr
+        prod.sort_indices()
+        M = SparseRowMatrix(prod).to_dense()
     else:
-        term1 = sparse_dense_multiply(SA, Btil, "left")
-        if SB is not None:
-            term2 = sparse_dense_multiply(SB, dAt, "right")
-        else:
-            term2 = dAt @ SB_dense
-        M = term1 + term2
+        M = sparse_dense_multiply(SA, Btil, "left")
+    dAt = _zero_kept(Atil, SA)
+    dBt = _zero_kept(Btil, SB)
+    if order == 1:
+        M += sparse_dense_multiply(SB, dAt, "right")
+    norm_da = _fro(dAt)
+    norm_db = _fro(dBt)
     wall = time.perf_counter() - t0
 
     if model is None:
         model = ErrorModel(case="mean-zero", n=n)
-    norm_a = float(np.linalg.norm(A))
-    norm_b = float(np.linalg.norm(B))
+    norm_a = _fro(A)
+    norm_b = _fro(B)
     apriori = (apriori_relative_error(norm_a, norm_b, norm_da, norm_db, model)
                if norm_a > 0 and norm_b > 0 else None)
-    norm_M = float(np.linalg.norm(M))
+    norm_M = _fro(M)
     posterior = (posterior_relative_error(norm_da, norm_db, norm_M, n)
                  if norm_M > 0 else None)
     report = ApproxReport(

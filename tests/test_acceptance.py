@@ -392,7 +392,7 @@ def test_criterion_09_sparsify_support_oracle():
         M = rng.standard_normal((8, cols))
         S = topk_sparsify(M, k)
         for r in range(8):
-            impl = tuple(j for j, _ in S.entries[r])
+            impl = tuple(S.csr.indices[S.csr.indptr[r]:S.csr.indptr[r + 1]].tolist())
             best = max(itertools.combinations(range(cols), k),
                        key=lambda idx: float(np.sum(M[r, list(idx)] ** 2)))
             if impl != best:

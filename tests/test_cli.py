@@ -246,6 +246,17 @@ def test_sweep_reproducible(capsys):
     assert (code1, out1, err1) == (code2, out2, err2)
 
 
+def test_sweep_k_is_the_k_used(capsys):
+    # svd keeps s * floor(log2 n) + 1 = 7 components at n=64, s=1, not the
+    # ceil(s * log2 n) = 6 budget handed to cd and sfft
+    code, out, err = run_cli(capsys, "sweep", "--method", "svd",
+                             "--order", "first", "--tol", "1.1",
+                             "--kind-a", "general", "--kind-b", "general",
+                             "--n", "64", "--trials", "1")
+    assert code == 0 and out.strip() == "1"
+    assert json.loads(err.strip().splitlines()[-1])["k"] == 7
+
+
 # ------------------------------------------------------------------- spectra
 
 def test_spectra_cd_identity(tmp_path, capsys):

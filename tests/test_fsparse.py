@@ -4,81 +4,29 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from apxmm.core import frobenius, matmul_naive, relative_error, unitary_dft
 from apxmm.fsparse import (
-    FourierRowSpectrum,
     SparseRowMatrix,
     fft_sparse_first_order_multiply,
-    fourier_row_decompose,
     sparse_dense_multiply,
     topk_sparsify,
 )
 
 
 def _cols(S, i):
-    return [j for j, _ in S.entries[i]]
+    lo, hi = S.csr.indptr[i], S.csr.indptr[i + 1]
+    return S.csr.indices[lo:hi].tolist()
 
 
 def _vals(S, i):
-    return [v for _, v in S.entries[i]]
+    lo, hi = S.csr.indptr[i], S.csr.indptr[i + 1]
+    return S.csr.data[lo:hi].tolist()
 
 
-# ---------------------------------------------------------------- decompose
-
-def test_row_decompose_parseval():
-    rng = np.random.default_rng(0)
-    A = rng.standard_normal((8, 8))
-    spec = fourier_row_decompose(A)
-    assert np.all(spec.weights >= 0)
-    total = float(np.sum(spec.weights**2))
-    assert abs(total - frobenius(A) ** 2) < 1e-10
-
-
-def test_row_decompose_constant_rows():
-    # every row constant: all energy sits in the zero-frequency column
-    m, n, c = 5, 8, 2.5
-    A = np.full((m, n), c)
-    spec = fourier_row_decompose(A)
-    assert abs(spec.weights[0] - c * np.sqrt(m * n)) < 1e-10
-    assert np.max(spec.weights[1:]) < 1e-10
-
-
-def test_row_decompose_zero_matrix():
-    spec = fourier_row_decompose(np.zeros((4, 6)))
-    assert np.max(spec.weights) == 0.0
-    # zero-weight directions are left as zero columns, not NaN
-    assert np.all(np.isfinite(spec.directions))
-
-
-def test_row_decompose_unit_directions():
-    rng = np.random.default_rng(2)
-    spec = fourier_row_decompose(rng.standard_normal((6, 9)))
-    lens = np.linalg.norm(spec.directions, axis=0)
-    assert np.allclose(lens[spec.weights > 0], 1.0, atol=1e-12)
-
-
-def test_row_decompose_rectangular():
-    rng = np.random.default_rng(3)
-    A = rng.standard_normal((3, 11))
-    spec = fourier_row_decompose(A)
-    assert spec.weights.shape == (11,)
-    assert spec.directions.shape == (3, 11)
-    total = float(np.sum(spec.weights**2))
-    assert abs(total - frobenius(A) ** 2) < 1e-10
-
-
-def test_spectrum_validation():
-    with pytest.raises(ValueError):
-        FourierRowSpectrum(
-            weights=np.array([1.0, -0.5]),
-            directions=np.zeros((3, 2), dtype=complex),
-        )
-    with pytest.raises(ValueError):
-        FourierRowSpectrum(
-            weights=np.array([1.0, 0.5]),
-            directions=np.zeros((2, 3), dtype=complex),
-        )
+def _csr(data, indices, indptr, shape):
+    return sp.csr_array((np.asarray(data, dtype=complex), indices, indptr), shape=shape)
 
 
 # ----------------------------------------------------------------- sparsify
@@ -112,14 +60,12 @@ def test_topk_zero_budget():
 
 
 def test_topk_per_row_budgets():
+    # one budget serves every row; a per-row sequence is refused
     A = np.array([[5.0, 1.0, 3.0], [2.0, 9.0, 4.0]])
-    S = topk_sparsify(A, [1, 2])
-    assert _cols(S, 0) == [0]
-    assert _cols(S, 1) == [1, 2]
-    with pytest.raises(ValueError):
-        topk_sparsify(A, [1, 2, 3])
-    with pytest.raises(ValueError):
-        topk_sparsify(A, [1, -1])
+    with pytest.raises(TypeError):
+        topk_sparsify(A, [1, 2])
+    with pytest.raises(TypeError):
+        topk_sparsify(A, np.array([1, 2]))
 
 
 def test_topk_negative_budget():
@@ -131,18 +77,25 @@ def test_topk_values_kept_exactly():
     rng = np.random.default_rng(5)
     A = rng.standard_normal((6, 10))
     S = topk_sparsify(A, 4)
-    for i in range(6):
-        for j, v in S.entries[i]:
-            assert v == A[i, j]
+    rows, cols = S.positions()
+    assert np.array_equal(S.csr.data, A[rows, cols])
+
+
+def test_to_dense_keeps_signed_zeros():
+    # kept values are copied bit for bit, -0.0 parts included
+    M = np.array([[complex(-0.0, 2.0), 1.0, complex(3.0, -0.0)]])
+    D = topk_sparsify(M, 2).to_dense()
+    assert np.signbit(D[0, 0].real) and np.signbit(D[0, 2].imag)
+    assert D.tobytes() == np.array([[M[0, 0], 0.0, M[0, 2]]]).tobytes()
 
 
 def test_topk_columns_strictly_increasing():
     rng = np.random.default_rng(6)
     S = topk_sparsify(rng.standard_normal((7, 9)), 5)
-    for row in S.entries:
-        cols = [j for j, _ in row]
-        assert cols == sorted(cols)
-        assert len(set(cols)) == len(cols)
+    for i in range(7):
+        cols = _cols(S, i)
+        assert len(cols) == 5
+        assert cols == sorted(set(cols))
 
 
 def test_topk_is_optimal_exhaustively():
@@ -161,6 +114,56 @@ def test_topk_is_optimal_exhaustively():
         assert kept >= best - 1e-12
 
 
+def _oracle_topk(M, k):
+    """Kept columns and values of the former per-row selection: a stable
+    argsort of -|row|, first k, in ascending column order."""
+    M = np.asarray(M, dtype=complex)
+    cols = [np.sort(np.argsort(-np.abs(row), kind="stable")[:k]) for row in M]
+    cols = np.array(cols, dtype=np.intp).reshape(M.shape[0], -1)
+    return cols, np.take_along_axis(M, cols, axis=1)
+
+
+def _tie_heavy_input(kind):
+    rng = np.random.default_rng(sum(map(ord, kind)))
+    if kind == "conj-symmetric-16":
+        return unitary_dft(rng.standard_normal((16, 16)), "inverse", axis=1)
+    if kind == "conj-symmetric-512":
+        return unitary_dft(rng.standard_normal((512, 512)), "inverse", axis=1)
+    if kind == "integer":
+        return rng.integers(-3, 4, (40, 24)).astype(float)
+    # complex entries whose moduli repeat: |1+2i| = |2-i| = |-2| ...
+    return rng.integers(-2, 3, (40, 24)) + 1j * rng.integers(-2, 3, (40, 24))
+
+
+@pytest.mark.parametrize("kind", ["conj-symmetric-16", "conj-symmetric-512",
+                                  "integer", "complex"])
+@pytest.mark.parametrize("offset", ["0", "1", "cols-1", "cols", "cols+3"])
+def test_topk_matches_per_row_stable_argsort(kind, offset):
+    M = _tie_heavy_input(kind)
+    rows, cols = M.shape
+    k = {"0": 0, "1": 1, "cols-1": cols - 1, "cols": cols, "cols+3": cols + 3}[offset]
+    S = topk_sparsify(M, k)
+    want_cols, want_vals = _oracle_topk(M, min(k, cols))
+    assert S.nnz == want_cols.size
+    np.testing.assert_array_equal(S.csr.indptr, np.arange(rows + 1) * min(k, cols))
+    np.testing.assert_array_equal(S.csr.indices.reshape(want_cols.shape), want_cols)
+    np.testing.assert_array_equal(S.csr.data.reshape(want_vals.shape), want_vals)
+    dense = np.zeros((rows, cols), dtype=complex)
+    np.put_along_axis(dense, want_cols, want_vals, axis=1)
+    assert S.to_dense().tobytes() == dense.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["conj-symmetric-16", "conj-symmetric-512",
+                                  "integer", "complex"])
+def test_tie_heavy_inputs_tie_at_the_cut(kind):
+    # the inputs above do put exact modulus ties at the cut for k = 1 and
+    # k = cols - 1, where only the lower-column rule decides the support
+    mag = np.abs(_tie_heavy_input(kind))
+    ranked = -np.sort(-mag, axis=1)
+    for k in (1, mag.shape[1] - 1):
+        assert np.any(np.count_nonzero(mag >= ranked[:, k - 1:k], axis=1) > k)
+
+
 def test_disjoint_support_energy_identity():
     # residual energy equals total energy minus kept energy
     rng = np.random.default_rng(8)
@@ -173,16 +176,19 @@ def test_disjoint_support_energy_identity():
 
 
 def test_sparse_row_matrix_validation():
+    # columns out of order, repeated, or out of range within a row
     with pytest.raises(ValueError):
-        SparseRowMatrix(rows=1, cols=3, entries=[[(1, 1.0), (0, 2.0)]])
+        SparseRowMatrix(_csr([1.0, 2.0], [1, 0], [0, 2], (1, 3)))
     with pytest.raises(ValueError):
-        SparseRowMatrix(rows=1, cols=3, entries=[[(0, 1.0), (0, 2.0)]])
+        SparseRowMatrix(_csr([1.0, 2.0], [0, 0], [0, 2], (1, 3)))
     with pytest.raises(ValueError):
-        SparseRowMatrix(rows=1, cols=2, entries=[[(5, 1.0)]])
-    with pytest.raises(ValueError):
-        SparseRowMatrix(rows=2, cols=2, entries=[[]])
-    with pytest.raises(ValueError):
-        SparseRowMatrix(rows=-1, cols=2, entries=[])
+        SparseRowMatrix(_csr([1.0, 2.0], [1, 2], [0, 1, 2], (2, 2)))
+    with pytest.raises(TypeError):
+        SparseRowMatrix(np.eye(2))
+    # a row may end at a higher column than the next row starts at
+    S = SparseRowMatrix(_csr([1.0, 2.0, 3.0], [1, 2, 0], [0, 2, 3], (2, 3)))
+    assert S.nnz == 3
+    assert np.array_equal(S.to_dense(), [[0, 1, 2], [3, 0, 0]])
 
 
 # ------------------------------------------------------------ sparse product
@@ -335,3 +341,39 @@ def test_fft_multiply_report_fields():
     assert report.wall_time >= 0.0
     assert report.apriori_estimate is not None and report.apriori_estimate > 0
     assert report.posterior_estimate is not None and report.posterior_estimate > 0
+
+
+@pytest.mark.parametrize("n, complex_input", [(32, False), (33, True)])
+@pytest.mark.parametrize("sparsify_b", ["rows", "cols"])
+@pytest.mark.parametrize("order", [0, 1])
+def test_fft_multiply_matches_dense_reference(n, complex_input, sparsify_b, order):
+    rng = np.random.default_rng([17, n])
+    A = rng.standard_normal((n, n))
+    B = rng.standard_normal((n, n))
+    if complex_input:
+        A = A + 1j * rng.standard_normal((n, n))
+        B = B + 1j * rng.standard_normal((n, n))
+    k = 5
+    Atil = unitary_dft(A, "inverse", axis=1)
+    Btil = unitary_dft(B, "forward", axis=0)
+    SA = topk_sparsify(Atil, k).to_dense()
+    if sparsify_b == "rows":
+        SB = topk_sparsify(Btil, k).to_dense()
+    else:
+        SB = topk_sparsify(Btil.T, k).to_dense().T
+    ref = SA @ SB if order == 0 else SA @ Btil + (Atil - SA) @ SB
+
+    M, report = fft_sparse_first_order_multiply(A, B, k, order, sparsify_b=sparsify_b)
+    assert relative_error(M, ref) < 1e-12
+    assert abs(report.norm_da - np.linalg.norm(Atil - SA)) <= 1e-12 * report.norm_da
+    assert abs(report.norm_db - np.linalg.norm(Btil - SB)) <= 1e-12 * report.norm_db
+
+
+def test_fft_multiply_leaves_inputs_unchanged():
+    rng = np.random.default_rng(18)
+    A = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+    B = rng.standard_normal((16, 16))
+    A0, B0 = A.copy(), B.copy()
+    for order in (0, 1):
+        fft_sparse_first_order_multiply(A, B, 3, order)
+    assert np.array_equal(A, A0) and np.array_equal(B, B0)
