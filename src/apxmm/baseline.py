@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from .core import as_matrix
+from .core import as_pair
 from .report import ApproxReport
 
 __all__ = ["randomized_outer_product_multiply"]
@@ -29,10 +29,7 @@ def randomized_outer_product_multiply(A, B, c: int, seed):
     product is identically zero and there is nothing to sample, so that
     degenerate input is rejected.
     """
-    A = as_matrix(A)
-    B = as_matrix(B)
-    if A.shape[1] != B.shape[0]:
-        raise ValueError(f"dimension mismatch: {A.shape} x {B.shape}")
+    A, B = as_pair(A, B)
     if c < 1:
         raise ValueError("c must be >= 1")
     n = A.shape[1]
@@ -56,14 +53,5 @@ def randomized_outer_product_multiply(A, B, c: int, seed):
     M = (A[:, idx] / (c * p[idx])) @ B[idx]
     wall = time.perf_counter() - t0
 
-    report = ApproxReport(
-        method="lowrank",
-        order=0,
-        k=c,
-        norm_da=0.0,
-        norm_db=0.0,
-        apriori_estimate=None,
-        posterior_estimate=None,
-        wall_time=wall,
-    )
-    return M, report
+    return M, ApproxReport(method="lowrank", order=0, k=c, norm_da=0.0,
+                           norm_db=0.0, wall_time=wall)

@@ -23,9 +23,8 @@ import numpy as np
 import scipy.fft
 import scipy.sparse
 
-from .core import as_matrix, cycle_reorder, cycle_reorder_inverse, unitary_dft
-from .errest import ErrorModel, apriori_relative_error, posterior_relative_error
-from .report import ApproxReport
+from .core import as_matrix, as_pair, cycle_reorder, cycle_reorder_inverse, unitary_dft
+from .report import estimated_report
 
 __all__ = [
     "CirculantSpectrum",
@@ -155,8 +154,7 @@ def _fourier_operator(spectrum: CirculantSpectrum) -> scipy.sparse.csr_array:
                                   shape=(n, n))
 
 
-def circulant_first_order_multiply(A, B, k: int, order: int,
-                                   model: ErrorModel | None = None):
+def circulant_first_order_multiply(A, B, k: int, order: int):
     """Approximate A @ B keeping the k largest circulant components of each.
 
     order 0 computes Ahat @ B = W* P_a W B with the sparse P_a of
@@ -166,8 +164,7 @@ def circulant_first_order_multiply(A, B, k: int, order: int,
     O(k n^2 + n^2 log n). The result is complex for real inputs; take the
     real part at the caller if wanted. Deterministic, no randomness involved.
     """
-    A = as_matrix(A)
-    B = as_matrix(B)
+    A, B = as_pair(A, B)
     n = A.shape[0]
     if A.shape[1] != n or B.shape != (n, n):
         raise ValueError(f"two square n x n matrices required, got {A.shape} x {B.shape}")
@@ -193,22 +190,5 @@ def circulant_first_order_multiply(A, B, k: int, order: int,
         G = scipy.fft.ifft(dA, axis=1, norm="ortho", overwrite_x=True) @ _fourier_operator(spec_b)
         M += scipy.fft.fft(G, axis=1, norm="ortho", overwrite_x=True)
     wall = time.perf_counter() - t0
-
-    if model is None:
-        model = ErrorModel(case="mean-zero", n=n)
-    apriori = (apriori_relative_error(norm_a, norm_b, norm_da, norm_db, model)
-               if norm_a > 0 and norm_b > 0 else None)
-    norm_M = float(np.linalg.norm(M))
-    posterior = (posterior_relative_error(norm_da, norm_db, norm_M, n)
-                 if norm_M > 0 else None)
-    report = ApproxReport(
-        method="cd",
-        order=order,
-        k=k,
-        norm_da=norm_da,
-        norm_db=norm_db,
-        apriori_estimate=apriori,
-        posterior_estimate=posterior,
-        wall_time=wall,
-    )
-    return M, report
+    return M, estimated_report("cd", order, k, M, n, norm_a, norm_b,
+                               norm_da, norm_db, wall)

@@ -18,7 +18,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -404,9 +403,7 @@ def _bench_one(method, order_name, kind_a, kind_b, n, sel, trial, seed_base):
     seed_a, seed_b = pair_seeds(seed_base, trial)
     A = generate(MatrixSpec(kind=kind_a, n=n, seed=seed_a))
     B = generate(MatrixSpec(kind=kind_b, n=n, seed=seed_b))
-    t0 = time.perf_counter()
-    AB = matmul_naive(A, B)
-    naive_wall = time.perf_counter() - t0
+    AB, naive_report = run_method("naive", 0, A, B)
 
     order = _ORDER_NUM.get(order_name, 0)
     if method in ("svd", "cd", "sfft"):
@@ -417,9 +414,7 @@ def _bench_one(method, order_name, kind_a, kind_b, n, sel, trial, seed_base):
         M, report = run_method(method, 0, A, B, c=sel, seed=trial)
         s_col = None
     else:
-        M, report = AB, ApproxReport(method="naive", order=0, k=0,
-                                     norm_da=0.0, norm_db=0.0,
-                                     wall_time=naive_wall)
+        M, report = AB, naive_report
         s_col = None
     # the k the method reports it used; svd counts its own rank from s
     k_col = None if method == "naive" else report.k
@@ -438,7 +433,7 @@ def _bench_one(method, order_name, kind_a, kind_b, n, sel, trial, seed_base):
         wall_time_s=report.wall_time,
         seed=trial,
     )
-    return row, naive_wall
+    return row, naive_report.wall_time
 
 
 def cmd_bench(args, parser) -> int:
@@ -458,11 +453,7 @@ def cmd_bench(args, parser) -> int:
                         jobs.append((method, order_name, kind_a, kind_b, n,
                                      sel, t, conf["seed_base"]))
 
-    if args.workers > 1:
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            results = list(pool.map(lambda j: _bench_one(*j), jobs))
-    else:
-        results = [_bench_one(*j) for j in jobs]
+    results = [_bench_one(*j) for j in jobs]
 
     need_header = not os.path.exists(args.out) or os.path.getsize(args.out) == 0
     with open(args.out, "a", encoding="ascii") as fh:
@@ -624,7 +615,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--ratios", action="store_true",
                    help="also write <out>.ratios.csv with naive/method wall-time ratios")
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("estimate", help="evaluate error-model numbers directly")

@@ -1,8 +1,9 @@
 """Dense-matrix primitives shared by every approximation method.
 
-Frobenius algebra, an arbitrary-length unitary DFT, cycle reordering of a
-square matrix, and the exact multiplication oracle that all approximate
-products are tested against.
+Input validation for single matrices and product pairs, Frobenius algebra,
+an arbitrary-length unitary DFT, cycle reordering of a square matrix, and
+the exact multiplication oracle that all approximate products are tested
+against.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from numpy.lib.stride_tricks import as_strided
 
 __all__ = [
     "as_matrix",
+    "as_pair",
     "matmul_naive",
     "frobenius",
     "unitary_dft",
@@ -43,6 +45,19 @@ def as_matrix(a, allow_complex: bool = True) -> np.ndarray:
     return m
 
 
+def as_pair(A, B) -> tuple[np.ndarray, np.ndarray]:
+    """Validate the two factors of a product A @ B and return them coerced.
+
+    Each factor passes as_matrix; the inner dimensions must agree. This is
+    the construction gate of every product's operands.
+    """
+    A = as_matrix(A)
+    B = as_matrix(B)
+    if A.shape[1] != B.shape[0]:
+        raise ValueError(f"dimension mismatch: {A.shape} x {B.shape}")
+    return A, B
+
+
 def matmul_naive(A, B) -> np.ndarray:
     """Exact product A @ B with a fixed per-entry summation order.
 
@@ -51,10 +66,7 @@ def matmul_naive(A, B) -> np.ndarray:
     reference results only; the approximation code paths use optimized
     products.
     """
-    A = as_matrix(A)
-    B = as_matrix(B)
-    if A.shape[1] != B.shape[0]:
-        raise ValueError(f"dimension mismatch: {A.shape} x {B.shape}")
+    A, B = as_pair(A, B)
     # optimize=False keeps einsum on the fixed-order nditer path
     return np.einsum("ik,kj->ij", A, B, optimize=False)
 

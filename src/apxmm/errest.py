@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_matrix
+from .core import as_pair
 
 __all__ = [
     "ErrorModel",
@@ -143,10 +143,7 @@ def sketch_norm_estimate(A, B, k: int, seed) -> float:
     ||A (B G)||_F^2 / k, which costs O(k n^2) instead of the O(n^3) full
     product.
     """
-    A = as_matrix(A)
-    B = as_matrix(B)
-    if A.shape[1] != B.shape[0]:
-        raise ValueError(f"dimension mismatch: {A.shape} x {B.shape}")
+    A, B = as_pair(A, B)
     if k < 1:
         raise ValueError("k must be >= 1")
     rng = np.random.default_rng(seed)

@@ -10,16 +10,14 @@ of Atil.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .core import as_matrix, unitary_dft
-from .errest import ErrorModel, apriori_relative_error, posterior_relative_error
-from .report import ApproxReport
+from .core import as_matrix, as_pair, unitary_dft
+from .report import _fro, estimated_report
 
 __all__ = [
     "SparseRowMatrix",
@@ -124,15 +122,8 @@ def _zero_kept(X: np.ndarray, S: SparseRowMatrix) -> np.ndarray:
     return X
 
 
-def _fro(X: np.ndarray) -> float:
-    """Frobenius norm from one contiguous dot; np.linalg.norm takes two
-    strided passes over a complex array."""
-    return math.sqrt(np.vdot(X, X).real)
-
-
 def fft_sparse_first_order_multiply(A, B, k: int, order: int,
-                                    sparsify_b: str = "rows",
-                                    model: ErrorModel | None = None):
+                                    sparsify_b: str = "rows"):
     """Approximate A @ B through top-k sparsified Fourier transforms.
 
     Forms Atil = A W* and Btil = W B, sparsifies both to k entries per row
@@ -145,11 +136,7 @@ def fft_sparse_first_order_multiply(A, B, k: int, order: int,
     The result is complex; residual norms in the report are those of the
     transformed factors, which equal the untransformed ones by unitarity.
     """
-    A = as_matrix(A)
-    B = as_matrix(B)
-    n = A.shape[1]
-    if B.shape[0] != n:
-        raise ValueError(f"dimension mismatch: {A.shape} x {B.shape}")
+    A, B = as_pair(A, B)
     if k < 0:
         raise ValueError(f"k={k} must be >= 0")
     if order not in (0, 1):
@@ -179,24 +166,5 @@ def fft_sparse_first_order_multiply(A, B, k: int, order: int,
     norm_da = _fro(dAt)
     norm_db = _fro(dBt)
     wall = time.perf_counter() - t0
-
-    if model is None:
-        model = ErrorModel(case="mean-zero", n=n)
-    norm_a = _fro(A)
-    norm_b = _fro(B)
-    apriori = (apriori_relative_error(norm_a, norm_b, norm_da, norm_db, model)
-               if norm_a > 0 and norm_b > 0 else None)
-    norm_M = _fro(M)
-    posterior = (posterior_relative_error(norm_da, norm_db, norm_M, n)
-                 if norm_M > 0 else None)
-    report = ApproxReport(
-        method="sfft",
-        order=order,
-        k=k,
-        norm_da=norm_da,
-        norm_db=norm_db,
-        apriori_estimate=apriori,
-        posterior_estimate=posterior,
-        wall_time=wall,
-    )
-    return M, report
+    return M, estimated_report("sfft", order, k, M, A.shape[1], _fro(A), _fro(B),
+                               norm_da, norm_db, wall)

@@ -1,8 +1,13 @@
-"""Shared per-product report record."""
+"""Shared per-product report record and the estimate epilogue of the products."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, asdict
+
+import numpy as np
+
+from .errest import ErrorModel, apriori_relative_error, posterior_relative_error
 
 
 @dataclass
@@ -34,3 +39,30 @@ class ApproxReport:
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+
+def _fro(X: np.ndarray) -> float:
+    """Frobenius norm from one contiguous dot; np.linalg.norm takes two
+    strided passes over a complex array."""
+    return math.sqrt(np.vdot(X, X).real)
+
+
+def estimated_report(method: str, order: int, k: int, M: np.ndarray, n: int,
+                     norm_a: float, norm_b: float, norm_da: float,
+                     norm_db: float, wall: float) -> ApproxReport:
+    """Report of a product M = Ahat B + dA Bhat (or its zeroth order) with
+    the paper's two error estimates over the inner dimension n.
+
+    The a-priori estimate takes the mean-zero model, which reduces it to
+    ||dA|| ||dB|| / (||A|| ||B||); it is None when ||A|| or ||B|| is 0. The
+    posterior ||dA|| ||dB|| / (sqrt(n) ||M||) is None when M is 0.
+    """
+    apriori = (apriori_relative_error(norm_a, norm_b, norm_da, norm_db,
+                                      ErrorModel(case="mean-zero", n=n))
+               if norm_a > 0 and norm_b > 0 else None)
+    norm_m = _fro(M)
+    posterior = (posterior_relative_error(norm_da, norm_db, norm_m, n)
+                 if norm_m > 0 else None)
+    return ApproxReport(method=method, order=order, k=k, norm_da=norm_da,
+                        norm_db=norm_db, apriori_estimate=apriori,
+                        posterior_estimate=posterior, wall_time=wall)

@@ -20,9 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_matrix
-from .errest import ErrorModel, apriori_relative_error, posterior_relative_error
-from .report import ApproxReport
+from .core import as_matrix, as_pair
+from .report import estimated_report
 
 __all__ = [
     "TruncatedSVD",
@@ -136,8 +135,7 @@ def svd_reconstruct(decomp: TruncatedSVD) -> np.ndarray:
 
 
 def svd_first_order_multiply(A, B, s: int, order: int, seed,
-                             power_iterations: int = 0,
-                             model: ErrorModel | None = None):
+                             power_iterations: int = 0):
     """Approximate A @ B through rank-k truncations of both factors.
 
     order 0 returns Ahat @ Bhat evaluated through the factors (the k x k core
@@ -148,12 +146,9 @@ def svd_first_order_multiply(A, B, s: int, order: int, seed,
 
     The two decompositions draw from independent streams derived from `seed`.
     Returns (M, ApproxReport) with a-priori and posterior error estimates
-    filled in; `model` defaults to the mean-zero entry model.
+    filled in.
     """
-    A = as_matrix(A)
-    B = as_matrix(B)
-    if A.shape[1] != B.shape[0]:
-        raise ValueError(f"dimension mismatch: {A.shape} x {B.shape}")
+    A, B = as_pair(A, B)
     if order not in (0, 1):
         raise ValueError("order must be 0 or 1")
 
@@ -176,25 +171,7 @@ def svd_first_order_multiply(A, B, s: int, order: int, seed,
         term2 = ((dA @ db.U) * db.sigma) @ db.V.T
         M = term1 + term2
     wall = time.perf_counter() - t0
-
-    n_inner = A.shape[1]
-    if model is None:
-        model = ErrorModel(case="mean-zero", n=n_inner)
-    normA = math.sqrt(da.source_frobenius_sq)
-    normB = math.sqrt(db.source_frobenius_sq)
-    apriori = (apriori_relative_error(normA, normB, norm_da, norm_db, model)
-               if normA > 0 and normB > 0 else None)
-    norm_M = float(np.linalg.norm(M))
-    posterior = (posterior_relative_error(norm_da, norm_db, norm_M, n_inner)
-                 if norm_M > 0 else None)
-    report = ApproxReport(
-        method="svd",
-        order=order,
-        k=da.k,
-        norm_da=norm_da,
-        norm_db=norm_db,
-        apriori_estimate=apriori,
-        posterior_estimate=posterior,
-        wall_time=wall,
-    )
-    return M, report
+    return M, estimated_report("svd", order, da.k, M, A.shape[1],
+                               math.sqrt(da.source_frobenius_sq),
+                               math.sqrt(db.source_frobenius_sq),
+                               norm_da, norm_db, wall)

@@ -385,26 +385,6 @@ def test_bench_k_column_is_the_k_used(tmp_path, capsys):
     assert row[6] == "10"
 
 
-def test_bench_workers_match_serial(tmp_path, capsys):
-    conf = tmp_path / "b.conf"
-    conf.write_text("methods = cd:first\nkinds = toeplitz:general\n"
-                    "sizes = 16\ns = 1\ntrials = 2\n", encoding="ascii")
-    out1 = tmp_path / "serial.csv"
-    out2 = tmp_path / "pooled.csv"
-    run_cli(capsys, "bench", "--config", str(conf), "--out", str(out1))
-    run_cli(capsys, "bench", "--config", str(conf), "--out", str(out2),
-            "--workers", "2")
-
-    def strip_times(path):
-        rows = []
-        for ln in path.read_text().strip().splitlines()[1:]:
-            cells = ln.split(",")
-            rows.append(cells[:10] + cells[11:])
-        return sorted(map(tuple, rows))
-
-    assert strip_times(out1) == strip_times(out2)
-
-
 def test_bench_ratios_file(tmp_path, capsys):
     conf = tmp_path / "b.conf"
     conf.write_text("methods = cd:first\nkinds = toeplitz:toeplitz\n"

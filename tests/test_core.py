@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 from apxmm.core import (
     as_matrix,
+    as_pair,
     cycle_reorder,
     cycle_reorder_inverse,
     frobenius,
@@ -26,6 +27,18 @@ def test_as_matrix_validation():
         as_matrix([[1j]], allow_complex=False)
     out = as_matrix([[1, 2], [3, 4]])
     assert out.dtype == np.float64
+
+
+def test_as_pair_validation():
+    with pytest.raises(ValueError, match="2-D"):
+        as_pair([1.0, 2.0], np.eye(2))
+    with pytest.raises(ValueError, match="finite"):
+        as_pair(np.eye(2), [[1.0, np.nan], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        as_pair(np.ones((2, 3)), np.ones((2, 3)))
+    A, B = as_pair([[1, 2]], [[1j], [2]])
+    assert A.dtype == np.float64 and B.dtype == np.complex128
+    assert A.shape == (1, 2) and B.shape == (2, 1)
 
 
 def test_matmul_2x2_oracle():

@@ -1,6 +1,12 @@
+import math
+
+import numpy as np
 import pytest
 
+from apxmm.circulant import circulant_first_order_multiply
+from apxmm.fsparse import fft_sparse_first_order_multiply
 from apxmm.report import ApproxReport
+from apxmm.svd import component_count, svd_first_order_multiply
 
 
 def test_report_roundtrip():
@@ -20,3 +26,48 @@ def test_report_validation():
         ApproxReport(method="cd", order=0, k=0, norm_da=-1.0, norm_db=0.0)
     with pytest.raises(ValueError):
         ApproxReport(method="cd", order=0, k=0, norm_da=0.0, norm_db=-0.5)
+
+
+K = 5
+
+
+def _product(method, A, B, order):
+    """(M, report, k expected in the report) of one product."""
+    if method == "svd":
+        M, rep = svd_first_order_multiply(A, B, 1, order, seed=0)
+        return M, rep, component_count(A.shape[1], 1)
+    if method == "cd":
+        return (*circulant_first_order_multiply(A, B, K, order), K)
+    return (*fft_sparse_first_order_multiply(A, B, K, order), K)
+
+
+@pytest.mark.parametrize("order", [0, 1])
+@pytest.mark.parametrize("method", ["svd", "cd", "sfft"])
+def test_zero_factor_leaves_estimates_unset(method, order):
+    B = np.random.default_rng(0).standard_normal((16, 16))
+    M, rep, _ = _product(method, np.zeros((16, 16)), B, order)
+    assert not M.any()
+    assert rep.apriori_estimate is None
+    assert rep.posterior_estimate is None
+
+
+@pytest.mark.parametrize("order", [0, 1])
+@pytest.mark.parametrize("method,n,dtype", [
+    ("svd", 32, float), ("cd", 32, float), ("sfft", 32, float),
+    ("cd", 33, complex), ("sfft", 33, complex),
+])
+def test_estimates_closed_forms(method, n, dtype, order):
+    rng = np.random.default_rng(n)
+
+    def draw():
+        X = rng.standard_normal((n, n))
+        return X + 1j * rng.standard_normal((n, n)) if dtype is complex else X
+
+    A, B = draw(), draw()
+    M, rep, k = _product(method, A, B, order)
+    assert (rep.method, rep.order, rep.k) == (method, order, k)
+    residues = rep.norm_da * rep.norm_db
+    assert rep.apriori_estimate == pytest.approx(
+        residues / (np.linalg.norm(A) * np.linalg.norm(B)), rel=1e-12, abs=0)
+    assert rep.posterior_estimate == pytest.approx(
+        residues / (math.sqrt(n) * np.linalg.norm(M)), rel=1e-12, abs=0)
