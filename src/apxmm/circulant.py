@@ -6,7 +6,8 @@ the Frobenius inner product, so keeping the largest few is an L2-optimal
 truncation within this family. The multiply kernels never materialize the
 truncated approximant: a circulant is diagonal in the Fourier basis, so the
 kept sum is Ahat = W* P W with P a sparse matrix of k nonzeros per row, and
-each product is two FFT passes around one sparse-dense product.
+each product is two FFT passes around one sparse-dense product. Passes over
+n^2 >= core.GRAIN entries run in blocks on every CPU (core.for_blocks).
 
 Sign conventions (fixed by the cross-check test optimized == materialized):
 with W(p,q) = exp(-2i*pi*p*q/n)/sqrt(n) and (C^k z)_i = z_{(i-k) mod n},
@@ -23,7 +24,15 @@ import numpy as np
 import scipy.fft
 import scipy.sparse
 
-from .core import as_matrix, as_pair, cycle_reorder, cycle_reorder_inverse, unitary_dft
+from .core import (
+    as_matrix,
+    as_pair,
+    cycle_reorder,
+    cycle_reorder_inverse,
+    for_blocks,
+    pass_workers,
+    unitary_dft,
+)
 from .report import estimated_report
 
 __all__ = [
@@ -38,6 +47,9 @@ __all__ = [
 
 # rows of the spectrum rescaled and measured together in circulant_decompose
 _BLOCK_ROWS = 16
+# row blocks per worker of a product pass: many small blocks keep each
+# block's temporaries a small fraction of one n x n array
+_CHUNKS = 64
 
 
 @dataclass
@@ -91,11 +103,15 @@ def circulant_decompose(A) -> CirculantSpectrum:
         raise ValueError(f"square matrix required, got {A.shape}")
     S = unitary_dft(cycle_reorder(A, "right"), "forward", axis=0)
     magnitudes = np.empty(n)
-    # rescale and measure each row block while it is in cache
-    for i in range(0, n, _BLOCK_ROWS):
-        block = S[i:i + _BLOCK_ROWS]
-        block /= math.sqrt(n)
-        magnitudes[i:i + _BLOCK_ROWS] = np.linalg.norm(block, axis=1)
+
+    def rescale(lo, hi):
+        # rescale and measure each row block while it is in cache
+        for i in range(lo, hi, _BLOCK_ROWS):
+            j = min(i + _BLOCK_ROWS, hi)
+            S[i:j] /= math.sqrt(n)
+            magnitudes[i:j] = np.linalg.norm(S[i:j], axis=1)
+
+    for_blocks(rescale, n, n * n)
     return CirculantSpectrum(n=n, columns=S, magnitudes=magnitudes,
                              selected=list(range(n)))
 
@@ -154,15 +170,34 @@ def _fourier_operator(spectrum: CirculantSpectrum) -> scipy.sparse.csr_array:
                                   shape=(n, n))
 
 
+def _sparse_rows_times(P: scipy.sparse.csr_array, X: np.ndarray) -> np.ndarray:
+    """P @ X, above the grain as row blocks of the result by scipy's kernel."""
+    if pass_workers(P.shape[0] * X.shape[1]) == 1:
+        return P @ X
+    X = np.ascontiguousarray(X)  # each block's product reads X in C order
+    out = np.empty((P.shape[0], X.shape[1]), np.result_type(P.dtype, X.dtype))
+
+    def block(lo, hi):
+        a = P.indptr[lo]
+        rows = scipy.sparse.csr_array(
+            (P.data[a:P.indptr[hi]], P.indices[a:P.indptr[hi]], P.indptr[lo:hi + 1] - a),
+            shape=(hi - lo, P.shape[1]))
+        out[lo:hi] = rows @ X
+
+    for_blocks(block, P.shape[0], out.size, _CHUNKS)
+    return out
+
+
 def circulant_first_order_multiply(A, B, k: int, order: int):
     """Approximate A @ B keeping the k largest circulant components of each.
 
     order 0 computes Ahat @ B = W* P_a W B with the sparse P_a of
     _fourier_operator (the left factor is the only one truncated); order 1
-    adds the correction dA @ Bhat = dA W* P_b W, with the residual
-    dA = A - Ahat as the single dense intermediate. Both cost
+    adds the correction dA @ Bhat = dA W* P_b W from the dense Ahat, one
+    block of rows of dA = A - Ahat at a time. Both cost
     O(k n^2 + n^2 log n). The result is complex for real inputs; take the
-    real part at the caller if wanted. Deterministic, no randomness involved.
+    real part at the caller if wanted. Deterministic, no randomness involved,
+    and bit-identical however many threads the n^2 passes run on.
     """
     A, B = as_pair(A, B)
     n = A.shape[0]
@@ -183,12 +218,22 @@ def circulant_first_order_multiply(A, B, k: int, order: int):
 
     # Ahat B = W* (P_a (W B)) and dA Bhat = ((dA W*) P_b) W; scipy's transforms
     # take real input at about half cost and may overwrite the intermediates
-    PWB = _fourier_operator(spec_a) @ scipy.fft.fft(B, axis=0, norm="ortho")
-    M = scipy.fft.ifft(PWB, axis=0, norm="ortho", overwrite_x=True)
+    workers = pass_workers(n * n)
+    PWB = _sparse_rows_times(_fourier_operator(spec_a),
+                             scipy.fft.fft(B, axis=0, norm="ortho", workers=workers))
+    M = scipy.fft.ifft(PWB, axis=0, norm="ortho", overwrite_x=True, workers=workers)
     if order == 1:
-        dA = A - circulant_materialize(spec_a)
-        G = scipy.fft.ifft(dA, axis=1, norm="ortho", overwrite_x=True) @ _fourier_operator(spec_b)
-        M += scipy.fft.fft(G, axis=1, norm="ortho", overwrite_x=True)
+        dA = circulant_materialize(spec_a)
+        P_b = _fourier_operator(spec_b)
+
+        def correct(lo, hi):
+            # every step acts on whole rows: dA = A - Ahat overwrites Ahat
+            # and is transformed in place, one block of rows at a time
+            rows = np.subtract(A[lo:hi], dA[lo:hi], out=dA[lo:hi])
+            G = scipy.fft.ifft(rows, axis=1, norm="ortho", overwrite_x=True) @ P_b
+            M[lo:hi] += scipy.fft.fft(G, axis=1, norm="ortho", overwrite_x=True)
+
+        for_blocks(correct, n, n * n, _CHUNKS)
     wall = time.perf_counter() - t0
     return M, estimated_report("cd", order, k, M, n, norm_a, norm_b,
                                norm_da, norm_db, wall)

@@ -21,10 +21,11 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+import scipy
 
 from .baseline import randomized_outer_product_multiply
 from .circulant import circulant_decompose, circulant_first_order_multiply
-from .core import matmul_naive, relative_error
+from .core import WORKERS, matmul_naive, relative_error
 from .errest import (
     ErrorModel,
     HaarMoments,
@@ -160,6 +161,18 @@ def run_method(method: str, order: int, A, B, *, s: int | None = None,
 
 def _json_line(payload: dict) -> str:
     return json.dumps(payload, default=float)
+
+
+def _environment() -> dict:
+    """What bench timings depend on besides the code: libraries, CPUs, threads."""
+    return {
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "cpu_count": os.cpu_count(),
+        "workers": WORKERS,
+        **{var: os.environ.get(var) for var in
+           ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
+    }
 
 
 # ---------------------------------------------------------------- subcommands
@@ -482,7 +495,8 @@ def cmd_bench(args, parser) -> int:
                     f"{float(np.mean(vals)):.17g}",
                 ]) + "\n")
 
-    print(_json_line({"rows": len(results), "out": args.out}))
+    print(_json_line({"rows": len(results), "out": args.out,
+                      "environment": _environment()}))
     return 0
 
 

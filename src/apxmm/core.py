@@ -4,9 +4,21 @@ Input validation for single matrices and product pairs, Frobenius algebra,
 an arbitrary-length unitary DFT, cycle reordering of a square matrix, and
 the exact multiplication oracle that all approximate products are tested
 against.
+
+Threading: a pass over GRAIN or more array entries is cut into contiguous
+index blocks that run on one private thread pool with one thread per CPU in
+the process's affinity mask (WORKERS). Each block computes whole 1-D
+transforms, whole rows or whole entries exactly as one call over the full
+array would, so the output is bit-identical to a single thread. Smaller
+passes run on the calling thread. No setting changes this rule.
 """
 
 from __future__ import annotations
+
+import functools
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -21,6 +33,66 @@ __all__ = [
     "cycle_reorder_inverse",
     "relative_error",
 ]
+
+# CPUs this process may run on: the threads a split pass uses
+WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+           else os.cpu_count() or 1)
+# passes over fewer entries run on the calling thread; at n = 512 the
+# hand-off to the pool costs more than the split saves
+GRAIN = 1 << 20
+
+
+def pass_workers(entries: int) -> int:
+    """Threads a pass over ``entries`` array entries runs on."""
+    return WORKERS if entries >= GRAIN else 1
+
+
+@functools.cache
+def _pool() -> ThreadPoolExecutor:
+    return ThreadPoolExecutor(max(1, WORKERS - 1), thread_name_prefix="apxmm")
+
+
+if hasattr(os, "register_at_fork"):
+    # a forked child has none of the parent's pool threads: start a new pool
+    os.register_at_fork(after_in_child=_pool.cache_clear)
+
+
+def for_blocks(fn, length: int, entries: int, chunks: int = 1) -> None:
+    """Call fn(lo, hi) on contiguous blocks [lo, hi) that cover range(length).
+
+    A pass over ``entries`` >= GRAIN array entries is cut into ``chunks``
+    blocks per worker, at most one per index. The calling thread and
+    WORKERS - 1 pool threads take blocks in order until none is left, so the
+    caller alone can always finish the pass; a smaller pass is one block on
+    the calling thread. Blocks must write disjoint outputs and must not call
+    a public apxmm function: the benchmark's tracer wraps those and keeps one
+    span stack per process. Returns once every block has finished, raising
+    the first error of a block.
+    """
+    workers = min(length, pass_workers(entries))
+    if workers <= 1:
+        fn(0, length)
+        return
+    parts = min(length, chunks * workers)
+    bounds = [length * i // parts for i in range(parts + 1)]
+    blocks = iter(zip(bounds, bounds[1:]))
+    lock = threading.Lock()
+
+    def drain():
+        while True:
+            with lock:
+                block = next(blocks, None)
+            if block is None:
+                return
+            fn(*block)
+
+    helpers = [_pool().submit(drain) for _ in range(workers - 1)]
+    try:
+        drain()
+    finally:
+        wait(helpers)
+    for helper in helpers:
+        helper.result()
 
 
 def as_matrix(a, allow_complex: bool = True) -> np.ndarray:
@@ -96,15 +168,28 @@ def unitary_dft(x, direction: str = "forward", axis: int = -1) -> np.ndarray:
     2-norm in both directions and works for any length n (mixed-radix FFT
     with a Bluestein fallback underneath; O(n log n) for all n, including
     primes).
+
+    A 2-D float64 or complex128 input of GRAIN or more entries is transformed
+    in blocks along the other axis, each written into one shared output.
     """
     x = np.asarray(x)
     if x.ndim == 0 or x.shape[axis] < 1:
         raise ValueError("transform length must be >= 1")
-    if direction == "forward":
-        return np.fft.fft(x, axis=axis, norm="ortho")
-    if direction == "inverse":
-        return np.fft.ifft(x, axis=axis, norm="ortho")
-    raise ValueError(f"unknown direction {direction!r}")
+    if direction not in ("forward", "inverse"):
+        raise ValueError(f"unknown direction {direction!r}")
+    fft = np.fft.fft if direction == "forward" else np.fft.ifft
+    if (x.ndim != 2 or pass_workers(x.size) == 1
+            or x.dtype not in (np.float64, np.complex128)):
+        return fft(x, axis=axis, norm="ortho")
+    out = np.empty_like(x, np.complex128)  # the memory layout np.fft gives
+    # move the transformed axis last, so blocks are rows of xt and outt
+    xt, outt = (x.T, out.T) if axis in (0, -2) else (x, out)
+
+    def block(lo, hi):
+        fft(xt[lo:hi], axis=1, norm="ortho", out=outt[lo:hi])
+
+    for_blocks(block, xt.shape[0], x.size)
+    return out
 
 
 def _check_square(A) -> int:
@@ -113,18 +198,32 @@ def _check_square(A) -> int:
     return A.shape[0]
 
 
-def _wrapped_diagonals(A2: np.ndarray, start, step_i, step_j) -> np.ndarray:
+def _wrapped_diagonals(A: np.ndarray, axis: int, start, step_i, step_j) -> np.ndarray:
     """Fresh n x n array out[i, j] = A2[start + i * step_i + j * step_j].
 
-    A2 holds a square matrix twice along one axis, so each cyclic index
+    A2 holds the square A twice along ``axis``, so each cyclic index
     (i +- j) mod n is a plain offset into it and the gather is one strided
-    view, copied; no index arrays are built.
+    view, copied; no index arrays are built. Both copies run in row blocks.
     """
-    n = min(A2.shape)
+    n = A.shape[0]
+    A2 = np.empty((2 * n, n) if axis == 0 else (n, 2 * n), A.dtype)
+    halves = (A2[:n], A2[n:]) if axis == 0 else (A2[:, :n], A2[:, n:])
+
+    def double(lo, hi):
+        for half in halves:
+            half[lo:hi] = A[lo:hi]
+
+    for_blocks(double, n, n * n)
     s0, s1 = A2.strides
     strides = tuple(a * s0 + b * s1 for a, b in (step_i, step_j))
     view = as_strided(A2[start[0]:, start[1]:], (n, n), strides, writeable=False)
-    return view.copy()
+    out = np.empty((n, n), A.dtype)
+
+    def gather(lo, hi):
+        out[lo:hi] = view[lo:hi]
+
+    for_blocks(gather, n, n * n)
+    return out
 
 
 def cycle_reorder(A, side: str) -> np.ndarray:
@@ -142,9 +241,9 @@ def cycle_reorder(A, side: str) -> np.ndarray:
     A = as_matrix(A)
     n = _check_square(A)
     if side == "right":
-        return _wrapped_diagonals(np.vstack((A, A)), (0, 0), (1, 1), (1, 0))
+        return _wrapped_diagonals(A, 0, (0, 0), (1, 1), (1, 0))
     if side == "left":
-        return _wrapped_diagonals(np.hstack((A, A)), (0, n), (1, 1), (0, -1))
+        return _wrapped_diagonals(A, 1, (0, n), (1, 1), (0, -1))
     raise ValueError(f"unknown side {side!r}")
 
 
@@ -157,9 +256,9 @@ def cycle_reorder_inverse(At, side: str) -> np.ndarray:
     At = as_matrix(At)
     n = _check_square(At)
     if side == "right":
-        return _wrapped_diagonals(np.hstack((At, At)), (0, n), (0, 1), (1, -1))
+        return _wrapped_diagonals(At, 1, (0, n), (0, 1), (1, -1))
     if side == "left":
-        return _wrapped_diagonals(np.hstack((At, At)), (0, n), (1, 1), (0, -1))
+        return _wrapped_diagonals(At, 1, (0, n), (1, 1), (0, -1))
     raise ValueError(f"unknown side {side!r}")
 
 

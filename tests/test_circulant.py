@@ -1,8 +1,12 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
+from apxmm import core
 from apxmm.circulant import (
     circulant_component,
     circulant_decompose,
@@ -235,3 +239,43 @@ def test_report_norms_match_materialized_residues():
         np.linalg.norm(B - circulant_materialize(sb)), rel=1e-9)
     assert rep.method == "cd"
     assert rep.k == k
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 31, 64])
+def test_split_decompose_bit_identical(n, one_and_split):
+    A = np.random.default_rng(n).standard_normal((n, n))
+    one, split = one_and_split(lambda: circulant_decompose(A))
+    assert one.columns.tobytes() == split.columns.tobytes()
+    assert one.magnitudes.tobytes() == split.magnitudes.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 31, 64])
+@pytest.mark.parametrize("order", [0, 1])
+def test_split_multiply_bit_identical(n, order, one_and_split):
+    rng = np.random.default_rng(100 + n)
+    A = rng.standard_normal((n, n))
+    B = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    k = max(1, n // 5)
+    (M1, rep1), (M2, rep2) = one_and_split(lambda: circulant_first_order_multiply(A, B, k, order))
+    assert M1.tobytes() == M2.tobytes()
+    assert dataclasses.replace(rep1, wall_time=0.0) == dataclasses.replace(rep2, wall_time=0.0)
+
+
+def test_split_zeroth_order_peak_memory(monkeypatch):
+    # the row blocks of P_a @ (W B) allocate their results one block at a
+    # time, so the peak stays at the four n x n complex arrays of one thread
+    monkeypatch.setattr(core, "GRAIN", 1)
+    monkeypatch.setattr(core, "WORKERS", 2)
+    n = 1024
+    rng = np.random.default_rng(11)
+    A = rng.standard_normal((n, n))
+    B = rng.standard_normal((n, n))
+    circulant_first_order_multiply(A, B, 10, 0)  # warm caches outside the trace
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        circulant_first_order_multiply(A, B, 10, 0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.05 * n * n * 16

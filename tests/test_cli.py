@@ -2,10 +2,13 @@
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
+import scipy
 
+from apxmm import core
 from apxmm.cli import (
     BENCH_HEADER,
     BenchRow,
@@ -339,6 +342,29 @@ def test_bench_naive_rows(tmp_path, capsys):
         assert cells[0] == "naive"
         assert float(cells[7]) == 0.0
     assert last_json(stdout)["rows"] == 2
+
+
+def test_bench_reports_environment(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    conf = tmp_path / "b.conf"
+    conf.write_text("methods = naive\nkinds = general:general\n"
+                    "sizes = 8\ntrials = 1\n", encoding="ascii")
+    out = tmp_path / "rows.csv"
+    code, stdout, _ = run_cli(capsys, "bench", "--config", str(conf), "--out", str(out))
+    assert code == 0
+    assert out.read_text().splitlines()[0] == BENCH_HEADER
+    env = last_json(stdout)["environment"]
+    assert env == {
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "cpu_count": os.cpu_count(),
+        "workers": core.WORKERS,
+        "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "OMP_NUM_THREADS": "3",
+        "MKL_NUM_THREADS": None,
+    }
+    assert env["workers"] >= 1
 
 
 def test_bench_append_keeps_single_header(tmp_path, capsys):

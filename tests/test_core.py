@@ -1,7 +1,13 @@
+import multiprocessing
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from apxmm import core
 from apxmm.core import (
     as_matrix,
     as_pair,
@@ -172,6 +178,113 @@ def test_cycle_reorder_matches_index_reference(n):
                 assert_allclose(out, ref(A, side), rtol=0, atol=0)
                 assert out.flags.c_contiguous and out.flags.writeable
                 assert not np.shares_memory(out, A)
+
+
+SPLIT_SIZES = [1, 2, 3, 31, 64]
+
+
+@pytest.mark.parametrize("n", SPLIT_SIZES)
+def test_split_cycle_reorder_bit_identical(n, one_and_split):
+    rng = np.random.default_rng(n)
+    real = rng.standard_normal((n, n))
+    for A in (real, real + 1j * rng.standard_normal((n, n))):
+        for side in ("right", "left"):
+            for fn in (cycle_reorder, cycle_reorder_inverse):
+                one, split = one_and_split(lambda: fn(A, side))
+                assert one.tobytes() == split.tobytes()
+
+
+@pytest.mark.parametrize("n", SPLIT_SIZES)
+def test_split_unitary_dft_bit_identical(n, one_and_split):
+    rng = np.random.default_rng(n)
+    real = rng.standard_normal((n, n + 2))
+    cplx = real + 1j * rng.standard_normal(real.shape)
+    for x in (real, cplx, np.asfortranarray(cplx), cplx[:, 1::2], real[::-1]):
+        for axis in (0, 1, -1, -2):
+            for direction in ("forward", "inverse"):
+                one, split = one_and_split(lambda: unitary_dft(x, direction, axis))
+                assert one.tobytes() == split.tobytes()
+                assert one.strides == split.strides
+
+
+def test_split_unitary_dft_other_ranks(monkeypatch):
+    monkeypatch.setattr(core, "GRAIN", 1)
+    monkeypatch.setattr(core, "WORKERS", 3)
+    rng = np.random.default_rng(5)
+    vector = rng.standard_normal(17)
+    cube = rng.standard_normal((3, 4, 5)) + 1j * rng.standard_normal((3, 4, 5))
+    for x, axes in ((vector, (0, -1)), (cube, (0, 1, 2, -1))):
+        for axis in axes:
+            for direction, fft in (("forward", np.fft.fft), ("inverse", np.fft.ifft)):
+                out = unitary_dft(x, direction, axis)
+                assert out.tobytes() == fft(x, axis=axis, norm="ortho").tobytes()
+
+
+def test_for_blocks_cover_each_index_once(monkeypatch):
+    # more threads than cores and a short switch interval, so a block taken
+    # twice or lost between threads would show as a count other than 1
+    monkeypatch.setattr(core, "GRAIN", 1)
+    monkeypatch.setattr(core, "WORKERS", 2 * (os.cpu_count() or 1) + 2)
+    core._pool.cache_clear()  # a pool of WORKERS - 1 threads for this test
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for length in (1, 2, 5, 100, 1000):
+            hits = np.zeros(length, dtype=int)
+
+            def count(lo, hi):
+                hits[lo:hi] += 1
+
+            core.for_blocks(count, length, length, chunks=8)
+            assert (hits == 1).all()
+    finally:
+        sys.setswitchinterval(interval)
+        core._pool.cache_clear()
+    # below the grain the whole range is one block on the calling thread
+    monkeypatch.setattr(core, "GRAIN", 1000)
+    calls = []
+    core.for_blocks(lambda lo, hi: calls.append((lo, hi, threading.current_thread())),
+                    50, 999, chunks=8)
+    assert calls == [(0, 50, threading.current_thread())]
+
+
+def test_for_blocks_raises_pool_thread_error(monkeypatch):
+    monkeypatch.setattr(core, "GRAIN", 1)
+    monkeypatch.setattr(core, "WORKERS", 2)
+    caller = threading.current_thread()
+    pool_block_ran = threading.Event()
+
+    def block(lo, hi):
+        if threading.current_thread() is caller:
+            pool_block_ran.wait(10)  # leave a block to the pool thread
+            return
+        pool_block_ran.set()
+        raise RuntimeError(f"block {lo}:{hi} failed")
+
+    with pytest.raises(RuntimeError, match="failed"):
+        core.for_blocks(block, 2, 2)
+    assert pool_block_ran.is_set()
+
+
+def _split_dft_matches(x, expected):
+    assert unitary_dft(x, "forward", 0).tobytes() == expected.tobytes()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_split_pass_in_forked_child(monkeypatch):
+    # the child inherits none of the pool threads, so it must start its own
+    monkeypatch.setattr(core, "GRAIN", 1)
+    monkeypatch.setattr(core, "WORKERS", 2)
+    x = np.random.default_rng(9).standard_normal((16, 16))
+    expected = unitary_dft(x, "forward", 0)  # starts the pool here
+    child = multiprocessing.get_context("fork").Process(
+        target=_split_dft_matches, args=(x, expected))
+    child.start()
+    child.join(60)
+    if child.is_alive():
+        child.terminate()
+        child.join(10)
+    assert child.exitcode == 0
 
 
 def test_relative_error():
