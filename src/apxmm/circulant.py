@@ -25,6 +25,8 @@ import scipy.fft
 import scipy.sparse
 
 from .core import (
+    CHUNKS,
+    _sparse_rows_times,
     as_matrix,
     as_pair,
     cycle_reorder,
@@ -47,9 +49,6 @@ __all__ = [
 
 # rows of the spectrum rescaled and measured together in circulant_decompose
 _BLOCK_ROWS = 16
-# row blocks per worker of a product pass: many small blocks keep each
-# block's temporaries a small fraction of one n x n array
-_CHUNKS = 64
 
 
 @dataclass
@@ -170,24 +169,6 @@ def _fourier_operator(spectrum: CirculantSpectrum) -> scipy.sparse.csr_array:
                                   shape=(n, n))
 
 
-def _sparse_rows_times(P: scipy.sparse.csr_array, X: np.ndarray) -> np.ndarray:
-    """P @ X, above the grain as row blocks of the result by scipy's kernel."""
-    if pass_workers(P.shape[0] * X.shape[1]) == 1:
-        return P @ X
-    X = np.ascontiguousarray(X)  # each block's product reads X in C order
-    out = np.empty((P.shape[0], X.shape[1]), np.result_type(P.dtype, X.dtype))
-
-    def block(lo, hi):
-        a = P.indptr[lo]
-        rows = scipy.sparse.csr_array(
-            (P.data[a:P.indptr[hi]], P.indices[a:P.indptr[hi]], P.indptr[lo:hi + 1] - a),
-            shape=(hi - lo, P.shape[1]))
-        out[lo:hi] = rows @ X
-
-    for_blocks(block, P.shape[0], out.size, _CHUNKS)
-    return out
-
-
 def circulant_first_order_multiply(A, B, k: int, order: int):
     """Approximate A @ B keeping the k largest circulant components of each.
 
@@ -233,7 +214,7 @@ def circulant_first_order_multiply(A, B, k: int, order: int):
             G = scipy.fft.ifft(rows, axis=1, norm="ortho", overwrite_x=True) @ P_b
             M[lo:hi] += scipy.fft.fft(G, axis=1, norm="ortho", overwrite_x=True)
 
-        for_blocks(correct, n, n * n, _CHUNKS)
+        for_blocks(correct, n, n * n, CHUNKS)
     wall = time.perf_counter() - t0
     return M, estimated_report("cd", order, k, M, n, norm_a, norm_b,
                                norm_da, norm_db, wall)

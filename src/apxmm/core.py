@@ -1,16 +1,17 @@
 """Dense-matrix primitives shared by every approximation method.
 
 Input validation for single matrices and product pairs, Frobenius algebra,
-an arbitrary-length unitary DFT, cycle reordering of a square matrix, and
-the exact multiplication oracle that all approximate products are tested
-against.
+an arbitrary-length unitary DFT, cycle reordering of a square matrix, the
+exact multiplication oracle that all approximate products are tested
+against, and the CSR-times-dense row-block product cd and sfft share.
 
 Threading: a pass over GRAIN or more array entries is cut into contiguous
 index blocks that run on one private thread pool with one thread per CPU in
 the process's affinity mask (WORKERS). Each block computes whole 1-D
-transforms, whole rows or whole entries exactly as one call over the full
-array would, so the output is bit-identical to a single thread. Smaller
-passes run on the calling thread. No setting changes this rule.
+transforms, whole rows (of a sparse product too) or whole entries exactly
+as one call over the full array would, so the output is bit-identical to a
+single thread. Smaller passes run on the calling thread. No setting changes
+this rule.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
+import scipy.sparse
 from numpy.lib.stride_tricks import as_strided
 
 __all__ = [
@@ -40,6 +42,9 @@ WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
 # passes over fewer entries run on the calling thread; at n = 512 the
 # hand-off to the pool costs more than the split saves
 GRAIN = 1 << 20
+# row blocks per worker of a product pass: many small blocks keep each
+# block's temporaries a small fraction of one n x n array
+CHUNKS = 64
 
 
 def pass_workers(entries: int) -> int:
@@ -93,6 +98,28 @@ def for_blocks(fn, length: int, entries: int, chunks: int = 1) -> None:
         wait(helpers)
     for helper in helpers:
         helper.result()
+
+
+def _sparse_rows_times(P: scipy.sparse.csr_array, X: np.ndarray) -> np.ndarray:
+    """P @ X, above the grain as row blocks of the result by scipy's kernel.
+
+    Each block multiplies a CSR view of P's rows lo:hi, so every row of the
+    result is summed in the same order as by one call over all of P.
+    """
+    if pass_workers(P.shape[0] * X.shape[1]) == 1:
+        return P @ X
+    X = np.ascontiguousarray(X)  # each block's product reads X in C order
+    out = np.empty((P.shape[0], X.shape[1]), np.result_type(P.dtype, X.dtype))
+
+    def block(lo, hi):
+        a, b = P.indptr[lo], P.indptr[hi]
+        rows = scipy.sparse.csr_array(
+            (P.data[a:b], P.indices[a:b], P.indptr[lo:hi + 1] - a),
+            shape=(hi - lo, P.shape[1]))
+        out[lo:hi] = rows @ X
+
+    for_blocks(block, P.shape[0], out.size, CHUNKS)
+    return out
 
 
 def as_matrix(a, allow_complex: bool = True) -> np.ndarray:

@@ -5,7 +5,8 @@ unchanged (Atil Btil = A B by unitarity) but concentrates smooth rows into a
 few Fourier coefficients. Keeping the top-k entries per transformed row gives
 sparse factors whose product costs O(k n^2) instead of O(n^3); the
 first-order form corrects with the exact Btil against the truncation error
-of Atil.
+of Atil. The selections and CSR products run in row blocks on every CPU
+above core.GRAIN entries (core.for_blocks), bit-identical to one thread.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .core import as_matrix, as_pair, unitary_dft
+from .core import _sparse_rows_times, as_matrix, as_pair, for_blocks, unitary_dft
 from .report import _fro, estimated_report
 
 __all__ = [
@@ -25,6 +26,13 @@ __all__ = [
     "sparse_dense_multiply",
     "fft_sparse_first_order_multiply",
 ]
+
+# row blocks per worker of topk_sparsify and of dense @ CSR: each block
+# makes a dozen numpy or scipy calls, so fewer blocks than core.CHUNKS spend
+# less on per-call overhead; a block's temporaries stay 1/16 of its share
+_CHUNKS = 16
+# rows of the dense factor one dense @ CSR call takes
+_SUB_ROWS = 64
 
 
 @dataclass(eq=False)
@@ -68,8 +76,9 @@ def topk_sparsify(M, k: int) -> SparseRowMatrix:
     """Keep the k largest-modulus entries of each row, zeroing the rest.
 
     Ties are broken toward the lower column index. k above the column count
-    is clamped. One partial sort selects every row at once; only rows with
-    a tie at the cut are redone. Deterministic.
+    is clamped. One partial sort selects every row of a block at once; only
+    rows with a tie at the cut are redone. Deterministic, and row by row, so
+    the row blocks of a large M select exactly what one call over M would.
     """
     M = as_matrix(M)
     if not np.isscalar(k):
@@ -78,40 +87,64 @@ def topk_sparsify(M, k: int) -> SparseRowMatrix:
         raise ValueError("k must be >= 0")
     rows, cols = M.shape
     k = min(int(k), cols)
-    keep = np.empty((rows, 0), dtype=np.intp)
-    if k > 0:
-        mag = np.abs(M)
-        keep = np.argpartition(mag, cols - k, axis=1)[:, cols - k:]
-        cut = np.take_along_axis(mag, keep[:, :1], axis=1)
+    keep = np.empty((rows, k), dtype=np.intp)
+    vals = np.empty((rows, k), dtype=np.complex128)
+
+    def block(lo, hi):
+        mag = np.abs(M[lo:hi])
+        kb = np.argpartition(mag, cols - k, axis=1)[:, cols - k:]
+        cut = np.take_along_axis(mag, kb[:, :1], axis=1)
         # rows with a tie at the cut take every entry above it and then the
         # lowest columns among those equal to it
         tied = np.flatnonzero(np.count_nonzero(mag >= cut, axis=1) > k)
         above, at_cut = mag[tied] > cut[tied], mag[tied] == cut[tied]
         room = k - np.count_nonzero(above, axis=1)
         pick = above | (at_cut & (np.cumsum(at_cut, axis=1) <= room[:, None]))
-        keep[tied] = np.nonzero(pick)[1].reshape(-1, k)
-        keep.sort(axis=1)
-    vals = np.take_along_axis(M, keep, axis=1).astype(np.complex128, copy=False)
+        kb[tied] = np.nonzero(pick)[1].reshape(-1, k)
+        kb.sort(axis=1)
+        keep[lo:hi] = kb
+        vals[lo:hi] = np.take_along_axis(M[lo:hi], kb, axis=1)
+
+    if k > 0:
+        for_blocks(block, rows, M.size, _CHUNKS)
     csr = sp.csr_array((vals.ravel(), keep.ravel(), np.arange(rows + 1) * k),
                        shape=(rows, cols))
     return SparseRowMatrix(csr)
 
 
+def _dense_times_rows(B: np.ndarray, S: sp.csr_array) -> np.ndarray:
+    """B @ S into one C-order array, _SUB_ROWS rows of B at a time.
+
+    scipy runs dense @ CSR on a transposed copy of its dense operand and
+    returns the transpose of the result; on a few rows both stay in cache.
+    Each row of B is summed in the same order as by one call over all of B.
+    """
+    out = np.empty((B.shape[0], S.shape[1]), np.result_type(B.dtype, S.dtype))
+
+    def block(lo, hi):
+        for i in range(lo, hi, _SUB_ROWS):
+            j = min(i + _SUB_ROWS, hi)
+            out[i:j] = B[i:j] @ S
+
+    for_blocks(block, B.shape[0], out.size, _CHUNKS)
+    return out
+
+
 def sparse_dense_multiply(S: SparseRowMatrix, B, side: str = "left") -> np.ndarray:
     """S @ B (side="left") or B @ S (side="right"), O(nnz * dense width).
 
-    One CSR-dense product; never densifies S.
+    CSR-dense products in row blocks of the result; never densifies S.
     """
     B = as_matrix(B)
     rows, cols = S.csr.shape
     if side == "left":
         if cols != B.shape[0]:
             raise ValueError(f"dimension mismatch: ({rows},{cols}) x {B.shape}")
-        return S.csr @ B
+        return _sparse_rows_times(S.csr, B)
     if side == "right":
         if B.shape[1] != rows:
             raise ValueError(f"dimension mismatch: {B.shape} x ({rows},{cols})")
-        return B @ S.csr
+        return _dense_times_rows(B, S.csr)
     raise ValueError(f"unknown side {side!r}")
 
 
@@ -135,6 +168,14 @@ def fft_sparse_first_order_multiply(A, B, k: int, order: int,
     The residues are Atil and Btil with the kept entries zeroed in place.
     The result is complex; residual norms in the report are those of the
     transformed factors, which equal the untransformed ones by unitarity.
+
+    Every pass over n^2 >= core.GRAIN entries runs as contiguous row blocks
+    on every CPU: the two transforms, both top-k selections, SA @ Btil (the
+    CSR row-block helper cd shares) and dAt @ SB (64-row sub-blocks even on
+    one thread). The O(k n) scatter that zeroes the kept entries stays on
+    the calling thread. Each row is computed as one call over the whole
+    array computes it, so M and the report are bit-identical at any thread
+    count.
     """
     A, B = as_pair(A, B)
     if k < 0:

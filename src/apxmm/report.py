@@ -9,6 +9,8 @@ import numpy as np
 
 from .errest import ErrorModel, apriori_relative_error, posterior_relative_error
 
+__all__ = ["ApproxReport", "estimated_report"]
+
 
 @dataclass
 class ApproxReport:

@@ -76,6 +76,25 @@ def component_count(n: int, s: int) -> int:
     return min(s * int(math.floor(math.log2(n))) + 1, n)
 
 
+def _real_matrix(A) -> tuple[np.ndarray, float]:
+    """A as a validated real float64 matrix, and its Frobenius norm.
+
+    The norm reads every entry and is finite only when every entry is, so a
+    float64 matrix with a finite norm needs no separate isfinite pass; the
+    factors a product has already validated cost no second check. Anything
+    else goes through as_matrix.
+    """
+    A = np.asarray(A)
+    if A.dtype == np.float64 and A.ndim == 2 and A.size:
+        norm = np.linalg.norm(A)
+        if math.isfinite(norm):
+            return A, norm
+    A = as_matrix(A)
+    if np.iscomplexobj(A):
+        raise ValueError("randomized_partial_svd expects a real matrix")
+    return A, np.linalg.norm(A)
+
+
 def randomized_partial_svd(A, s: int, seed, power_iterations: int = 0,
                            components: int | None = None) -> TruncatedSVD:
     """Rank-k randomized SVD of A with k set by `s` (or by `components` directly).
@@ -86,9 +105,7 @@ def randomized_partial_svd(A, s: int, seed, power_iterations: int = 0,
     re-orthonormalization) sharpen the captured subspace for slowly decaying
     spectra; the default 0 matches the plain method.
     """
-    A = as_matrix(A)
-    if np.iscomplexobj(A):
-        raise ValueError("randomized_partial_svd expects a real matrix")
+    A, norm = _real_matrix(A)
     m, n = A.shape
     if components is not None:
         if components < 1:
@@ -114,7 +131,7 @@ def randomized_partial_svd(A, s: int, seed, power_iterations: int = 0,
         U=Q @ Zt[:k].T,
         sigma=sigma[:k],
         V=W[:, :k],
-        source_frobenius_sq=float(np.linalg.norm(A) ** 2),
+        source_frobenius_sq=float(norm ** 2),
     )
 
 

@@ -1,11 +1,14 @@
 """Tests for row-wise Fourier sparsification and the sparse product path."""
 
+import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from apxmm import core
 from apxmm.core import frobenius, matmul_naive, relative_error, unitary_dft
 from apxmm.fsparse import (
     SparseRowMatrix,
@@ -377,3 +380,77 @@ def test_fft_multiply_leaves_inputs_unchanged():
     for order in (0, 1):
         fft_sparse_first_order_multiply(A, B, 3, order)
     assert np.array_equal(A, A0) and np.array_equal(B, B0)
+
+
+# ------------------------------------------------------- split bit identity
+
+def _csr_bytes(S):
+    return (S.csr.data.tobytes(), S.csr.indices.tobytes(), S.csr.indptr.tobytes(),
+            S.to_dense().tobytes())
+
+
+@pytest.mark.parametrize("kind", ["conj-symmetric-16", "conj-symmetric-512",
+                                  "integer", "complex"])
+@pytest.mark.parametrize("budget", ["0", "1", "cols"])
+def test_split_topk_bit_identical(kind, budget, one_and_split):
+    M = _tie_heavy_input(kind)
+    k = {"0": 0, "1": 1, "cols": M.shape[1]}[budget]
+    one, split = one_and_split(lambda: _csr_bytes(topk_sparsify(M, k)))
+    assert one == split
+
+
+def _dense_layouts(rows, cols, rng):
+    D = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    wide = rng.standard_normal((rows + 3, 2 * cols))
+    return {"C": D, "F": np.asfortranarray(D), "sliced": wide[2:rows + 2, ::2]}
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "sliced"])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_split_sparse_dense_bit_identical(side, layout, one_and_split):
+    # 150 dense rows on the right: more than one 64-row sub-block per block
+    rng = np.random.default_rng(19)
+    S = topk_sparsify(rng.standard_normal((30, 40)) + 1j * rng.standard_normal((30, 40)), 5)
+    shape = (40, 150) if side == "left" else (150, 30)
+    D = _dense_layouts(*shape, rng)[layout]
+    one, split = one_and_split(lambda: sparse_dense_multiply(S, D, side))
+    whole = S.csr @ D if side == "left" else D @ S.csr
+    assert one.tobytes() == split.tobytes() == np.ascontiguousarray(whole).tobytes()
+
+
+@pytest.mark.parametrize("n, complex_input", [(32, False), (33, True)])
+@pytest.mark.parametrize("sparsify_b", ["rows", "cols"])
+@pytest.mark.parametrize("order", [0, 1])
+def test_split_fft_multiply_bit_identical(n, complex_input, sparsify_b, order, one_and_split):
+    rng = np.random.default_rng([20, n])
+    A = rng.standard_normal((n, n))
+    B = rng.standard_normal((n, n))
+    if complex_input:
+        A = A + 1j * rng.standard_normal((n, n))
+        B = B + 1j * rng.standard_normal((n, n))
+    (M1, rep1), (M2, rep2) = one_and_split(
+        lambda: fft_sparse_first_order_multiply(A, B, 5, order, sparsify_b=sparsify_b))
+    assert M1.tobytes() == M2.tobytes()
+    assert dataclasses.replace(rep1, wall_time=0.0) == dataclasses.replace(rep2, wall_time=0.0)
+
+
+def test_split_first_order_peak_memory(monkeypatch):
+    # dAt @ SB fills one C-order result from 64-row sub-blocks, with no
+    # transposed copy of dAt, and the selections allocate per row block. As
+    # one scipy product over the whole dAt, sfft1 peaked at 5.03 n x n
+    # complex arrays here; in row blocks it peaks at 4.16
+    monkeypatch.setattr(core, "GRAIN", 1)
+    monkeypatch.setattr(core, "WORKERS", 2)
+    n = 1024
+    rng = np.random.default_rng(12)
+    A = rng.standard_normal((n, n))
+    B = rng.standard_normal((n, n))
+    fft_sparse_first_order_multiply(A, B, 10, 1)  # warm caches outside the trace
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fft_sparse_first_order_multiply(A, B, 10, 1)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.25 * n * n * 16

@@ -188,3 +188,43 @@ def test_multiply_errors():
         randomized_partial_svd(A, 1, seed=0, power_iterations=-1)
     with pytest.raises(ValueError):
         randomized_partial_svd(A, 1, seed=0, components=0)
+
+
+@pytest.mark.parametrize("bad", [
+    [[1.0, np.nan], [0.0, 1.0]],
+    [[1.0, np.inf], [0.0, 1.0]],
+    [[-np.inf, 1.0], [np.inf, 1.0]],
+    np.ones(4),
+    np.ones((0, 3)),
+    np.ones((2, 2)) * 1j,
+])
+def test_decompose_validates_direct_input(bad):
+    with pytest.raises(ValueError):
+        randomized_partial_svd(bad, 1, seed=0)
+
+
+def test_decompose_accepts_finite_input_whose_norm_overflows():
+    # every entry is finite, so the gate passes even though ||A||^2 is inf
+    with np.errstate(over="ignore"):
+        big = randomized_partial_svd(np.full((3, 3), 1e300), 1, seed=0)
+    assert big.source_frobenius_sq == np.inf
+    ints = randomized_partial_svd(np.eye(3, dtype=int), 1, seed=0)
+    assert ints.source_frobenius_sq == pytest.approx(3.0, rel=1e-15)
+
+
+def test_multiply_validates_each_factor_once(monkeypatch):
+    # svd_first_order_multiply's operand gate checks each factor; the
+    # decompositions reuse that check through the norm they compute anyway
+    from apxmm import core, svd
+
+    calls = []
+    real = core.as_matrix
+    counted = lambda a, *args: calls.append(1) or real(a, *args)  # noqa: E731
+    for module in (core, svd):
+        monkeypatch.setattr(module, "as_matrix", counted)
+    rng = np.random.default_rng(3)
+    A, B = rng.standard_normal((16, 16)), rng.standard_normal((16, 16))
+    for order in (0, 1):
+        calls.clear()
+        svd.svd_first_order_multiply(A, B, 1, order, seed=0)
+        assert len(calls) == 2
