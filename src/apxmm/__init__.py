@@ -18,7 +18,6 @@ from .circulant import (
 from .core import (
     as_matrix,
     cycle_reorder,
-    cycle_reorder_inverse,
     frobenius,
     matmul_naive,
     relative_error,
@@ -85,7 +84,6 @@ __all__ = [
     "circulant_select",
     "concentration_tail_bound",
     "cycle_reorder",
-    "cycle_reorder_inverse",
     "estimate_front_constant",
     "fft_sparse_first_order_multiply",
     "frobenius",

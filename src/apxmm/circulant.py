@@ -3,15 +3,16 @@
 Any n x n matrix splits uniquely as A = sum_k R_k D^k with R_k circulant and
 D = diag(omega^q), omega = exp(2i*pi/n). The components are orthogonal under
 the Frobenius inner product, so keeping the largest few is an L2-optimal
-truncation within this family. The multiply kernels never materialize the
-truncated approximant: a circulant is diagonal in the Fourier basis, so the
-kept sum is Ahat = W* P W with P a sparse matrix of k nonzeros per row, and
-each product is two FFT passes around one sparse-dense product. Passes over
+truncation within this family. A circulant is diagonal in the Fourier
+basis, so the kept sum is Ahat = W* P W with P a sparse matrix of k nonzeros
+per row: each product is two FFT passes around one sparse-dense product
+with P, and circulant_materialize densifies the same operator. Passes over
 n^2 >= core.GRAIN entries run in blocks on every CPU (core.for_blocks).
 
-Sign conventions (fixed by the cross-check test optimized == materialized):
-with W(p,q) = exp(-2i*pi*p*q/n)/sqrt(n) and (C^k z)_i = z_{(i-k) mod n},
-R_k = W* diag(fft(columns[k])) W and W D^k = C^k W.
+Sign conventions, with W(p,q) = exp(-2i*pi*p*q/n)/sqrt(n) and
+(C^k z)_i = z_{(i-k) mod n}: R_k = W* diag(fft(columns[k])) W and
+W D^k = C^k W. Products and materialize share P, so the test that pins the
+signs compares materialize with the cycle-averaging circulant_component.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .core import (
     as_matrix,
     as_pair,
     cycle_reorder,
-    cycle_reorder_inverse,
     for_blocks,
     pass_workers,
     unitary_dft,
@@ -96,11 +96,8 @@ def circulant_decompose(A) -> CirculantSpectrum:
     the last bits of the magnitudes, and for a real A those bits decide which
     half of a conjugate pair (k, n-k) circulant_select keeps at the cut.
     """
-    A = as_matrix(A)
-    n = A.shape[0]
-    if A.shape[1] != n:
-        raise ValueError(f"square matrix required, got {A.shape}")
-    S = unitary_dft(cycle_reorder(A, "right"), "forward", axis=0)
+    S = unitary_dft(cycle_reorder(A), "forward", axis=0)
+    n = S.shape[0]
     magnitudes = np.empty(n)
 
     def rescale(lo, hi):
@@ -129,7 +126,7 @@ def circulant_component(A, k: int) -> np.ndarray:
     if not 0 <= k < n:
         raise ValueError(f"component index {k} out of range [0, {n})")
     phase = np.exp(-2j * np.pi * k * np.arange(n) / n)
-    return cycle_reorder(A * phase[None, :], "right").mean(axis=0)
+    return cycle_reorder(A * phase[None, :]).mean(axis=0)
 
 
 def circulant_select(spectrum: CirculantSpectrum, k: int) -> CirculantSpectrum:
@@ -138,15 +135,15 @@ def circulant_select(spectrum: CirculantSpectrum, k: int) -> CirculantSpectrum:
 
 
 def circulant_materialize(spectrum: CirculantSpectrum) -> np.ndarray:
-    """Dense sum_{k in selected} R_k D^k, O(|selected| n^2), complex output.
+    """Dense sum_{k in selected} R_k D^k = W* P W, complex output.
 
-    Entry (i, q) is sum_k columns[k][(i-q) mod n] omega^{kq}: one rank-|selected|
-    product G = E columns[selected] with E[q, k] = omega^{kq}, whose row q
-    the right cycle reordering scatters back along cycle q of the result.
+    The dense form of the operator the products apply: P of _fourier_operator
+    densified, then one transform along each axis, O(n^2 log n).
     """
-    n, sel = spectrum.n, np.asarray(spectrum.selected, dtype=np.intp)
-    E = np.exp(2j * np.pi * (np.outer(np.arange(n), sel) % n) / n)
-    return cycle_reorder_inverse(E @ spectrum.columns[sel], "right")
+    workers = pass_workers(spectrum.n ** 2)
+    PW = scipy.fft.fft(_fourier_operator(spectrum).toarray(), axis=1, norm="ortho",
+                       overwrite_x=True, workers=workers)
+    return scipy.fft.ifft(PW, axis=0, norm="ortho", overwrite_x=True, workers=workers)
 
 
 def _residual_norm(A_norm_sq: float, spectrum: CirculantSpectrum) -> float:

@@ -411,13 +411,10 @@ def parse_bench_config(path) -> dict:
     return parsed
 
 
-def _bench_one(method, order_name, kind_a, kind_b, n, sel, trial, seed_base):
-    """Run one bench combination trial; returns (BenchRow, naive_wall)."""
-    seed_a, seed_b = pair_seeds(seed_base, trial)
-    A = generate(MatrixSpec(kind=kind_a, n=n, seed=seed_a))
-    B = generate(MatrixSpec(kind=kind_b, n=n, seed=seed_b))
-    AB, naive_report = run_method("naive", 0, A, B)
-
+def _bench_one(method, order_name, sel, pair, A, B, AB, naive_report):
+    """Run one bench combination on pair = (kind_a, kind_b, n, trial), whose
+    matrices A, B and exact product AB the caller made; returns a BenchRow."""
+    kind_a, kind_b, n, trial = pair
     order = _ORDER_NUM.get(order_name, 0)
     if method in ("svd", "cd", "sfft"):
         M, report = run_method(method, order, A, B, s=sel,
@@ -431,8 +428,7 @@ def _bench_one(method, order_name, kind_a, kind_b, n, sel, trial, seed_base):
         s_col = None
     # the k the method reports it used; svd counts its own rank from s
     k_col = None if method == "naive" else report.k
-
-    row = BenchRow(
+    return BenchRow(
         method=method,
         order=order_name,
         n=n,
@@ -446,12 +442,14 @@ def _bench_one(method, order_name, kind_a, kind_b, n, sel, trial, seed_base):
         wall_time_s=report.wall_time,
         seed=trial,
     )
-    return row, naive_report.wall_time
 
 
 def cmd_bench(args, parser) -> int:
     conf = parse_bench_config(args.config)
-    jobs = []
+    # jobs grouped by (kind pair, n, trial): each pair and its exact product
+    # are made once, and the rows are written back in the config's order
+    groups: dict = {}
+    count = 0
     for method, order_name in conf["methods"]:
         if method in ("svd", "cd", "sfft"):
             selectors = conf["s"]
@@ -463,10 +461,22 @@ def cmd_bench(args, parser) -> int:
             for n in conf["sizes"]:
                 for sel in selectors:
                     for t in range(conf["trials"]):
-                        jobs.append((method, order_name, kind_a, kind_b, n,
-                                     sel, t, conf["seed_base"]))
+                        groups.setdefault((kind_a, kind_b, n, t), []).append(
+                            (count, method, order_name, sel))
+                        count += 1
 
-    results = [_bench_one(*j) for j in jobs]
+    results = [None] * count
+    for pair, jobs in groups.items():
+        kind_a, kind_b, n, t = pair
+        seed_a, seed_b = pair_seeds(conf["seed_base"], t)
+        A = generate(MatrixSpec(kind=kind_a, n=n, seed=seed_a))
+        B = generate(MatrixSpec(kind=kind_b, n=n, seed=seed_b))
+        AB, naive_report = run_method("naive", 0, A, B)
+        for shared in (A, B, AB):  # no method may change another's operands
+            shared.flags.writeable = False
+        for i, method, order_name, sel in jobs:
+            row = _bench_one(method, order_name, sel, pair, A, B, AB, naive_report)
+            results[i] = (row, naive_report.wall_time)
 
     need_header = not os.path.exists(args.out) or os.path.getsize(args.out) == 0
     with open(args.out, "a", encoding="ascii") as fh:

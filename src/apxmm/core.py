@@ -32,7 +32,6 @@ __all__ = [
     "frobenius",
     "unitary_dft",
     "cycle_reorder",
-    "cycle_reorder_inverse",
     "relative_error",
 ]
 
@@ -122,7 +121,7 @@ def _sparse_rows_times(P: scipy.sparse.csr_array, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def as_matrix(a, allow_complex: bool = True) -> np.ndarray:
+def as_matrix(a) -> np.ndarray:
     """Validate and coerce ``a`` to a 2-D float64/complex128 ndarray.
 
     Raises ValueError for non-2-D input or non-finite entries. This is the
@@ -133,12 +132,7 @@ def as_matrix(a, allow_complex: bool = True) -> np.ndarray:
         raise ValueError(f"expected a 2-D matrix, got ndim={m.ndim}")
     if m.size == 0:
         raise ValueError("empty matrix")
-    if np.iscomplexobj(m):
-        if not allow_complex:
-            raise ValueError("complex entries not allowed here")
-        m = m.astype(np.complex128, copy=False)
-    else:
-        m = m.astype(np.float64, copy=False)
+    m = m.astype(np.complex128 if np.iscomplexobj(m) else np.float64, copy=False)
     if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite (no NaN/Inf)")
     return m
@@ -219,31 +213,31 @@ def unitary_dft(x, direction: str = "forward", axis: int = -1) -> np.ndarray:
     return out
 
 
-def _check_square(A) -> int:
-    if A.shape[0] != A.shape[1]:
-        raise ValueError(f"square matrix required, got {A.shape}")
-    return A.shape[0]
+def cycle_reorder(A) -> np.ndarray:
+    """Arrange the n cycles of a square matrix into columns.
 
+    Column j of the result is the diagonal of Lambda_j in the split
+    A = sum_j C^j Lambda_j into cycle components, so
+    result[i, j] = A[(i + j) % n, i], where C is the cyclic shift with
+    C[i, (i-1) % n] = 1. Cycle j is the entry set {A(i, (i-j) mod n)}; the
+    n cycles partition the n^2 entries.
 
-def _wrapped_diagonals(A: np.ndarray, axis: int, start, step_i, step_j) -> np.ndarray:
-    """Fresh n x n array out[i, j] = A2[start + i * step_i + j * step_j].
-
-    A2 holds the square A twice along ``axis``, so each cyclic index
-    (i +- j) mod n is a plain offset into it and the gather is one strided
-    view, copied; no index arrays are built. Both copies run in row blocks.
+    A is doubled into a 2n x n array, where the gather is one strided view,
+    copied in row blocks into a fresh C-ordered array; no index arrays.
     """
+    A = as_matrix(A)
     n = A.shape[0]
-    A2 = np.empty((2 * n, n) if axis == 0 else (n, 2 * n), A.dtype)
-    halves = (A2[:n], A2[n:]) if axis == 0 else (A2[:, :n], A2[:, n:])
+    if A.shape[1] != n:
+        raise ValueError(f"square matrix required, got {A.shape}")
+    A2 = np.empty((2 * n, n), A.dtype)
 
     def double(lo, hi):
-        for half in halves:
-            half[lo:hi] = A[lo:hi]
+        A2[lo:hi] = A[lo:hi]
+        A2[n + lo:n + hi] = A[lo:hi]
 
     for_blocks(double, n, n * n)
     s0, s1 = A2.strides
-    strides = tuple(a * s0 + b * s1 for a, b in (step_i, step_j))
-    view = as_strided(A2[start[0]:, start[1]:], (n, n), strides, writeable=False)
+    view = as_strided(A2, (n, n), (s0 + s1, s0), writeable=False)
     out = np.empty((n, n), A.dtype)
 
     def gather(lo, hi):
@@ -251,42 +245,6 @@ def _wrapped_diagonals(A: np.ndarray, axis: int, start, step_i, step_j) -> np.nd
 
     for_blocks(gather, n, n * n)
     return out
-
-
-def cycle_reorder(A, side: str) -> np.ndarray:
-    """Arrange the n cycles of a square matrix into columns.
-
-    Column j of the result is the diagonal of Lambda_j in the split of A into
-    cycle components:
-
-      side="right": A = sum_j C^j Lambda_j, so result[i, j] = A[(i+j) % n, i]
-      side="left":  A = sum_j Lambda_j C^j, so result[i, j] = A[i, (i-j) % n]
-
-    where C is the cyclic shift with C[i, (i-1) % n] = 1. Cycle j is the
-    entry set {A(i, (i-j) mod n)}; the n cycles partition the n^2 entries.
-    """
-    A = as_matrix(A)
-    n = _check_square(A)
-    if side == "right":
-        return _wrapped_diagonals(A, 0, (0, 0), (1, 1), (1, 0))
-    if side == "left":
-        return _wrapped_diagonals(A, 1, (0, n), (1, 1), (0, -1))
-    raise ValueError(f"unknown side {side!r}")
-
-
-def cycle_reorder_inverse(At, side: str) -> np.ndarray:
-    """Inverse of cycle_reorder: scatter columns back to matrix cycles.
-
-    side="right": result[r, c] = At[c, (r-c) % n]; the left reordering is
-    its own inverse.
-    """
-    At = as_matrix(At)
-    n = _check_square(At)
-    if side == "right":
-        return _wrapped_diagonals(At, 1, (0, n), (0, 1), (1, -1))
-    if side == "left":
-        return _wrapped_diagonals(At, 1, (0, n), (1, 1), (0, -1))
-    raise ValueError(f"unknown side {side!r}")
 
 
 def relative_error(M, C_ref) -> float:

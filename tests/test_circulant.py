@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
-from apxmm import core
+from apxmm import circulant, core
 from apxmm.circulant import (
     circulant_component,
     circulant_decompose,
@@ -84,9 +84,10 @@ def test_materialize_selected_subset():
                     atol=1e-12)
 
 
-def test_materialize_partial_matches_component_oracle():
+def test_materialize_partial_matches_component_oracle(one_and_split):
     # sum of R_t D^t over a partial selection, each R_t built from the
-    # cycle-averaging oracle rather than from the FFT decomposition
+    # cycle-averaging oracle rather than from the FFT decomposition; the
+    # products share materialize's P, so this pins P's sign convention
     rng = np.random.default_rng(9)
     for n in (8, 31):
         A = rng.standard_normal((n, n))
@@ -95,7 +96,9 @@ def test_materialize_partial_matches_component_oracle():
         omega = np.exp(2j * np.pi * np.arange(n) / n)
         ref = sum(scipy.linalg.circulant(circulant_component(A, t)) * omega**t
                   for t in spec.selected)
-        assert np.linalg.norm(circulant_materialize(spec) - ref) < 1e-12 * np.linalg.norm(ref)
+        one, split = one_and_split(lambda: circulant_materialize(spec))
+        assert one.tobytes() == split.tobytes()
+        assert np.linalg.norm(one - ref) < 1e-12 * np.linalg.norm(ref)
 
 
 def test_top_indices_tie_rule():
@@ -261,21 +264,49 @@ def test_split_multiply_bit_identical(n, order, one_and_split):
     assert dataclasses.replace(rep1, wall_time=0.0) == dataclasses.replace(rep2, wall_time=0.0)
 
 
-def test_split_zeroth_order_peak_memory(monkeypatch):
-    # the row blocks of P_a @ (W B) allocate their results one block at a
-    # time, so the peak stays at the four n x n complex arrays of one thread
+def _split_peak_arrays(monkeypatch, order):
+    """tracemalloc peak of a cd product at n=1024 with every pass split on
+    two workers, in n x n complex arrays."""
     monkeypatch.setattr(core, "GRAIN", 1)
     monkeypatch.setattr(core, "WORKERS", 2)
     n = 1024
     rng = np.random.default_rng(11)
     A = rng.standard_normal((n, n))
     B = rng.standard_normal((n, n))
-    circulant_first_order_multiply(A, B, 10, 0)  # warm caches outside the trace
+    circulant_first_order_multiply(A, B, 10, order)  # warm caches outside the trace
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        circulant_first_order_multiply(A, B, 10, 0)
+        circulant_first_order_multiply(A, B, 10, order)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= 4.05 * n * n * 16
+    return peak / (n * n * 16)
+
+
+def test_split_zeroth_order_peak_memory(monkeypatch):
+    # the row blocks of P_a @ (W B) allocate their results one block at a
+    # time, so the peak stays at the four n x n complex arrays of one thread
+    assert _split_peak_arrays(monkeypatch, 0) <= 4.05
+
+
+def test_split_first_order_peak_memory(monkeypatch):
+    # materialize transforms the dense P in place, and the correction
+    # overwrites Ahat with dA row block by row block: no array beyond cd0's
+    assert _split_peak_arrays(monkeypatch, 1) <= 4.25
+
+
+def test_multiply_validates_each_factor_once(monkeypatch):
+    # the operand gate checks each factor, and each decomposition's cycle
+    # reordering checks it once more; materialize takes a spectrum, no matrix
+    calls = []
+    real = core.as_matrix
+    counted = lambda a: calls.append(1) or real(a)  # noqa: E731
+    for module in (core, circulant):
+        monkeypatch.setattr(module, "as_matrix", counted)
+    rng = np.random.default_rng(3)
+    A, B = rng.standard_normal((16, 16)), rng.standard_normal((16, 16))
+    for order in (0, 1):
+        calls.clear()
+        circulant_first_order_multiply(A, B, 3, order)
+        assert len(calls) == 4

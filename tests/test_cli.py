@@ -397,6 +397,33 @@ def test_bench_combination_count(tmp_path, capsys):
     assert len(lines) == 9
 
 
+def test_bench_exact_product_once_per_pair(tmp_path, capsys, monkeypatch):
+    # 14 rows on 2 distinct (kind pair, n, trial) pairs: 2 exact products
+    from apxmm import cli
+
+    calls = []
+    real = cli.matmul_naive
+    monkeypatch.setattr(cli, "matmul_naive", lambda A, B: calls.append(1) or real(A, B))
+    conf = tmp_path / "b.conf"
+    conf.write_text("methods = naive, cd:zeroth, cd:first, svd:first\n"
+                    "kinds = general:toeplitz\nsizes = 8\ns = 1, 2\ntrials = 2\n",
+                    encoding="ascii")
+    out = tmp_path / "rows.csv"
+    code, stdout, _ = run_cli(capsys, "bench", "--config", str(conf), "--out", str(out))
+    assert code == 0
+    assert len(calls) == 2
+    lines = out.read_text().strip().splitlines()
+    assert lines[0] == BENCH_HEADER
+    # rows keep the config's order: method, then kind pair, n, s, trial
+    expected = [("naive", "-", "-", str(t)) for t in (0, 1)]
+    for method, order in (("cd", "zeroth"), ("cd", "first"), ("svd", "first")):
+        expected += [(method, order, str(s), str(t)) for s in (1, 2) for t in (0, 1)]
+    rows = [ln.split(",") for ln in lines[1:]]
+    assert [(r[0], r[1], r[5], r[11]) for r in rows] == expected
+    assert all(r[3:5] == ["general", "toeplitz"] for r in rows)
+    assert last_json(stdout)["rows"] == 14
+
+
 def test_bench_k_column_is_the_k_used(tmp_path, capsys):
     # svd counts its rank as s * floor(log2 n) + 1 = 10 at n=512, s=1,
     # not the ceil(s * log2 n) = 9 budget handed to cd and sfft
