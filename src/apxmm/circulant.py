@@ -3,11 +3,13 @@
 Any n x n matrix splits uniquely as A = sum_k R_k D^k with R_k circulant and
 D = diag(omega^q), omega = exp(2i*pi/n). The components are orthogonal under
 the Frobenius inner product, so keeping the largest few is an L2-optimal
-truncation within this family. A circulant is diagonal in the Fourier
-basis, so the kept sum is Ahat = W* P W with P a sparse matrix of k nonzeros
-per row: each product is two FFT passes around one sparse-dense product
-with P, and circulant_materialize densifies the same operator. Passes over
-n^2 >= core.GRAIN entries run in blocks on every CPU (core.for_blocks).
+truncation within this family. For a real A, components k and n-k are
+conjugate with bitwise equal magnitudes, and the lower index wins a tie at
+the cut. A circulant is diagonal in the Fourier basis, so the kept sum is
+Ahat = W* P W with P a sparse matrix of k nonzeros per row: each product is
+two FFT passes around one sparse-dense product with P, and
+circulant_materialize densifies the same operator. Passes over n^2 >=
+core.GRAIN entries run in blocks on every CPU (core.for_blocks).
 
 Sign conventions, with W(p,q) = exp(-2i*pi*p*q/n)/sqrt(n) and
 (C^k z)_i = z_{(i-k) mod n}: R_k = W* diag(fft(columns[k])) W and
@@ -88,27 +90,29 @@ def top_indices(weights, k: int) -> list[int]:
 def circulant_decompose(A) -> CirculantSpectrum:
     """Split A into its n circulant components via one FFT pass, O(n^2 log n).
 
-    Column j of the cycle reordering holds cycle j of A, which is the
-    j-th first-column entry of every R_k modulated by omega^{k.}; one forward
-    unitary DFT down each column plus a 1/sqrt(n) rescale therefore yields
-    all first columns at once (row k of the result is R_k's first column).
-    The rescale stays a separate step: folding it into the transform moves
-    the last bits of the magnitudes, and for a real A those bits decide which
-    half of a conjugate pair (k, n-k) circulant_select keeps at the cut.
+    Row j of the cycle reordering holds cycle j of A, which is the j-th
+    first-column entry of every R_k modulated by omega^{k.}; one forward
+    unitary DFT along each row (the contiguous axis) plus a 1/sqrt(n) rescale
+    yields all first columns at once, as columns of the spectrum T (columns
+    is the view T.T: row k is R_k's first column). For a real A, T is exactly
+    conjugate-symmetric, so components k and n-k tie bitwise and
+    circulant_select keeps the lower index of a pair its cut splits. The
+    magnitudes sum fixed row blocks in a fixed order at any thread count.
     """
-    S = unitary_dft(cycle_reorder(A), "forward", axis=0)
-    n = S.shape[0]
-    magnitudes = np.empty(n)
+    T = unitary_dft(cycle_reorder(A), "forward", axis=1)
+    n = T.shape[0]
+    blocks = -(-n // _BLOCK_ROWS)
+    partial = np.empty((blocks, n))
 
     def rescale(lo, hi):
-        # rescale and measure each row block while it is in cache
-        for i in range(lo, hi, _BLOCK_ROWS):
-            j = min(i + _BLOCK_ROWS, hi)
-            S[i:j] /= math.sqrt(n)
-            magnitudes[i:j] = np.linalg.norm(S[i:j], axis=1)
+        # rescale each block of rows in cache and sum its |T|^2 down the columns
+        for b in range(lo, hi):
+            rows = T[b * _BLOCK_ROWS:(b + 1) * _BLOCK_ROWS]
+            rows /= math.sqrt(n)
+            partial[b] = (rows.real**2 + rows.imag**2).sum(axis=0)
 
-    for_blocks(rescale, n, n * n)
-    return CirculantSpectrum(n=n, columns=S, magnitudes=magnitudes,
+    for_blocks(rescale, blocks, n * n)
+    return CirculantSpectrum(n=n, columns=T.T, magnitudes=np.sqrt(partial.sum(axis=0)),
                              selected=list(range(n)))
 
 
@@ -126,7 +130,7 @@ def circulant_component(A, k: int) -> np.ndarray:
     if not 0 <= k < n:
         raise ValueError(f"component index {k} out of range [0, {n})")
     phase = np.exp(-2j * np.pi * k * np.arange(n) / n)
-    return cycle_reorder(A * phase[None, :]).mean(axis=0)
+    return cycle_reorder(A * phase[None, :]).mean(axis=1)
 
 
 def circulant_select(spectrum: CirculantSpectrum, k: int) -> CirculantSpectrum:

@@ -7,11 +7,11 @@ against, and the CSR-times-dense row-block product cd and sfft share.
 
 Threading: a pass over GRAIN or more array entries is cut into contiguous
 index blocks that run on one private thread pool with one thread per CPU in
-the process's affinity mask (WORKERS). Each block computes whole 1-D
-transforms, whole rows (of a sparse product too) or whole entries exactly
-as one call over the full array would, so the output is bit-identical to a
-single thread. Smaller passes run on the calling thread. No setting changes
-this rule.
+the process's affinity mask (WORKERS). Each block computes whole rows (of a
+sparse product too) or whole entries exactly as one call over the full array
+would, so the output is bit-identical to a single thread; unitary_dft hands
+the same WORKERS to scipy.fft, which splits by whole 1-D transforms. Smaller
+passes run on the calling thread. No setting changes this rule.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
+import scipy.fft
 import scipy.sparse
 from numpy.lib.stride_tricks import as_strided
 
@@ -133,7 +134,10 @@ def as_matrix(a) -> np.ndarray:
     if m.size == 0:
         raise ValueError("empty matrix")
     m = m.astype(np.complex128 if np.iscomplexobj(m) else np.float64, copy=False)
-    if not np.isfinite(m).all():
+    finite = []  # one flag per row block: the thread count cannot change the result
+    for_blocks(lambda lo, hi: finite.append(np.isfinite(m[lo:hi]).all()),
+               m.shape[0], m.size, CHUNKS)
+    if not all(finite):
         raise ValueError("matrix entries must be finite (no NaN/Inf)")
     return m
 
@@ -190,35 +194,25 @@ def unitary_dft(x, direction: str = "forward", axis: int = -1) -> np.ndarray:
     with a Bluestein fallback underneath; O(n log n) for all n, including
     primes).
 
-    A 2-D float64 or complex128 input of GRAIN or more entries is transformed
-    in blocks along the other axis, each written into one shared output.
+    One scipy.fft call on pass_workers(x.size) threads, bit-identical at any
+    count. Real input takes scipy's real-input path: half the arithmetic, no
+    complex copy of the input, and an exactly conjugate-symmetric output.
     """
     x = np.asarray(x)
     if x.ndim == 0 or x.shape[axis] < 1:
         raise ValueError("transform length must be >= 1")
     if direction not in ("forward", "inverse"):
         raise ValueError(f"unknown direction {direction!r}")
-    fft = np.fft.fft if direction == "forward" else np.fft.ifft
-    if (x.ndim != 2 or pass_workers(x.size) == 1
-            or x.dtype not in (np.float64, np.complex128)):
-        return fft(x, axis=axis, norm="ortho")
-    out = np.empty_like(x, np.complex128)  # the memory layout np.fft gives
-    # move the transformed axis last, so blocks are rows of xt and outt
-    xt, outt = (x.T, out.T) if axis in (0, -2) else (x, out)
-
-    def block(lo, hi):
-        fft(xt[lo:hi], axis=1, norm="ortho", out=outt[lo:hi])
-
-    for_blocks(block, xt.shape[0], x.size)
-    return out
+    fft = scipy.fft.fft if direction == "forward" else scipy.fft.ifft
+    return fft(x, axis=axis, norm="ortho", workers=pass_workers(x.size))
 
 
 def cycle_reorder(A) -> np.ndarray:
-    """Arrange the n cycles of a square matrix into columns.
+    """Arrange the n cycles of a square matrix into rows.
 
-    Column j of the result is the diagonal of Lambda_j in the split
+    Row j of the result is the diagonal of Lambda_j in the split
     A = sum_j C^j Lambda_j into cycle components, so
-    result[i, j] = A[(i + j) % n, i], where C is the cyclic shift with
+    result[j, i] = A[(i + j) % n, i], where C is the cyclic shift with
     C[i, (i-1) % n] = 1. Cycle j is the entry set {A(i, (i-j) mod n)}; the
     n cycles partition the n^2 entries.
 
@@ -237,7 +231,7 @@ def cycle_reorder(A) -> np.ndarray:
 
     for_blocks(double, n, n * n)
     s0, s1 = A2.strides
-    view = as_strided(A2, (n, n), (s0 + s1, s0), writeable=False)
+    view = as_strided(A2, (n, n), (s0, s0 + s1), writeable=False)
     out = np.empty((n, n), A.dtype)
 
     def gather(lo, hi):

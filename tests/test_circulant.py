@@ -122,6 +122,21 @@ def test_parseval_and_conjugate_symmetry():
                                                        abs=1e-12)
 
 
+@pytest.mark.parametrize("n", [16, 31, 512])
+def test_real_input_conjugate_pairs_tie_exactly(n):
+    # components t and n - t of a real A have bitwise equal magnitudes, so a
+    # cut that splits the pair keeps the lower index
+    A = np.random.default_rng(n).standard_normal((n, n))
+    spec = circulant_decompose(A)
+    t = np.arange(1, n)
+    assert spec.magnitudes[t].tobytes() == spec.magnitudes[n - t].tobytes()
+    lone = []
+    for k in range(1, n):
+        kept = set(circulant_select(spec, k).selected)
+        lone += [t for t in kept if t and n - t not in kept]
+    assert lone and all(t < n - t for t in lone)
+
+
 def test_component_orthogonality():
     rng = np.random.default_rng(3)
     A = rng.standard_normal((9, 9))

@@ -2,9 +2,11 @@ import multiprocessing
 import os
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.fft
 from numpy.testing import assert_allclose
 
 from apxmm import core
@@ -30,6 +32,23 @@ def test_as_matrix_validation():
         as_matrix([[np.inf, 1.0]])
     assert as_matrix([[1, 2], [3, 4]]).dtype == np.float64
     assert as_matrix([[1j]]).dtype == np.complex128
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_split_as_matrix_finite_check(bad, one_and_split):
+    # the check runs in row blocks; an entry in the last row, the last block
+    # of a split pass, fails it as on one thread
+    for shape, where in (((64, 64), (63, 63)), ((64, 64), (63, 0)), ((5, 7), (4, 6))):
+        A = np.zeros(shape)
+        A[where] = bad
+        for x in (A, A + 0j, np.asfortranarray(A), A.T):
+            def check():
+                with pytest.raises(ValueError, match="finite") as err:
+                    as_matrix(x)
+                return str(err.value)
+
+            one, split = one_and_split(check)
+            assert one == split
 
 
 def test_as_pair_validation():
@@ -99,6 +118,38 @@ def test_dft_parseval_and_roundtrip():
         assert np.max(np.abs(back.imag)) < 1e-10
 
 
+@pytest.mark.parametrize("n", [16, 31, 512])
+def test_dft_of_real_input_is_exactly_conjugate_symmetric(n):
+    # entry t and entry n - t of every transformed line are exact conjugates
+    A = np.random.default_rng(n).standard_normal((n, n))
+    for axis in (0, 1):
+        for direction in ("forward", "inverse"):
+            out = unitary_dft(A, direction, axis)
+            lines = out if axis == 1 else out.T
+            assert np.array_equal(lines[:, 1:], np.conj(lines[:, :0:-1]))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_real_dft_peak_memory(workers, monkeypatch):
+    # the real-input path makes no complex copy of the input: the output is
+    # the only n x n complex array, one thread or split
+    monkeypatch.setattr(core, "GRAIN", 1)
+    monkeypatch.setattr(core, "WORKERS", workers)
+    n = 1024
+    A = np.random.default_rng(4).standard_normal((n, n))
+    for axis in (0, 1):
+        for direction in ("forward", "inverse"):
+            unitary_dft(A, direction, axis)  # warm plan caches outside the trace
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                unitary_dft(A, direction, axis)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert peak / (n * n * 16) <= 1.05
+
+
 def test_dft_errors():
     with pytest.raises(ValueError):
         unitary_dft(np.array([1.0, 2.0]), "sideways")
@@ -109,27 +160,27 @@ def test_dft_errors():
 def test_cycle_reorder_right_layout():
     A = np.arange(16.0).reshape(4, 4)
     expected = np.array([
-        [0.0, 4.0, 8.0, 12.0],
-        [5.0, 9.0, 13.0, 1.0],
-        [10.0, 14.0, 2.0, 6.0],
-        [15.0, 3.0, 7.0, 11.0],
+        [0.0, 5.0, 10.0, 15.0],
+        [4.0, 9.0, 14.0, 3.0],
+        [8.0, 13.0, 2.0, 7.0],
+        [12.0, 1.0, 6.0, 11.0],
     ])
     assert_allclose(cycle_reorder(A), expected, rtol=0, atol=0)
     with pytest.raises(ValueError, match="square"):
         cycle_reorder(np.ones((2, 3)))
 
 
-def test_cycle_columns_are_cycles():
-    # column j of the right reordering must be the entry set row - col = j mod n
+def test_cycle_rows_are_cycles():
+    # row j of the right reordering must be the entry set row - col = j mod n
     A = np.arange(25.0).reshape(5, 5)
     out = cycle_reorder(A)
     for j in range(5):
         expected = sorted(A[i, (i - j) % 5] for i in range(5))
-        assert sorted(out[:, j]) == expected
+        assert sorted(out[j]) == expected
 
 
 def _cycle_reorder_reference(A):
-    I, J = np.indices(A.shape)
+    J, I = np.indices(A.shape)
     return A[(I + J) % A.shape[0], I]
 
 
@@ -179,7 +230,7 @@ def test_split_unitary_dft_other_ranks(monkeypatch):
     cube = rng.standard_normal((3, 4, 5)) + 1j * rng.standard_normal((3, 4, 5))
     for x, axes in ((vector, (0, -1)), (cube, (0, 1, 2, -1))):
         for axis in axes:
-            for direction, fft in (("forward", np.fft.fft), ("inverse", np.fft.ifft)):
+            for direction, fft in (("forward", scipy.fft.fft), ("inverse", scipy.fft.ifft)):
                 out = unitary_dft(x, direction, axis)
                 assert out.tobytes() == fft(x, axis=axis, norm="ortho").tobytes()
 
@@ -230,8 +281,8 @@ def test_for_blocks_raises_pool_thread_error(monkeypatch):
     assert pool_block_ran.is_set()
 
 
-def _split_dft_matches(x, expected):
-    assert unitary_dft(x, "forward", 0).tobytes() == expected.tobytes()
+def _split_reorder_matches(x, expected):
+    assert cycle_reorder(x).tobytes() == expected.tobytes()
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
@@ -240,9 +291,9 @@ def test_split_pass_in_forked_child(monkeypatch):
     monkeypatch.setattr(core, "GRAIN", 1)
     monkeypatch.setattr(core, "WORKERS", 2)
     x = np.random.default_rng(9).standard_normal((16, 16))
-    expected = unitary_dft(x, "forward", 0)  # starts the pool here
+    expected = cycle_reorder(x)  # starts the pool here
     child = multiprocessing.get_context("fork").Process(
-        target=_split_dft_matches, args=(x, expected))
+        target=_split_reorder_matches, args=(x, expected))
     child.start()
     child.join(60)
     if child.is_alive():

@@ -49,6 +49,18 @@ def test_topk_tie_prefers_lower_column():
     assert _vals(S, 0) == [-2.0]
 
 
+@pytest.mark.parametrize("n", [16, 31, 512])
+def test_topk_keeps_lower_column_of_conjugate_pair(n):
+    # each row of A W* for a real A is exactly conjugate-symmetric, so a cut
+    # that splits the pair of columns c and n - c keeps the lower one
+    Atil = unitary_dft(np.random.default_rng(n).standard_normal((n, n)), "inverse", axis=1)
+    for k in (1, 2, 3, n // 2):
+        kept = np.zeros((n, n), dtype=bool)
+        kept[topk_sparsify(Atil, k).positions()] = True
+        cols = np.nonzero(kept & ~kept[:, -np.arange(n) % n])[1]
+        assert cols.size and np.all(cols < n - cols)
+
+
 def test_topk_clamps_to_row_length():
     A = np.array([[1.0, 2.0], [3.0, 4.0]])
     S = topk_sparsify(A, 9)

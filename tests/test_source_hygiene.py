@@ -5,9 +5,11 @@ in a module's ``__all__`` is bound at its top level. ``__init__.py`` is
 exempt from the first check: its imports are the package's re-exports.
 Every public name of a numeric module is used somewhere in the package or
 the benchmark outside its own definition, unless UNUSED_PUBLIC says why not.
+No module refers to numpy.fft: scipy.fft is the one FFT backend.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -78,6 +80,15 @@ def test_dunder_all_names_defined(path):
     tree = _tree(path)
     exported = _dunder_all(tree) or []
     assert sorted(set(exported) - _top_level_bindings(tree)) == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_scipy_fft_is_the_one_fft_backend(path):
+    # the two backends round differently; one keeps every transform of a
+    # real input exactly conjugate-symmetric and its threads in one place
+    text = path.read_text(encoding="utf-8")
+    numpy_fft = re.compile(r"\b(?:np|numpy)\.fft\b|from\s+numpy\s+import[^\n]*\bfft\b")
+    assert numpy_fft.findall(text) == []
 
 
 def _references(tree: ast.AST, skip: str | None = None) -> set[str]:
