@@ -281,19 +281,21 @@ def test_for_blocks_raises_pool_thread_error(monkeypatch):
     assert pool_block_ran.is_set()
 
 
-def _split_reorder_matches(x, expected):
-    assert cycle_reorder(x).tobytes() == expected.tobytes()
+def _split_passes_match(x, expected):
+    assert cycle_reorder(x).tobytes() == expected[0].tobytes()
+    assert unitary_dft(x, "forward", 0).tobytes() == expected[1].tobytes()
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
 def test_split_pass_in_forked_child(monkeypatch):
-    # the child inherits none of the pool threads, so it must start its own
+    # the child inherits none of the pool threads, nor scipy.fft's, so both
+    # must start their own
     monkeypatch.setattr(core, "GRAIN", 1)
     monkeypatch.setattr(core, "WORKERS", 2)
     x = np.random.default_rng(9).standard_normal((16, 16))
-    expected = cycle_reorder(x)  # starts the pool here
+    expected = cycle_reorder(x), unitary_dft(x, "forward", 0)  # start both here
     child = multiprocessing.get_context("fork").Process(
-        target=_split_reorder_matches, args=(x, expected))
+        target=_split_passes_match, args=(x, expected))
     child.start()
     child.join(60)
     if child.is_alive():
