@@ -1,19 +1,21 @@
 """Circulant decomposition of a square matrix and the truncated product.
 
-Any n x n matrix splits uniquely as A = sum_k R_k D^k with R_k circulant and
+Any n x n matrix splits uniquely as A = sum_t R_t D^t with R_t circulant and
 D = diag(omega^q), omega = exp(2i*pi/n). The components are orthogonal under
 the Frobenius inner product, so keeping the largest few is an L2-optimal
-truncation within this family. For a real A, components k and n-k are
-conjugate with bitwise equal magnitudes, and the lower index wins a tie at
-the cut. A circulant is diagonal in the Fourier basis, so the kept sum is
+truncation within this family. For a real A, R_{n-t} is the conjugate of
+R_t: the spectrum of a real matrix stores only the half t <= n/2, the
+selection keeps conjugate pairs whole, and every kept sum is real. A
+circulant is diagonal in the Fourier basis, so the kept sum is
 Ahat = W* P W with P a sparse matrix of k nonzeros per row: each product is
 two FFT passes around one sparse-dense product with P, and
-circulant_materialize densifies the same operator. Passes over n^2 >=
-core.GRAIN entries run in blocks on every CPU (core.for_blocks).
+circulant_materialize densifies the same operator. For real inputs the
+passes run in real arithmetic on half the rows (rfft, irfft, hfft). Passes
+over n^2 >= core.GRAIN entries run in blocks on every CPU (core.for_blocks).
 
 Sign conventions, with W(p,q) = exp(-2i*pi*p*q/n)/sqrt(n) and
-(C^k z)_i = z_{(i-k) mod n}: R_k = W* diag(fft(columns[k])) W and
-W D^k = C^k W. Products and materialize share P, so the test that pins the
+(C^t z)_i = z_{(i-t) mod n}: R_t = W* diag(fft(column(t))) W and
+W D^t = C^t W. Products and materialize share P, so the test that pins the
 signs compares materialize with the cycle-averaging circulant_component.
 """
 
@@ -34,8 +36,8 @@ from .core import (
     as_pair,
     cycle_reorder,
     for_blocks,
+    for_sub_blocks,
     pass_workers,
-    unitary_dft,
 )
 from .report import estimated_report
 
@@ -49,17 +51,21 @@ __all__ = [
     "top_indices",
 ]
 
-# rows of the spectrum rescaled and measured together in circulant_decompose
+# rows of the spectrum measured together in circulant_decompose
 _BLOCK_ROWS = 16
 
 
 @dataclass
 class CirculantSpectrum:
-    """Component data of the split A = sum_k R_k D^k.
+    """Component data of the split A = sum_t R_t D^t.
 
-    columns[k] is the first column of the circulant R_k (length n, complex);
-    magnitudes[k] = ||columns[k]||_2, so n * magnitudes[k]^2 is the squared
-    Frobenius weight of component k. selected lists the component indices a
+    column(t) is the first column of the circulant R_t (length n, complex).
+    For a complex A, columns holds all n of them, row t for R_t. For a real
+    A (half=True) R_{n-t} is the conjugate of R_t, so columns holds only the
+    n//2 + 1 rows t <= n/2, and column(t) reads a t > n/2 as the conjugate
+    of row n - t. magnitudes[t] = ||column(t)||_2 for all n components (the
+    mirrored ones bitwise equal), so n * magnitudes[t]^2 is the squared
+    Frobenius weight of component t. selected lists the component indices a
     truncation keeps, ascending.
     """
 
@@ -67,14 +73,27 @@ class CirculantSpectrum:
     columns: np.ndarray
     magnitudes: np.ndarray
     selected: list[int]
+    half: bool
 
     def __post_init__(self):
-        if self.columns.shape != (self.n, self.n):
-            raise ValueError("columns must be n x n (row k = first column of R_k)")
+        rows = self.n // 2 + 1 if self.half else self.n
+        if self.columns.shape != (rows, self.n):
+            raise ValueError(f"columns must be {rows} x n (row t = first column of R_t)")
         if self.magnitudes.shape != (self.n,):
             raise ValueError("need one magnitude per component")
         if any(not 0 <= k < self.n for k in self.selected):
             raise ValueError("selected index out of range")
+
+    def column(self, t):
+        """First column of R_t; an index array gives one row per index."""
+        t = np.asarray(t)
+        if np.any((t < 0) | (t >= self.n)):
+            raise ValueError(f"component index out of range [0, {self.n})")
+        if not self.half:
+            return self.columns[t]
+        mirrored = t > self.n // 2
+        rows = self.columns[np.where(mirrored, self.n - t, t)]
+        return np.where(mirrored[..., None], rows.conj(), rows)
 
 
 def top_indices(weights, k: int) -> list[int]:
@@ -91,29 +110,35 @@ def circulant_decompose(A) -> CirculantSpectrum:
     """Split A into its n circulant components via one FFT pass, O(n^2 log n).
 
     Row j of the cycle reordering holds cycle j of A, which is the j-th
-    first-column entry of every R_k modulated by omega^{k.}; one forward
-    unitary DFT along each row (the contiguous axis) plus a 1/sqrt(n) rescale
-    yields all first columns at once, as columns of the spectrum T (columns
-    is the view T.T: row k is R_k's first column). For a real A, T is exactly
-    conjugate-symmetric, so components k and n-k tie bitwise and
-    circulant_select keeps the lower index of a pair its cut splits. The
-    magnitudes sum fixed row blocks in a fixed order at any thread count.
+    first-column entry of every R_t modulated by omega^{t.}; one forward DFT
+    along each row (the contiguous axis) with the 1/n scale folded in yields
+    all first columns at once, as columns of the spectrum T (columns is the
+    view T.T). A real A takes scipy's rfft, which computes and stores only
+    the n//2 + 1 components t <= n/2 (a half spectrum); the rest are their
+    conjugates. The magnitudes sum fixed row blocks in a fixed order at any
+    thread count.
     """
-    T = unitary_dft(cycle_reorder(A), "forward", axis=1)
-    n = T.shape[0]
+    C = cycle_reorder(A)
+    n = C.shape[0]
+    half = not np.iscomplexobj(C)
+    T = (scipy.fft.rfft if half else scipy.fft.fft)(C, axis=1, norm="forward",
+                                                   workers=pass_workers(n * n))
+    del C
     blocks = -(-n // _BLOCK_ROWS)
-    partial = np.empty((blocks, n))
+    partial = np.empty((blocks, T.shape[1]))
 
-    def rescale(lo, hi):
-        # rescale each block of rows in cache and sum its |T|^2 down the columns
+    def measure(lo, hi):
+        # sum |T|^2 down the columns, one cached block of rows at a time
         for b in range(lo, hi):
             rows = T[b * _BLOCK_ROWS:(b + 1) * _BLOCK_ROWS]
-            rows /= math.sqrt(n)
             partial[b] = (rows.real**2 + rows.imag**2).sum(axis=0)
 
-    for_blocks(rescale, blocks, n * n)
-    return CirculantSpectrum(n=n, columns=T.T, magnitudes=np.sqrt(partial.sum(axis=0)),
-                             selected=list(range(n)))
+    for_blocks(measure, blocks, n * n)
+    magnitudes = np.sqrt(partial.sum(axis=0))
+    if half:  # component n - t mirrors t
+        magnitudes = np.concatenate((magnitudes, magnitudes[n - T.shape[1]:0:-1]))
+    return CirculantSpectrum(n=n, columns=T.T, magnitudes=magnitudes,
+                             selected=list(range(n)), half=half)
 
 
 def circulant_component(A, k: int) -> np.ndarray:
@@ -134,20 +159,45 @@ def circulant_component(A, k: int) -> np.ndarray:
 
 
 def circulant_select(spectrum: CirculantSpectrum, k: int) -> CirculantSpectrum:
-    """Copy of the spectrum keeping the k largest-magnitude components."""
-    return replace(spectrum, selected=top_indices(spectrum.magnitudes, k))
+    """Copy of the spectrum keeping the k largest-magnitude components.
+
+    Ties go to the lower index. A half spectrum keeps whole conjugate pairs
+    (t, n - t), so the kept sum of a real matrix is real: a pair ranks as
+    one unit at its lower index, and when the k-th component taken is half
+    of a pair its conjugate is kept too (k + 1 in all).
+    """
+    if not spectrum.half:
+        return replace(spectrum, selected=top_indices(spectrum.magnitudes, k))
+    n = spectrum.n
+    if not 0 <= k <= n:
+        raise ValueError(f"k={k} out of range [0, {n}]")
+    t = np.arange(n)
+    order = np.lexsort((t, np.minimum(t, n - t), -spectrum.magnitudes))[:k]
+    kept = {int(i) for i in order} | {int(-order[-1] % n)} if k else set()
+    return replace(spectrum, selected=sorted(kept))
+
+
+def _real(spectrum: CirculantSpectrum) -> bool:
+    """Whether the kept sum is real: a half spectrum, selection closed under t -> n - t."""
+    kept = set(spectrum.selected)
+    return spectrum.half and all(-t % spectrum.n in kept for t in kept)
 
 
 def circulant_materialize(spectrum: CirculantSpectrum) -> np.ndarray:
-    """Dense sum_{k in selected} R_k D^k = W* P W, complex output.
+    """Dense sum_{t in selected} R_t D^t = W* P W.
 
     The dense form of the operator the products apply: P of _fourier_operator
-    densified, then one transform along each axis, O(n^2 log n).
+    densified, then one transform along each axis, O(n^2 log n). A real sum
+    (_real) is float64 and needs only the rows i <= n/2 of P W, which irfft
+    completes; otherwise the output is complex.
     """
-    workers = pass_workers(spectrum.n ** 2)
-    PW = scipy.fft.fft(_fourier_operator(spectrum).toarray(), axis=1, norm="ortho",
-                       overwrite_x=True, workers=workers)
-    return scipy.fft.ifft(PW, axis=0, norm="ortho", overwrite_x=True, workers=workers)
+    n = spectrum.n
+    real = _real(spectrum)
+    workers = pass_workers(n * n)
+    PW = scipy.fft.fft(_fourier_operator(spectrum, n // 2 + 1 if real else n, n).toarray(),
+                       axis=1, norm="ortho", overwrite_x=True, workers=workers)
+    return (scipy.fft.irfft if real else scipy.fft.ifft)(
+        PW, n, axis=0, norm="ortho", overwrite_x=True, workers=workers)
 
 
 def _residual_norm(A_norm_sq: float, spectrum: CirculantSpectrum) -> float:
@@ -156,18 +206,21 @@ def _residual_norm(A_norm_sq: float, spectrum: CirculantSpectrum) -> float:
     return math.sqrt(max(0.0, A_norm_sq - kept))
 
 
-def _fourier_operator(spectrum: CirculantSpectrum) -> scipy.sparse.csr_array:
-    """P with sum_{t in selected} R_t D^t = W* P W, k nonzeros per row.
+def _fourier_operator(spectrum: CirculantSpectrum, rows: int,
+                      cols: int) -> scipy.sparse.csr_array:
+    """Rows < rows and columns < cols of P, sum_{t in selected} R_t D^t = W* P W.
 
     R_t D^t = W* diag(L_t) W D^t = W* diag(L_t) C^t W with L_t the
-    unnormalized FFT of R_t's first column, so P[i, (i-t) mod n] = L_t[i].
-    Each row stores its entries in ascending t, the summation order.
+    unnormalized FFT of R_t's first column, so P[i, (i-t) mod n] = L_t[i]:
+    k nonzeros per full row. Each row stores its entries in ascending t,
+    the summation order.
     """
     n, sel = spectrum.n, np.asarray(spectrum.selected, dtype=np.intp)
-    L = scipy.fft.fft(spectrum.columns[sel], axis=1)
-    cols = (np.arange(n)[:, None] - sel[None, :]) % n
-    return scipy.sparse.csr_array((L.T.ravel(), cols.ravel(), sel.size * np.arange(n + 1)),
-                                  shape=(n, n))
+    L = scipy.fft.fft(spectrum.column(sel), axis=1)[:, :rows]
+    idx = (np.arange(rows)[:, None] - sel[None, :]) % n
+    inside = idx < cols
+    indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(inside, axis=1))))
+    return scipy.sparse.csr_array((L.T[inside], idx[inside], indptr), shape=(rows, cols))
 
 
 def circulant_first_order_multiply(A, B, k: int, order: int):
@@ -177,8 +230,12 @@ def circulant_first_order_multiply(A, B, k: int, order: int):
     _fourier_operator (the left factor is the only one truncated); order 1
     adds the correction dA @ Bhat = dA W* P_b W from the dense Ahat, one
     block of rows of dA = A - Ahat at a time. Both cost
-    O(k n^2 + n^2 log n). The result is complex for real inputs; take the
-    real part at the caller if wanted. Deterministic, no randomness involved,
+    O(k n^2 + n^2 log n). For real A and B every kept sum is real (whole
+    conjugate pairs, see circulant_select) and so are M and dA: the product
+    forms only the rows i <= n/2 of P_a W B and ends in irfft, the
+    correction only the columns j <= n/2 of dA W* P_b and ends in hfft, and
+    M is float64; report.k is then the larger of the two kept counts, up to
+    k + 1. Otherwise M is complex. Deterministic, no randomness involved,
     and bit-identical however many threads the n^2 passes run on.
     """
     A, B = as_pair(A, B)
@@ -200,22 +257,27 @@ def circulant_first_order_multiply(A, B, k: int, order: int):
 
     # Ahat B = W* (P_a (W B)) and dA Bhat = ((dA W*) P_b) W; scipy's transforms
     # take real input at about half cost and may overwrite the intermediates
+    real = _real(spec_a) and _real(spec_b)
+    half = n // 2 + 1 if real else n
     workers = pass_workers(n * n)
-    PWB = _sparse_rows_times(_fourier_operator(spec_a),
+    PWB = _sparse_rows_times(_fourier_operator(spec_a, half, n),
                              scipy.fft.fft(B, axis=0, norm="ortho", workers=workers))
-    M = scipy.fft.ifft(PWB, axis=0, norm="ortho", overwrite_x=True, workers=workers)
+    M = (scipy.fft.irfft if real else scipy.fft.ifft)(
+        PWB, n, axis=0, norm="ortho", overwrite_x=True, workers=workers)
     if order == 1:
         dA = circulant_materialize(spec_a)
-        P_b = _fourier_operator(spec_b)
+        P_b = _fourier_operator(spec_b, n, half)
+        forward = scipy.fft.hfft if real else scipy.fft.fft
 
         def correct(lo, hi):
             # every step acts on whole rows: dA = A - Ahat overwrites Ahat
-            # and is transformed in place, one block of rows at a time
+            # and is transformed in place, a few rows at a time
             rows = np.subtract(A[lo:hi], dA[lo:hi], out=dA[lo:hi])
             G = scipy.fft.ifft(rows, axis=1, norm="ortho", overwrite_x=True) @ P_b
-            M[lo:hi] += scipy.fft.fft(G, axis=1, norm="ortho", overwrite_x=True)
+            M[lo:hi] += forward(G, n, axis=1, norm="ortho", overwrite_x=True)
 
-        for_blocks(correct, n, n * n, CHUNKS)
+        for_sub_blocks(correct, n, n * n, CHUNKS)
     wall = time.perf_counter() - t0
-    return M, estimated_report("cd", order, k, M, n, norm_a, norm_b,
+    k_used = max(len(spec_a.selected), len(spec_b.selected))
+    return M, estimated_report("cd", order, k_used, M, n, norm_a, norm_b,
                                norm_da, norm_db, wall)

@@ -3,7 +3,7 @@
 Input validation for single matrices and product pairs, Frobenius algebra,
 an arbitrary-length unitary DFT, cycle reordering of a square matrix, the
 exact multiplication oracle that all approximate products are tested
-against, and the CSR-times-dense row-block product cd and sfft share.
+against, and the sparse-dense row-block products cd and sfft share.
 
 Threading: a pass over GRAIN or more array entries is cut into contiguous
 index blocks that run on one private thread pool with one thread per CPU in
@@ -45,6 +45,10 @@ GRAIN = 1 << 20
 # row blocks per worker of a product pass: many small blocks keep each
 # block's temporaries a small fraction of one n x n array
 CHUNKS = 64
+# rows of a dense factor one dense @ CSR call takes: scipy multiplies a
+# transposed copy of its dense operand, and on a few rows both stay in cache
+SUB_ROWS = 64
+NOT_FINITE = "matrix entries must be finite (no NaN/Inf)"
 
 
 def pass_workers(entries: int) -> int:
@@ -100,6 +104,32 @@ def for_blocks(fn, length: int, entries: int, chunks: int = 1) -> None:
         helper.result()
 
 
+def for_sub_blocks(fn, length: int, entries: int, chunks: int = 1) -> None:
+    """for_blocks(..., chunks), each block handed to fn(lo, hi) in pieces of
+    at most SUB_ROWS indices: the rule for row steps that include a dense @
+    CSR product. The pieces of one block run in order on its thread."""
+
+    def block(lo, hi):
+        for i in range(lo, hi, SUB_ROWS):
+            fn(i, min(i + SUB_ROWS, hi))
+
+    for_blocks(block, length, entries, chunks)
+
+
+def _dense_times_rows(B: np.ndarray, S: scipy.sparse.csr_array, chunks: int) -> np.ndarray:
+    """B @ S into one C-order array, SUB_ROWS rows of B per scipy call.
+
+    Each row of B is summed in the same order as by one call over all of B.
+    """
+    out = np.empty((B.shape[0], S.shape[1]), np.result_type(B.dtype, S.dtype))
+
+    def rows(lo, hi):
+        out[lo:hi] = B[lo:hi] @ S
+
+    for_sub_blocks(rows, B.shape[0], out.size, chunks)
+    return out
+
+
 def _sparse_rows_times(P: scipy.sparse.csr_array, X: np.ndarray) -> np.ndarray:
     """P @ X, above the grain as row blocks of the result by scipy's kernel.
 
@@ -122,23 +152,28 @@ def _sparse_rows_times(P: scipy.sparse.csr_array, X: np.ndarray) -> np.ndarray:
     return out
 
 
+def _coerce(a) -> np.ndarray:
+    """``a`` as a non-empty 2-D float64/complex128 ndarray; entries unchecked."""
+    m = np.asarray(a)
+    if m.ndim != 2:
+        raise ValueError(f"expected a 2-D matrix, got ndim={m.ndim}")
+    if m.size == 0:
+        raise ValueError("empty matrix")
+    return m.astype(np.complex128 if np.iscomplexobj(m) else np.float64, copy=False)
+
+
 def as_matrix(a) -> np.ndarray:
     """Validate and coerce ``a`` to a 2-D float64/complex128 ndarray.
 
     Raises ValueError for non-2-D input or non-finite entries. This is the
     construction gate for the dense-matrix values used across the package.
     """
-    m = np.asarray(a)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got ndim={m.ndim}")
-    if m.size == 0:
-        raise ValueError("empty matrix")
-    m = m.astype(np.complex128 if np.iscomplexobj(m) else np.float64, copy=False)
+    m = _coerce(a)
     finite = []  # one flag per row block: the thread count cannot change the result
     for_blocks(lambda lo, hi: finite.append(np.isfinite(m[lo:hi]).all()),
                m.shape[0], m.size, CHUNKS)
     if not all(finite):
-        raise ValueError("matrix entries must be finite (no NaN/Inf)")
+        raise ValueError(NOT_FINITE)
     return m
 
 

@@ -17,7 +17,16 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .core import _sparse_rows_times, as_matrix, as_pair, for_blocks, unitary_dft
+from .core import (
+    NOT_FINITE,
+    _coerce,
+    _dense_times_rows,
+    _sparse_rows_times,
+    as_matrix,
+    as_pair,
+    for_blocks,
+    unitary_dft,
+)
 from .report import _fro, estimated_report
 
 __all__ = [
@@ -31,8 +40,6 @@ __all__ = [
 # makes a dozen numpy or scipy calls, so fewer blocks than core.CHUNKS spend
 # less on per-call overhead; a block's temporaries stay 1/16 of its share
 _CHUNKS = 16
-# rows of the dense factor one dense @ CSR call takes
-_SUB_ROWS = 64
 
 
 @dataclass(eq=False)
@@ -79,8 +86,10 @@ def topk_sparsify(M, k: int) -> SparseRowMatrix:
     is clamped. One partial sort selects every row of a block at once; only
     rows with a tie at the cut are redone. Deterministic, and row by row, so
     the row blocks of a large M select exactly what one call over M would.
+    Non-finite entries raise as_matrix's ValueError; each block reads them
+    off the moduli it sorts, so M takes no separate isfinite pass.
     """
-    M = as_matrix(M)
+    M = _coerce(M)
     if not np.isscalar(k):
         raise TypeError("k must be one budget shared by every row")
     if k < 0:
@@ -92,6 +101,10 @@ def topk_sparsify(M, k: int) -> SparseRowMatrix:
 
     def block(lo, hi):
         mag = np.abs(M[lo:hi])
+        # the max propagates NaN and inf; a finite entry's modulus can still
+        # overflow (|1e308 + 1e308j|), so the entries themselves decide
+        if not np.isfinite(mag.max()) and not np.isfinite(M[lo:hi]).all():
+            raise ValueError(NOT_FINITE)
         kb = np.argpartition(mag, cols - k, axis=1)[:, cols - k:]
         cut = np.take_along_axis(mag, kb[:, :1], axis=1)
         # rows with a tie at the cut take every entry above it and then the
@@ -107,27 +120,11 @@ def topk_sparsify(M, k: int) -> SparseRowMatrix:
 
     if k > 0:
         for_blocks(block, rows, M.size, _CHUNKS)
+    else:
+        as_matrix(M)  # no block runs to check the entries
     csr = sp.csr_array((vals.ravel(), keep.ravel(), np.arange(rows + 1) * k),
                        shape=(rows, cols))
     return SparseRowMatrix(csr)
-
-
-def _dense_times_rows(B: np.ndarray, S: sp.csr_array) -> np.ndarray:
-    """B @ S into one C-order array, _SUB_ROWS rows of B at a time.
-
-    scipy runs dense @ CSR on a transposed copy of its dense operand and
-    returns the transpose of the result; on a few rows both stay in cache.
-    Each row of B is summed in the same order as by one call over all of B.
-    """
-    out = np.empty((B.shape[0], S.shape[1]), np.result_type(B.dtype, S.dtype))
-
-    def block(lo, hi):
-        for i in range(lo, hi, _SUB_ROWS):
-            j = min(i + _SUB_ROWS, hi)
-            out[i:j] = B[i:j] @ S
-
-    for_blocks(block, B.shape[0], out.size, _CHUNKS)
-    return out
 
 
 def sparse_dense_multiply(S: SparseRowMatrix, B, side: str = "left") -> np.ndarray:
@@ -144,7 +141,7 @@ def sparse_dense_multiply(S: SparseRowMatrix, B, side: str = "left") -> np.ndarr
     if side == "right":
         if B.shape[1] != rows:
             raise ValueError(f"dimension mismatch: {B.shape} x ({rows},{cols})")
-        return _dense_times_rows(B, S.csr)
+        return _dense_times_rows(B, S.csr, _CHUNKS)
     raise ValueError(f"unknown side {side!r}")
 
 
@@ -171,11 +168,11 @@ def fft_sparse_first_order_multiply(A, B, k: int, order: int,
 
     Every pass over n^2 >= core.GRAIN entries runs as contiguous row blocks
     on every CPU: the two transforms, both top-k selections, SA @ Btil (the
-    CSR row-block helper cd shares) and dAt @ SB (64-row sub-blocks even on
-    one thread). The O(k n) scatter that zeroes the kept entries stays on
-    the calling thread. Each row is computed as one call over the whole
-    array computes it, so M and the report are bit-identical at any thread
-    count.
+    CSR row-block helper cd shares) and dAt @ SB (core.SUB_ROWS-row
+    sub-blocks even on one thread, the rule cd's correction follows). The
+    O(k n) scatter that zeroes the kept entries stays on the calling
+    thread. Each row is computed as one call over the whole array computes
+    it, so M and the report are bit-identical at any thread count.
     """
     A, B = as_pair(A, B)
     if k < 0:

@@ -60,11 +60,22 @@ def test_component_identity_cases():
 
 
 def test_component_matches_decompose():
+    # every component read through the accessor, the mirrored half of a real
+    # matrix's spectrum included, equals the cycle-averaging oracle
     rng = np.random.default_rng(0)
-    A = rng.standard_normal((16, 16))
-    spec = circulant_decompose(A)
-    for k in range(16):
-        assert np.linalg.norm(circulant_component(A, k) - spec.columns[k]) < 1e-10
+    for A in (rng.standard_normal((16, 16)), rng.standard_normal((31, 31)),
+              rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))):
+        n = A.shape[0]
+        spec = circulant_decompose(A)
+        assert spec.half is not np.iscomplexobj(A)
+        assert spec.columns.shape == (n // 2 + 1 if spec.half else n, n)
+        for k in range(n):
+            assert np.linalg.norm(circulant_component(A, k) - spec.column(k)) < 1e-10
+        assert spec.column(np.arange(n)).tobytes() == \
+            np.array([spec.column(k) for k in range(n)]).tobytes()
+        for k in (-1, n):
+            with pytest.raises(ValueError):
+                spec.column(k)
 
 
 def test_materialize_full_and_empty():
@@ -91,14 +102,19 @@ def test_materialize_partial_matches_component_oracle(one_and_split):
     rng = np.random.default_rng(9)
     for n in (8, 31):
         A = rng.standard_normal((n, n))
-        spec = circulant_select(circulant_decompose(A), 0)
-        spec.selected = [0, 2, 3, n - 1]
         omega = np.exp(2j * np.pi * np.arange(n) / n)
-        ref = sum(scipy.linalg.circulant(circulant_component(A, t)) * omega**t
-                  for t in spec.selected)
-        one, split = one_and_split(lambda: circulant_materialize(spec))
-        assert one.tobytes() == split.tobytes()
-        assert np.linalg.norm(one - ref) < 1e-12 * np.linalg.norm(ref)
+        # a selection that splits conjugate pairs sums to a complex matrix;
+        # a conjugate-closed one to a real matrix, through irfft
+        for selected, dtype in (([0, 2, 3, n - 1], np.complex128),
+                                ([0, 1, 3, n - 3, n - 1], np.float64)):
+            spec = circulant_select(circulant_decompose(A), 0)
+            spec.selected = selected
+            ref = sum(scipy.linalg.circulant(circulant_component(A, t)) * omega**t
+                      for t in spec.selected)
+            one, split = one_and_split(lambda: circulant_materialize(spec))
+            assert one.dtype == dtype
+            assert one.tobytes() == split.tobytes()
+            assert np.linalg.norm(one - ref) < 1e-12 * np.linalg.norm(ref)
 
 
 def test_top_indices_tie_rule():
@@ -124,17 +140,35 @@ def test_parseval_and_conjugate_symmetry():
 
 @pytest.mark.parametrize("n", [16, 31, 512])
 def test_real_input_conjugate_pairs_tie_exactly(n):
-    # components t and n - t of a real A have bitwise equal magnitudes, so a
-    # cut that splits the pair keeps the lower index
+    # components t and n - t of a real A have bitwise equal magnitudes, and
+    # the selection keeps each pair whole at every k: k or k + 1 components
+    # (a cut inside a pair rounds up), none kept without its conjugate, and
+    # none left out larger than one kept
     A = np.random.default_rng(n).standard_normal((n, n))
     spec = circulant_decompose(A)
     t = np.arange(1, n)
     assert spec.magnitudes[t].tobytes() == spec.magnitudes[n - t].tobytes()
-    lone = []
-    for k in range(1, n):
-        kept = set(circulant_select(spec, k).selected)
-        lone += [t for t in kept if t and n - t not in kept]
-    assert lone and all(t < n - t for t in lone)
+    rounded_up = 0
+    for k in range(n + 1):
+        kept = circulant_select(spec, k).selected
+        assert kept == sorted(set(kept))
+        assert set(kept) == {-t % n for t in kept}
+        assert len(kept) in (k, k + 1)
+        rounded_up += len(kept) == k + 1
+        left = np.delete(spec.magnitudes, kept)
+        if kept and left.size:
+            assert spec.magnitudes[kept].min() >= left.max()
+    assert rounded_up
+
+
+def test_complex_input_selection_is_top_indices():
+    rng = np.random.default_rng(12)
+    for n in (16, 31):
+        spec = circulant_decompose(rng.standard_normal((n, n))
+                                   + 1j * rng.standard_normal((n, n)))
+        assert not spec.half
+        for k in range(n + 1):
+            assert circulant_select(spec, k).selected == top_indices(spec.magnitudes, k)
 
 
 def test_component_orthogonality():
@@ -152,21 +186,26 @@ def test_component_orthogonality():
 
 
 def test_optimized_equals_materialized():
+    # both orders against the materialized operators, on a real pair (the
+    # real path: float64 M), a complex pair and the two mixed pairs
     rng = np.random.default_rng(4)
-    for n in (8, 16, 31, 32):
-        A = rng.standard_normal((n, n))
-        B = rng.standard_normal((n, n))
-        k = 6
-        sa = circulant_select(circulant_decompose(A), k)
-        sb = circulant_select(circulant_decompose(B), k)
-        Ahat = circulant_materialize(sa)
-        Bhat = circulant_materialize(sb)
-        M0, _ = circulant_first_order_multiply(A, B, k, 0)
-        ref0 = matmul_naive(Ahat, B.astype(complex))
-        assert np.linalg.norm(M0 - ref0) < 1e-9 * np.linalg.norm(ref0)
-        M1, _ = circulant_first_order_multiply(A, B, k, 1)
-        ref1 = ref0 + matmul_naive((A - Ahat).astype(complex), Bhat)
-        assert np.linalg.norm(M1 - ref1) < 1e-9 * np.linalg.norm(ref1)
+    for n in (1, 2, 3, 16, 31, 32):
+        X = rng.standard_normal((n, n))
+        Y = rng.standard_normal((n, n))
+        Z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        for A, B in ((X, Y), (Z, Z.conj().T), (X, Z), (Z, X)):
+            real = not (np.iscomplexobj(A) or np.iscomplexobj(B))
+            for k in sorted({0, 1, n // 2, n}):
+                sa = circulant_select(circulant_decompose(A), k)
+                sb = circulant_select(circulant_decompose(B), k)
+                Ahat = circulant_materialize(sa)
+                Bhat = circulant_materialize(sb)
+                ref0 = matmul_naive(Ahat, B)
+                ref1 = ref0 + matmul_naive(A - Ahat, Bhat)
+                for order, ref in ((0, ref0), (1, ref1)):
+                    M, _ = circulant_first_order_multiply(A, B, k, order)
+                    assert M.dtype == (np.float64 if real else np.complex128)
+                    assert np.linalg.norm(M - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def test_circulant_input_exact_zeroth():
@@ -261,33 +300,43 @@ def test_report_norms_match_materialized_residues():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 31, 64])
 def test_split_decompose_bit_identical(n, one_and_split):
-    A = np.random.default_rng(n).standard_normal((n, n))
-    one, split = one_and_split(lambda: circulant_decompose(A))
-    assert one.columns.tobytes() == split.columns.tobytes()
-    assert one.magnitudes.tobytes() == split.magnitudes.tobytes()
+    # a real matrix (half spectrum) and a complex one
+    rng = np.random.default_rng(n)
+    A = rng.standard_normal((n, n))
+    for X in (A, A + 1j * rng.standard_normal((n, n))):
+        one, split = one_and_split(lambda: circulant_decompose(X))
+        assert one.half == split.half
+        assert one.columns.tobytes() == split.columns.tobytes()
+        assert one.magnitudes.tobytes() == split.magnitudes.tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 31, 64])
 @pytest.mark.parametrize("order", [0, 1])
 def test_split_multiply_bit_identical(n, order, one_and_split):
+    # the real path (a real pair), the complex path (a complex pair) and a
+    # real A with a complex B
     rng = np.random.default_rng(100 + n)
     A = rng.standard_normal((n, n))
-    B = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    B = rng.standard_normal((n, n))
+    Z = B + 1j * rng.standard_normal((n, n))
     k = max(1, n // 5)
-    (M1, rep1), (M2, rep2) = one_and_split(lambda: circulant_first_order_multiply(A, B, k, order))
-    assert M1.tobytes() == M2.tobytes()
-    assert dataclasses.replace(rep1, wall_time=0.0) == dataclasses.replace(rep2, wall_time=0.0)
+    for X, Y in ((A, B), (A + 1j * B, Z), (A, Z)):
+        (M1, rep1), (M2, rep2) = one_and_split(
+            lambda: circulant_first_order_multiply(X, Y, k, order))
+        assert M1.dtype == M2.dtype
+        assert M1.tobytes() == M2.tobytes()
+        assert dataclasses.replace(rep1, wall_time=0.0) == dataclasses.replace(rep2, wall_time=0.0)
 
 
-def _split_peak_arrays(monkeypatch, order):
+def _split_peak_arrays(monkeypatch, order, dtype):
     """tracemalloc peak of a cd product at n=1024 with every pass split on
     two workers, in n x n complex arrays."""
     monkeypatch.setattr(core, "GRAIN", 1)
     monkeypatch.setattr(core, "WORKERS", 2)
     n = 1024
     rng = np.random.default_rng(11)
-    A = rng.standard_normal((n, n))
-    B = rng.standard_normal((n, n))
+    A = rng.standard_normal((n, n)).astype(dtype)
+    B = rng.standard_normal((n, n)).astype(dtype)
     circulant_first_order_multiply(A, B, 10, order)  # warm caches outside the trace
     tracemalloc.start()
     try:
@@ -301,14 +350,18 @@ def _split_peak_arrays(monkeypatch, order):
 
 def test_split_zeroth_order_peak_memory(monkeypatch):
     # the row blocks of P_a @ (W B) allocate their results one block at a
-    # time, so the peak stays at the four n x n complex arrays of one thread
-    assert _split_peak_arrays(monkeypatch, 0) <= 4.05
+    # time, so the peak stays at the four n x n complex arrays of one thread;
+    # a real pair holds half spectra and half of P_a W B: 2.5 arrays
+    assert _split_peak_arrays(monkeypatch, 0, complex) <= 4.05
+    assert _split_peak_arrays(monkeypatch, 0, float) <= 2.55
 
 
 def test_split_first_order_peak_memory(monkeypatch):
     # materialize transforms the dense P in place, and the correction
-    # overwrites Ahat with dA row block by row block: no array beyond cd0's
-    assert _split_peak_arrays(monkeypatch, 1) <= 4.25
+    # overwrites Ahat with dA a few rows at a time; for a real pair Ahat, dA
+    # and M are float64
+    assert _split_peak_arrays(monkeypatch, 1, complex) <= 4.25
+    assert _split_peak_arrays(monkeypatch, 1, float) <= 3.05
 
 
 def test_multiply_validates_each_factor_once(monkeypatch):

@@ -411,6 +411,37 @@ def test_split_topk_bit_identical(kind, budget, one_and_split):
     assert one == split
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_split_topk_rejects_non_finite(bad, dtype, one_and_split):
+    # each block reads finiteness off the moduli it sorts: a bad entry in the
+    # first row, the last row or a row tied at the cut, and a k = 0 call,
+    # which runs no block, raise as_matrix's error on one thread and split
+    M = _tie_heavy_input("integer").astype(dtype)
+    rows, cols = M.shape
+    mag = np.abs(M)
+    cut = -np.sort(-mag, axis=1)[:, :1]
+    tied = int(np.flatnonzero(np.count_nonzero(mag >= cut, axis=1) > 1)[0])
+    for row, col, k in ((0, 0, 3), (rows - 1, cols - 1, 3), (tied, cols - 1, 1), (5, 7, 0)):
+        X = M.copy()
+        X[row, col] = bad
+
+        def check():
+            with pytest.raises(ValueError) as err:
+                topk_sparsify(X, k)
+            return str(err.value)
+
+        one, split = one_and_split(check)
+        assert one == split == core.NOT_FINITE
+
+
+def test_topk_keeps_finite_entry_whose_modulus_overflows():
+    # |1e308 + 1e308j| is inf, yet the entry is finite and the largest
+    S = topk_sparsify(np.array([[1.0, 1e308 + 1e308j, -2.0]]), 1)
+    assert _cols(S, 0) == [1]
+    assert _vals(S, 0) == [1e308 + 1e308j]
+
+
 def _dense_layouts(rows, cols, rng):
     D = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
     wide = rng.standard_normal((rows + 3, 2 * cols))

@@ -89,9 +89,13 @@ def test_no_public_function_on_a_worker_thread(split_run):
     n, k = 48, 6
     A = rng.standard_normal((n, n))
     B = rng.standard_normal((n, n))
+    Z = A + 1j * rng.standard_normal((n, n))
     for order in (0, 1):
         svd.svd_first_order_multiply(A, B, 1, order, seed=0)
-        circulant.circulant_first_order_multiply(A, B, k, order)
+        # the real path of cd on a real pair, the complex one on a complex pair
+        for X, Y in ((A, B), (Z, Z.T)):
+            assert circulant.circulant_first_order_multiply(X, Y, k, order)[0].dtype \
+                == Y.dtype
         for sparsify_b in ("rows", "cols"):
             fsparse.fft_sparse_first_order_multiply(A, B, k, order, sparsify_b=sparsify_b)
     baseline.randomized_outer_product_multiply(A, B, k, seed=0)
