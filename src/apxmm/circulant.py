@@ -177,22 +177,19 @@ def circulant_select(spectrum: CirculantSpectrum, k: int) -> CirculantSpectrum:
     return replace(spectrum, selected=sorted(kept))
 
 
-def _real(spectrum: CirculantSpectrum) -> bool:
-    """Whether the kept sum is real: a half spectrum, selection closed under t -> n - t."""
-    kept = set(spectrum.selected)
-    return spectrum.half and all(-t % spectrum.n in kept for t in kept)
-
-
 def circulant_materialize(spectrum: CirculantSpectrum) -> np.ndarray:
     """Dense sum_{t in selected} R_t D^t = W* P W.
 
     The dense form of the operator the products apply: P of _fourier_operator
-    densified, then one transform along each axis, O(n^2 log n). A real sum
-    (_real) is float64 and needs only the rows i <= n/2 of P W, which irfft
-    completes; otherwise the output is complex.
+    densified, then one transform along each axis, O(n^2 log n). The sum is
+    real when the spectrum is half and the selection closed under
+    t -> n - t (always so after circulant_select); it is then float64 and
+    needs only the rows i <= n/2 of P W, which irfft completes. Otherwise
+    the output is complex.
     """
     n = spectrum.n
-    real = _real(spectrum)
+    kept = set(spectrum.selected)
+    real = spectrum.half and all(-t % n in kept for t in kept)
     workers = pass_workers(n * n)
     PW = scipy.fft.fft(_fourier_operator(spectrum, n // 2 + 1 if real else n, n).toarray(),
                        axis=1, norm="ortho", overwrite_x=True, workers=workers)
@@ -234,9 +231,11 @@ def circulant_first_order_multiply(A, B, k: int, order: int):
     conjugate pairs, see circulant_select) and so are M and dA: the product
     forms only the rows i <= n/2 of P_a W B and ends in irfft, the
     correction only the columns j <= n/2 of dA W* P_b and ends in hfft, and
-    M is float64; report.k is then the larger of the two kept counts, up to
-    k + 1. Otherwise M is complex. Deterministic, no randomness involved,
-    and bit-identical however many threads the n^2 passes run on.
+    M is float64. Otherwise M is complex. report.k is the budget k; a real
+    factor keeps k + 1 components when its cut falls inside a pair, and
+    len(circulant_select(circulant_decompose(A), k).selected) gives the
+    count kept. Deterministic, no randomness involved, and bit-identical
+    however many threads the n^2 passes run on.
     """
     A, B = as_pair(A, B)
     n = A.shape[0]
@@ -257,7 +256,7 @@ def circulant_first_order_multiply(A, B, k: int, order: int):
 
     # Ahat B = W* (P_a (W B)) and dA Bhat = ((dA W*) P_b) W; scipy's transforms
     # take real input at about half cost and may overwrite the intermediates
-    real = _real(spec_a) and _real(spec_b)
+    real = spec_a.half and spec_b.half
     half = n // 2 + 1 if real else n
     workers = pass_workers(n * n)
     PWB = _sparse_rows_times(_fourier_operator(spec_a, half, n),
@@ -278,6 +277,5 @@ def circulant_first_order_multiply(A, B, k: int, order: int):
 
         for_sub_blocks(correct, n, n * n, CHUNKS)
     wall = time.perf_counter() - t0
-    k_used = max(len(spec_a.selected), len(spec_b.selected))
-    return M, estimated_report("cd", order, k_used, M, n, norm_a, norm_b,
+    return M, estimated_report("cd", order, k, M, n, norm_a, norm_b,
                                norm_da, norm_db, wall)
