@@ -48,7 +48,6 @@ __all__ = [
     "circulant_select",
     "circulant_materialize",
     "circulant_first_order_multiply",
-    "top_indices",
 ]
 
 # rows of the spectrum measured together in circulant_decompose
@@ -94,16 +93,6 @@ class CirculantSpectrum:
         mirrored = t > self.n // 2
         rows = self.columns[np.where(mirrored, self.n - t, t)]
         return np.where(mirrored[..., None], rows.conj(), rows)
-
-
-def top_indices(weights, k: int) -> list[int]:
-    """Indices of the k largest weights, ties to the lower index, ascending."""
-    weights = np.asarray(weights)
-    if not 0 <= k <= weights.size:
-        raise ValueError(f"k={k} out of range [0, {weights.size}]")
-    # stable sort on -w keeps the earlier index first among ties
-    order = np.argsort(-weights, kind="stable")[:k]
-    return sorted(int(i) for i in order)
 
 
 def circulant_decompose(A) -> CirculantSpectrum:
@@ -166,14 +155,15 @@ def circulant_select(spectrum: CirculantSpectrum, k: int) -> CirculantSpectrum:
     one unit at its lower index, and when the k-th component taken is half
     of a pair its conjugate is kept too (k + 1 in all).
     """
-    if not spectrum.half:
-        return replace(spectrum, selected=top_indices(spectrum.magnitudes, k))
     n = spectrum.n
     if not 0 <= k <= n:
         raise ValueError(f"k={k} out of range [0, {n}]")
     t = np.arange(n)
-    order = np.lexsort((t, np.minimum(t, n - t), -spectrum.magnitudes))[:k]
-    kept = {int(i) for i in order} | {int(-order[-1] % n)} if k else set()
+    unit = np.minimum(t, n - t) if spectrum.half else t
+    order = np.lexsort((t, unit, -spectrum.magnitudes))[:k]
+    kept = {int(i) for i in order}
+    if spectrum.half and k:
+        kept.add(int(-order[-1] % n))
     return replace(spectrum, selected=sorted(kept))
 
 

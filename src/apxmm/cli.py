@@ -18,7 +18,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 import scipy
@@ -44,14 +44,13 @@ from .genmat import (
     write_csv,
 )
 from .report import ApproxReport
-from .svd import randomized_partial_svd, svd_first_order_multiply
+from .svd import component_count, randomized_partial_svd, svd_first_order_multiply
 
 __all__ = ["main", "pair_seeds", "components_for", "operation_count", "BENCH_HEADER"]
 
 BENCH_HEADER = "method,order,n,kind_a,kind_b,s,k,rel_err,apriori_est,posterior_est,wall_time_s,seed"
 
 _ORDER_NUM = {"zeroth": 0, "first": 1}
-_ORDER_NAME = {0: "zeroth", 1: "first"}
 
 
 def pair_seeds(base: int, trial: int) -> tuple[int, int]:
@@ -93,6 +92,31 @@ def operation_count(method: str, n: int, k: int = 0, c: int = 0) -> float:
     raise ValueError(f"unknown method {method!r}")
 
 
+# The method table: the budget flags each method reads, of which exactly one
+# is given (a bench config lists the first), and its k rule, the count of
+# components kept for a factor s. The methods with a k rule take an order.
+_METHODS = {
+    "svd": (("s",), component_count),
+    "cd": (("s", "k"), components_for),
+    "sfft": (("s", "k"), components_for),
+    "lowrank": (("c",), None),
+    "naive": ((), None),
+}
+_ORDERED = [method for method, (_, keeps) in _METHODS.items() if keeps]
+
+
+def _budget(method: str, n: int, s: int | None = None, k: int | None = None,
+            c: int | None = None) -> int | None:
+    """The one int a method's product takes, from its budget flags: svd's s,
+    lowrank's c, and the k of cd and sfft, which an s given in its place
+    sets by their k rule; None for naive."""
+    flags, keeps = _METHODS[method]
+    if not flags:
+        return None
+    given = {"s": s, "k": k, "c": c}[flags[-1]]
+    return keeps(n, s) if given is None else given
+
+
 def _load_spectrum_vector(path) -> np.ndarray:
     v = read_csv(path)
     if 1 not in v.shape:
@@ -103,10 +127,11 @@ def _load_spectrum_vector(path) -> np.ndarray:
     return v.astype(float)
 
 
-def _read_matrix_file(path) -> np.ndarray:
-    if str(path).endswith(".mtx"):
-        return read_matrix_market(path)
-    return read_csv(path)
+def _generated(kind: str, n: int, seed: int, block: int | None,
+               spectrum: np.ndarray | None = None) -> np.ndarray:
+    """A generated matrix; the block size applies to block-toeplitz only."""
+    return generate(MatrixSpec(kind=kind, n=n, seed=seed, spectrum=spectrum,
+                               block=block if kind == "block-toeplitz" else None))
 
 
 def _matrix_from_args(args, which: str, parser) -> tuple[np.ndarray, str]:
@@ -116,30 +141,22 @@ def _matrix_from_args(args, which: str, parser) -> tuple[np.ndarray, str]:
     if path is not None and kind is not None:
         parser.error(f"give --{which} or --kind-{which}, not both")
     if path is not None:
-        return _read_matrix_file(path), os.path.basename(str(path))
+        read = read_matrix_market if str(path).endswith(".mtx") else read_csv
+        return read(path), os.path.basename(str(path))
     if kind is None:
         parser.error(f"matrix {which}: need --{which} FILE or --kind-{which} KIND")
     if args.n is None:
         parser.error("--n is required with --kind-a/--kind-b")
-    seed = getattr(args, f"seed_{which}")
-    spectrum = None
     spath = getattr(args, f"spectrum_{which}", None)
-    if spath is not None:
-        spectrum = _load_spectrum_vector(spath)
-    spec = MatrixSpec(
-        kind=kind,
-        n=args.n,
-        seed=seed,
-        block=args.block if kind == "block-toeplitz" else None,
-        spectrum=spectrum,
-    )
-    return generate(spec), kind
+    spectrum = None if spath is None else _load_spectrum_vector(spath)
+    return _generated(kind, args.n, getattr(args, f"seed_{which}"), args.block,
+                      spectrum), kind
 
 
-def run_method(method: str, order: int, A, B, *, s: int | None = None,
-               k: int | None = None, c: int | None = None, seed: int = 0,
-               power_iterations: int = 0, sparsify_b: str = "rows"):
-    """Dispatch one approximate (or exact) product. Returns (M, report)."""
+def run_method(method: str, order: int, A, B, budget: int | None = None, *,
+               seed: int = 0, power_iterations: int = 0, sparsify_b: str = "rows"):
+    """Dispatch one approximate (or exact) product with the budget _budget
+    gives. Returns (M, report)."""
     if method == "naive":
         t0 = time.perf_counter()
         M = matmul_naive(A, B)
@@ -147,14 +164,14 @@ def run_method(method: str, order: int, A, B, *, s: int | None = None,
         return M, ApproxReport(method="naive", order=0, k=0, norm_da=0.0,
                                norm_db=0.0, wall_time=wall)
     if method == "lowrank":
-        return randomized_outer_product_multiply(A, B, c, seed)
+        return randomized_outer_product_multiply(A, B, budget, seed)
     if method == "svd":
-        return svd_first_order_multiply(A, B, s, order, seed,
+        return svd_first_order_multiply(A, B, budget, order, seed,
                                         power_iterations=power_iterations)
     if method == "cd":
-        return circulant_first_order_multiply(A, B, k, order)
+        return circulant_first_order_multiply(A, B, budget, order)
     if method == "sfft":
-        return fft_sparse_first_order_multiply(A, B, k, order,
+        return fft_sparse_first_order_multiply(A, B, budget, order,
                                                sparsify_b=sparsify_b)
     raise ValueError(f"unknown method {method!r}")
 
@@ -189,38 +206,22 @@ def cmd_gen(args, parser) -> int:
     return 0
 
 
-def _resolve_selector(args, parser) -> tuple[int | None, int | None, int | None]:
-    """Validate the method/order/selector flag combination for multiply."""
-    method = args.method
-    order_name = args.order
-    if method in ("svd", "cd", "sfft"):
-        if order_name is None:
-            parser.error(f"--order is required for --method {method}")
-    elif order_name is not None:
-        parser.error(f"--method {method} takes no --order")
-    if method == "svd":
-        if args.s is None or args.k is not None or args.c is not None:
-            parser.error("svd needs --s (not --k/--c)")
-    elif method in ("cd", "sfft"):
-        if args.c is not None or (args.s is None) == (args.k is None):
-            parser.error(f"{method} needs exactly one of --s or --k")
-    elif method == "lowrank":
-        if args.c is None or args.s is not None or args.k is not None:
-            parser.error("lowrank needs --c (not --s/--k)")
-    elif args.s is not None or args.k is not None or args.c is not None:
-        parser.error("naive takes no --s/--k/--c")
-    return args.s, args.k, args.c
-
-
 def cmd_multiply(args, parser) -> int:
-    s, k, c = _resolve_selector(args, parser)
+    method = args.method
+    flags, keeps = _METHODS[method]
+    if (args.order is not None) != bool(keeps):
+        parser.error(f"--order is required for --method {method}" if keeps
+                     else f"--method {method} takes no --order")
+    given = [f for f in "skc" if getattr(args, f) is not None]
+    if len(given) != min(len(flags), 1) or not set(given) <= set(flags):
+        wanted = " or ".join(f"--{f}" for f in flags) or "none of --s/--k/--c"
+        parser.error(f"--method {method} takes "
+                     f"{'exactly one of ' if len(flags) > 1 else ''}{wanted}")
     A, label_a = _matrix_from_args(args, "a", parser)
     B, label_b = _matrix_from_args(args, "b", parser)
     n = A.shape[1]
-    if k is None and s is not None and args.method in ("cd", "sfft"):
-        k = components_for(n, s)
-    order = _ORDER_NUM[args.order] if args.order else 0
-    M, report = run_method(args.method, order, A, B, s=s, k=k, c=c,
+    M, report = run_method(method, _ORDER_NUM.get(args.order, 0), A, B,
+                           _budget(method, n, args.s, args.k, args.c),
                            seed=args.seed, power_iterations=args.power_iterations,
                            sparsify_b=args.sparsify_b)
     if args.real_part:
@@ -244,25 +245,23 @@ def cmd_sweep(args, parser) -> int:
         parser.error("--trials and --s-max must be >= 1")
     order = _ORDER_NUM[args.order]
     n = args.n
-    budget = 2.0 * float(n) ** 3
-
+    keeps = _METHODS[args.method][1]
     pairs = []
     for t in range(args.trials):
         seed_a, seed_b = pair_seeds(args.seed_base, t)
-        A = generate(MatrixSpec(kind=args.kind_a, n=n, seed=seed_a,
-                                block=args.block if args.kind_a == "block-toeplitz" else None))
-        B = generate(MatrixSpec(kind=args.kind_b, n=n, seed=seed_b,
-                                block=args.block if args.kind_b == "block-toeplitz" else None))
+        A = _generated(args.kind_a, n, seed_a, args.block)
+        B = _generated(args.kind_b, n, seed_b, args.block)
         pairs.append((A, B, matmul_naive(A, B)))
 
     for s in range(1, args.s_max + 1):
-        k = components_for(n, s)
-        if operation_count(args.method, n, k=k) > budget:
+        # stop where the method's modeled cost passes the naive 2 n^3
+        if operation_count(args.method, n, k=keeps(n, s)) > 2.0 * float(n) ** 3:
             print("-")
             return 0
         errs = []
         for t, (A, B, AB) in enumerate(pairs):
-            M, report = run_method(args.method, order, A, B, s=s, k=k, seed=t)
+            M, report = run_method(args.method, order, A, B,
+                                   _budget(args.method, n, s=s), seed=t)
             errs.append(relative_error(M, AB))
         mean_err = float(np.mean(errs))
         print(_json_line({"s": s, "k": report.k, "mean_rel_err": mean_err}),
@@ -286,7 +285,7 @@ def cmd_spectra(args, parser) -> int:
                 fh.write(f"{i},{float(v):.17g}\n")
         outputs.append(path)
 
-    stem = args.out[:-4] if args.out.endswith(".csv") else args.out
+    stem = args.out.removesuffix(".csv")
     if args.which in ("svd", "both"):
         if max(A.shape) <= 1024:
             sigma = np.linalg.svd(A, compute_uv=False)
@@ -325,19 +324,16 @@ class BenchRow:
     seed: int
 
     def to_csv_line(self) -> str:
-        def cell(v, fmt="{:.17g}"):
-            if v is None:
-                return "-"
-            if isinstance(v, float):
-                return fmt.format(v)
-            return str(v)
+        return ",".join(map(_cell, astuple(self)))
 
-        return ",".join([
-            self.method, self.order, str(self.n), self.kind_a, self.kind_b,
-            cell(self.s), cell(self.k), cell(self.rel_err),
-            cell(self.apriori_est), cell(self.posterior_est),
-            cell(self.wall_time_s), str(self.seed),
-        ])
+
+def _cell(v) -> str:
+    """One CSV cell: "-" for None, floats to 17 significant digits."""
+    if v is None:
+        return "-"
+    if isinstance(v, float):
+        return f"{v:.17g}"
+    return str(v)
 
 
 _CONFIG_KEYS = {"methods", "kinds", "sizes", "s", "c", "trials", "seed_base"}
@@ -372,16 +368,13 @@ def parse_bench_config(path) -> dict:
     for entry in conf["methods"].split(","):
         entry = entry.strip()
         name, _, order = entry.partition(":")
-        if name in ("svd", "cd", "sfft"):
-            if order not in _ORDER_NUM:
-                raise ValueError(f"method {entry!r} needs :zeroth or :first")
-            methods.append((name, order))
-        elif name in ("lowrank", "naive"):
-            if order:
-                raise ValueError(f"method {name!r} takes no order")
-            methods.append((name, "-"))
-        else:
+        if name not in _METHODS:
             raise ValueError(f"unknown method {name!r}")
+        if name in _ORDERED and order not in _ORDER_NUM:
+            raise ValueError(f"method {entry!r} needs :zeroth or :first")
+        if name not in _ORDERED and order:
+            raise ValueError(f"method {name!r} takes no order")
+        methods.append((name, order or "-"))
 
     kinds = []
     for entry in conf["kinds"].split(","):
@@ -404,44 +397,11 @@ def parse_bench_config(path) -> dict:
     }
     if parsed["trials"] < 1:
         raise ValueError("trials must be >= 1")
-    if any(m in ("svd", "cd", "sfft") for m, _ in methods) and not parsed["s"]:
-        raise ValueError("config needs s = ... for svd/cd/sfft methods")
-    if any(m == "lowrank" for m, _ in methods) and not parsed["c"]:
-        raise ValueError("config needs c = ... for lowrank")
+    for name, _ in methods:
+        flags = _METHODS[name][0]
+        if flags and not parsed[flags[0]]:
+            raise ValueError(f"config needs {flags[0]} = ... for {name}")
     return parsed
-
-
-def _bench_one(method, order_name, sel, pair, A, B, AB, naive_report):
-    """Run one bench combination on pair = (kind_a, kind_b, n, trial), whose
-    matrices A, B and exact product AB the caller made; returns a BenchRow."""
-    kind_a, kind_b, n, trial = pair
-    order = _ORDER_NUM.get(order_name, 0)
-    if method in ("svd", "cd", "sfft"):
-        M, report = run_method(method, order, A, B, s=sel,
-                               k=components_for(n, sel), seed=trial)
-        s_col = sel
-    elif method == "lowrank":
-        M, report = run_method(method, 0, A, B, c=sel, seed=trial)
-        s_col = None
-    else:
-        M, report = AB, naive_report
-        s_col = None
-    # the k the method reports it used; svd counts its own rank from s
-    k_col = None if method == "naive" else report.k
-    return BenchRow(
-        method=method,
-        order=order_name,
-        n=n,
-        kind_a=kind_a,
-        kind_b=kind_b,
-        s=s_col,
-        k=k_col,
-        rel_err=relative_error(M, AB),
-        apriori_est=report.apriori_estimate,
-        posterior_est=report.posterior_estimate,
-        wall_time_s=report.wall_time,
-        seed=trial,
-    )
 
 
 def cmd_bench(args, parser) -> int:
@@ -451,12 +411,8 @@ def cmd_bench(args, parser) -> int:
     groups: dict = {}
     count = 0
     for method, order_name in conf["methods"]:
-        if method in ("svd", "cd", "sfft"):
-            selectors = conf["s"]
-        elif method == "lowrank":
-            selectors = conf["c"]
-        else:
-            selectors = [None]
+        flags = _METHODS[method][0]
+        selectors = conf[flags[0]] if flags else [None]
         for kind_a, kind_b in conf["kinds"]:
             for n in conf["sizes"]:
                 for sel in selectors:
@@ -466,8 +422,7 @@ def cmd_bench(args, parser) -> int:
                         count += 1
 
     results = [None] * count
-    for pair, jobs in groups.items():
-        kind_a, kind_b, n, t = pair
+    for (kind_a, kind_b, n, t), jobs in groups.items():
         seed_a, seed_b = pair_seeds(conf["seed_base"], t)
         A = generate(MatrixSpec(kind=kind_a, n=n, seed=seed_a))
         B = generate(MatrixSpec(kind=kind_b, n=n, seed=seed_b))
@@ -475,7 +430,19 @@ def cmd_bench(args, parser) -> int:
         for shared in (A, B, AB):  # no method may change another's operands
             shared.flags.writeable = False
         for i, method, order_name, sel in jobs:
-            row = _bench_one(method, order_name, sel, pair, A, B, AB, naive_report)
+            flags, keeps = _METHODS[method]
+            if method == "naive":
+                M, report = AB, naive_report
+            else:
+                M, report = run_method(method, _ORDER_NUM.get(order_name, 0), A, B,
+                                       _budget(method, n, **{flags[0]: sel}), seed=t)
+            row = BenchRow(method=method, order=order_name, n=n, kind_a=kind_a,
+                           kind_b=kind_b, s=sel if keeps else None,
+                           k=None if method == "naive" else report.k,
+                           rel_err=relative_error(M, AB),
+                           apriori_est=report.apriori_estimate,
+                           posterior_est=report.posterior_estimate,
+                           wall_time_s=report.wall_time, seed=t)
             results[i] = (row, naive_report.wall_time)
 
     need_header = not os.path.exists(args.out) or os.path.getsize(args.out) == 0
@@ -486,24 +453,17 @@ def cmd_bench(args, parser) -> int:
             fh.write(row.to_csv_line() + "\n")
 
     if args.ratios:
-        stem = args.out[:-4] if args.out.endswith(".csv") else args.out
-        ratio_path = stem + ".ratios.csv"
-        groups: dict = {}
+        ratios: dict = {}
         for row, naive_wall in results:
             if row.method == "naive" or row.wall_time_s <= 0:
                 continue
             key = (row.method, row.order, row.n, row.kind_a, row.kind_b, row.s, row.k)
-            groups.setdefault(key, []).append(naive_wall / row.wall_time_s)
-        with open(ratio_path, "w", encoding="ascii") as fh:
+            ratios.setdefault(key, []).append(naive_wall / row.wall_time_s)
+        with open(args.out.removesuffix(".csv") + ".ratios.csv", "w",
+                  encoding="ascii") as fh:
             fh.write("method,order,n,kind_a,kind_b,s,k,naive_over_method\n")
-            for key, vals in groups.items():
-                method, order_name, n, kind_a, kind_b, s_col, k_col = key
-                fh.write(",".join([
-                    method, order_name, str(n), kind_a, kind_b,
-                    "-" if s_col is None else str(s_col),
-                    "-" if k_col is None else str(k_col),
-                    f"{float(np.mean(vals)):.17g}",
-                ]) + "\n")
+            for key, vals in ratios.items():
+                fh.write(",".join(map(_cell, (*key, float(np.mean(vals))))) + "\n")
 
     print(_json_line({"rows": len(results), "out": args.out,
                       "environment": _environment()}))
@@ -594,7 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("multiply", help="run one method on one matrix pair")
     p.add_argument("--method", required=True,
-                   choices=["svd", "cd", "sfft", "lowrank", "naive"])
+                   choices=list(_METHODS))
     p.add_argument("--order", choices=["zeroth", "first"])
     p.add_argument("--s", type=int, help="component factor (k = ceil(s log2 n))")
     p.add_argument("--k", type=int, help="explicit component count (cd/sfft)")
@@ -613,7 +573,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_multiply)
 
     p = sub.add_parser("sweep", help="find minimal s reaching a tolerance")
-    p.add_argument("--method", required=True, choices=["svd", "cd", "sfft"])
+    p.add_argument("--method", required=True, choices=_ORDERED)
     p.add_argument("--order", required=True, choices=["zeroth", "first"])
     p.add_argument("--tol", type=float, required=True)
     p.add_argument("--kind-a", dest="kind_a", required=True)

@@ -175,8 +175,9 @@ def fft_sparse_first_order_multiply(A, B, k: int, order: int,
     it, so M and the report are bit-identical at any thread count.
     """
     A, B = as_pair(A, B)
-    if k < 0:
-        raise ValueError(f"k={k} must be >= 0")
+    rows = min(A.shape[1], B.shape[1])
+    if not 0 <= k <= rows:
+        raise ValueError(f"k={k} out of range [0, {rows}]")
     if order not in (0, 1):
         raise ValueError("order must be 0 or 1")
     if sparsify_b not in ("rows", "cols"):

@@ -8,12 +8,12 @@ from numpy.testing import assert_allclose
 
 from apxmm import circulant, core
 from apxmm.circulant import (
+    CirculantSpectrum,
     circulant_component,
     circulant_decompose,
     circulant_first_order_multiply,
     circulant_materialize,
     circulant_select,
-    top_indices,
 )
 from apxmm.core import frobenius, matmul_naive, relative_error
 
@@ -117,13 +117,20 @@ def test_materialize_partial_matches_component_oracle(one_and_split):
             assert np.linalg.norm(one - ref) < 1e-12 * np.linalg.norm(ref)
 
 
-def test_top_indices_tie_rule():
-    assert top_indices([1.0, 3.0, 3.0, 2.0], 2) == [1, 2]
-    assert top_indices([1.0, 3.0, 3.0, 2.0], 3) == [1, 2, 3]
-    assert top_indices([5.0, 5.0, 5.0], 1) == [0]
-    assert top_indices([1.0], 0) == []
-    with pytest.raises(ValueError):
-        top_indices([1.0, 2.0], 3)
+def test_select_tie_rule_complex_spectrum():
+    def top(magnitudes, k):
+        n = len(magnitudes)
+        spec = CirculantSpectrum(n=n, columns=np.zeros((n, n), complex),
+                                 magnitudes=np.array(magnitudes), selected=[],
+                                 half=False)
+        return circulant_select(spec, k).selected
+
+    assert top([1.0, 3.0, 3.0, 2.0], 2) == [1, 2]
+    assert top([1.0, 3.0, 3.0, 2.0], 3) == [1, 2, 3]
+    assert top([5.0, 5.0, 5.0], 1) == [0]
+    assert top([1.0], 0) == []
+    with pytest.raises(ValueError, match="out of range"):
+        top([1.0, 2.0], 3)
 
 
 def test_parseval_and_conjugate_symmetry():
@@ -168,7 +175,8 @@ def test_complex_input_selection_is_top_indices():
                                    + 1j * rng.standard_normal((n, n)))
         assert not spec.half
         for k in range(n + 1):
-            assert circulant_select(spec, k).selected == top_indices(spec.magnitudes, k)
+            top = np.argsort(-spec.magnitudes, kind="stable")[:k]
+            assert circulant_select(spec, k).selected == sorted(top.tolist())
 
 
 def test_component_orthogonality():

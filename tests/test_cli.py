@@ -231,6 +231,20 @@ def test_sweep_budget_sentinel(capsys):
     assert out.strip() == "-"
 
 
+def test_sweep_budget_sentinel_prices_svd_by_its_k(capsys):
+    # svd keeps 6 components at n=32, s=1 and 11 at s=2, whose modeled cost
+    # 6 * 11 * 32^2 = 67584 passes 2 * 32^3 = 65536; the cd/sfft k of 10
+    # would have let s=2 run
+    code, out, err = run_cli(capsys, "sweep", "--method", "svd",
+                             "--order", "first", "--tol", "1e-12",
+                             "--kind-a", "general", "--kind-b", "general",
+                             "--n", "32", "--trials", "1", "--s-max", "3")
+    assert code == 0
+    assert out.strip() == "-"
+    progress = err.strip().splitlines()
+    assert len(progress) == 1 and json.loads(progress[0])["s"] == 1
+
+
 def test_sweep_s_max_exhaustion(capsys):
     code, out, _ = run_cli(capsys, "sweep", "--method", "cd",
                            "--order", "first", "--tol", "1e-12",

@@ -344,6 +344,21 @@ def test_fft_multiply_validation():
         fft_sparse_first_order_multiply(A, A, 2, 1, sparsify_b="diag")
 
 
+def test_fft_multiply_k_at_most_row_length():
+    # a k above the shorter row of Atil (m x n) and Btil (n x p) is refused
+    # as in cd, not clamped and reported as if it ran; the row length runs
+    rng = np.random.default_rng(17)
+    square = rng.standard_normal((16, 16)), rng.standard_normal((16, 16))
+    wide_a = rng.standard_normal((8, 16)), rng.standard_normal((16, 4))
+    for (A, B), k, rows in ((square, 40, 16), (wide_a, 6, 4)):
+        with pytest.raises(ValueError, match=rf"k={k} out of range \[0, {rows}\]"):
+            fft_sparse_first_order_multiply(A, B, k, 1)
+    _, report = fft_sparse_first_order_multiply(*square, 16, 1)
+    assert report.k == 16 and report.norm_da == report.norm_db == 0.0
+    _, report = fft_sparse_first_order_multiply(*wide_a, 4, 1)
+    assert report.k == 4 and report.norm_db == 0.0 and report.norm_da > 0.0
+
+
 def test_fft_multiply_report_fields():
     rng = np.random.default_rng(16)
     n, k = 16, 2

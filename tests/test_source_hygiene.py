@@ -4,7 +4,9 @@ Every name a module imports is used in that module, and every name listed
 in a module's ``__all__`` is bound at its top level. ``__init__.py`` is
 exempt from the first check: its imports are the package's re-exports.
 Every public name of a numeric module is used somewhere in the package or
-the benchmark outside its own definition, unless UNUSED_PUBLIC says why not.
+the benchmark outside its own definition, unless UNUSED_PUBLIC says why not,
+and every private top-level name of a module is used somewhere in the
+package outside its own definition.
 No module refers to numpy.fft: scipy.fft is the one FFT backend.
 """
 
@@ -98,7 +100,7 @@ def _references(tree: ast.AST, skip: str | None = None) -> set[str]:
     for node in ast.iter_child_nodes(tree):
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == skip:
             continue
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
@@ -115,3 +117,15 @@ def test_public_names_have_callers():
                        for caller, tree in trees.items()):
                 unused.append(f"{path.stem}.{name}")
     assert sorted(unused) == sorted(UNUSED_PUBLIC)
+
+
+def test_private_names_have_callers():
+    trees = {path: _tree(path) for path in SOURCES}
+    unused = []
+    for path, tree in trees.items():
+        for name in _top_level_bindings(tree):
+            if (name.startswith("_") and not name.startswith("__")
+                    and not any(name in _references(other, name if other is tree else None)
+                                for other in trees.values())):
+                unused.append(f"{path.stem}.{name}")
+    assert sorted(unused) == []
