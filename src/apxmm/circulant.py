@@ -187,10 +187,17 @@ def circulant_materialize(spectrum: CirculantSpectrum) -> np.ndarray:
         PW, n, axis=0, norm="ortho", overwrite_x=True, workers=workers)
 
 
-def _residual_norm(A_norm_sq: float, spectrum: CirculantSpectrum) -> float:
-    """||A - sum_{k in selected} R_k D^k||_F via component orthogonality."""
-    kept = spectrum.n * sum(float(spectrum.magnitudes[k]) ** 2 for k in spectrum.selected)
-    return math.sqrt(max(0.0, A_norm_sq - kept))
+def _norms(spectrum: CirculantSpectrum) -> tuple[float, float]:
+    """||A||_F and ||A - sum_{t in selected} R_t D^t||_F.
+
+    The components are orthogonal with weights n * magnitudes[t]^2, so
+    ||A||^2 sums every weight and the residue's squared norm those of the
+    components the selection drops: a complete selection reports exactly 0.
+    """
+    weights = spectrum.n * spectrum.magnitudes**2
+    dropped = np.ones(spectrum.n, dtype=bool)
+    dropped[spectrum.selected] = False
+    return math.sqrt(weights.sum()), math.sqrt(weights[dropped].sum())
 
 
 def _fourier_operator(spectrum: CirculantSpectrum, rows: int,
@@ -239,10 +246,8 @@ def circulant_first_order_multiply(A, B, k: int, order: int):
     t0 = time.perf_counter()
     spec_a = circulant_select(circulant_decompose(A), k)
     spec_b = circulant_select(circulant_decompose(B), k)
-    norm_a = float(np.linalg.norm(A))
-    norm_b = float(np.linalg.norm(B))
-    norm_da = _residual_norm(norm_a**2, spec_a)
-    norm_db = _residual_norm(norm_b**2, spec_b)
+    norm_a, norm_da = _norms(spec_a)
+    norm_b, norm_db = _norms(spec_b)
 
     # Ahat B = W* (P_a (W B)) and dA Bhat = ((dA W*) P_b) W; scipy's transforms
     # take real input at about half cost and may overwrite the intermediates

@@ -93,16 +93,18 @@ def operation_count(method: str, n: int, k: int = 0, c: int = 0) -> float:
 
 
 # The method table: the budget flags each method reads, of which exactly one
-# is given (a bench config lists the first), and its k rule, the count of
-# components kept for a factor s. The methods with a k rule take an order.
+# is given (a bench config lists the first), its k rule, the count of
+# components kept for a factor s, and the one tuning option of _TUNING it
+# reads. The methods with a k rule take an order.
 _METHODS = {
-    "svd": (("s",), component_count),
-    "cd": (("s", "k"), components_for),
-    "sfft": (("s", "k"), components_for),
-    "lowrank": (("c",), None),
-    "naive": ((), None),
+    "svd": (("s",), component_count, "power_iterations"),
+    "cd": (("s", "k"), components_for, None),
+    "sfft": (("s", "k"), components_for, "sparsify_b"),
+    "lowrank": (("c",), None, None),
+    "naive": ((), None, None),
 }
-_ORDERED = [method for method, (_, keeps) in _METHODS.items() if keeps]
+_ORDERED = [method for method, (_, keeps, _) in _METHODS.items() if keeps]
+_TUNING = ("power_iterations", "sparsify_b")
 
 
 def _budget(method: str, n: int, s: int | None = None, k: int | None = None,
@@ -110,7 +112,7 @@ def _budget(method: str, n: int, s: int | None = None, k: int | None = None,
     """The one int a method's product takes, from its budget flags: svd's s,
     lowrank's c, and the k of cd and sfft, which an s given in its place
     sets by their k rule; None for naive."""
-    flags, keeps = _METHODS[method]
+    flags, keeps, _ = _METHODS[method]
     if not flags:
         return None
     given = {"s": s, "k": k, "c": c}[flags[-1]]
@@ -208,7 +210,7 @@ def cmd_gen(args, parser) -> int:
 
 def cmd_multiply(args, parser) -> int:
     method = args.method
-    flags, keeps = _METHODS[method]
+    flags, keeps, option = _METHODS[method]
     if (args.order is not None) != bool(keeps):
         parser.error(f"--order is required for --method {method}" if keeps
                      else f"--method {method} takes no --order")
@@ -217,13 +219,17 @@ def cmd_multiply(args, parser) -> int:
         wanted = " or ".join(f"--{f}" for f in flags) or "none of --s/--k/--c"
         parser.error(f"--method {method} takes "
                      f"{'exactly one of ' if len(flags) > 1 else ''}{wanted}")
+    # a tuning option not given keeps the product's default
+    tuning = {o: getattr(args, o) for o in _TUNING if getattr(args, o) is not None}
+    stray = [o for o in tuning if o != option]
+    if stray:
+        parser.error(f"--method {method} takes no --{stray[0].replace('_', '-')}")
     A, label_a = _matrix_from_args(args, "a", parser)
     B, label_b = _matrix_from_args(args, "b", parser)
     n = A.shape[1]
     M, report = run_method(method, _ORDER_NUM.get(args.order, 0), A, B,
                            _budget(method, n, args.s, args.k, args.c),
-                           seed=args.seed, power_iterations=args.power_iterations,
-                           sparsify_b=args.sparsify_b)
+                           seed=args.seed, **tuning)
     if args.real_part:
         M = M.real if np.iscomplexobj(M) else M
     if args.check:
@@ -280,9 +286,8 @@ def cmd_spectra(args, parser) -> int:
 
     def write_two_col(path, values):
         with open(path, "w", encoding="ascii") as fh:
-            fh.write("index,magnitude\n")
-            for i, v in enumerate(values):
-                fh.write(f"{i},{float(v):.17g}\n")
+            np.savetxt(fh, np.column_stack((np.arange(len(values)), values)),
+                       fmt="%d,%.17g", header="index,magnitude", comments="")
         outputs.append(path)
 
     stem = args.out.removesuffix(".csv")
@@ -430,7 +435,7 @@ def cmd_bench(args, parser) -> int:
         for shared in (A, B, AB):  # no method may change another's operands
             shared.flags.writeable = False
         for i, method, order_name, sel in jobs:
-            flags, keeps = _METHODS[method]
+            flags, keeps, _ = _METHODS[method]
             if method == "naive":
                 M, report = AB, naive_report
             else:
@@ -561,9 +566,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=int, help="outer-product samples (lowrank)")
     p.add_argument("--seed", type=int, default=0, help="method randomness seed")
     p.add_argument("--power-iterations", dest="power_iterations", type=int,
-                   default=0, help="extra subspace passes for svd")
-    p.add_argument("--sparsify-b", dest="sparsify_b", default="rows",
-                   choices=["rows", "cols"], help="sfft truncation side for B")
+                   help="extra subspace passes for svd (default 0)")
+    p.add_argument("--sparsify-b", dest="sparsify_b", choices=["rows", "cols"],
+                   help="sfft truncation side for B (default rows)")
     p.add_argument("--out", help="write the product matrix as CSV")
     p.add_argument("--check", action="store_true",
                    help="also compute the exact product and report rel_err")

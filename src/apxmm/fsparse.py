@@ -175,13 +175,14 @@ def fft_sparse_first_order_multiply(A, B, k: int, order: int,
     it, so M and the report are bit-identical at any thread count.
     """
     A, B = as_pair(A, B)
-    rows = min(A.shape[1], B.shape[1])
-    if not 0 <= k <= rows:
-        raise ValueError(f"k={k} out of range [0, {rows}]")
-    if order not in (0, 1):
-        raise ValueError("order must be 0 or 1")
     if sparsify_b not in ("rows", "cols"):
         raise ValueError(f"unknown sparsify_b {sparsify_b!r}")
+    # k entries of each row of Atil and of each row (or column) of Btil
+    limit = A.shape[1] if sparsify_b == "cols" else min(A.shape[1], B.shape[1])
+    if not 0 <= k <= limit:
+        raise ValueError(f"k={k} out of range [0, {limit}]")
+    if order not in (0, 1):
+        raise ValueError("order must be 0 or 1")
 
     t0 = time.perf_counter()
     Atil = unitary_dft(A, "inverse", axis=1)

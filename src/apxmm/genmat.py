@@ -9,6 +9,7 @@ codes below are frozen constants; changing them is a breaking change.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -181,7 +182,8 @@ def read_matrix_market(path) -> np.ndarray:
 
     Supports the general and symmetric qualifiers; symmetric files are
     mirrored. Indices are 1-based in the file. pattern/complex fields and
-    skew/hermitian qualifiers are rejected.
+    skew/hermitian qualifiers are rejected. numpy's text parser reads the
+    body, so a % after the data on an entry line starts a comment.
     """
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline()
@@ -196,105 +198,71 @@ def read_matrix_market(path) -> np.ndarray:
         if qual not in ("general", "symmetric"):
             raise UnsupportedQualifierError(f"unsupported qualifier {qual!r}")
 
-        lines = [ln.strip() for ln in fh
-                 if ln.strip() and not ln.lstrip().startswith("%")]
-
-    if not lines:
-        raise MalformedHeaderError("missing size line")
-    size_parts = lines[0].split()
+        size = next((ln for ln in fh if ln.strip() and not ln.lstrip().startswith("%")), None)
+        if size is None:
+            raise MalformedHeaderError("missing size line")
+        fields = 3 if fmt == "coordinate" else 2
+        if len(size.split()) != fields:
+            raise MalformedHeaderError(f"{fmt} size line needs {fields} fields: {size.strip()!r}")
+        try:
+            dims = [int(p) for p in size.split()]
+        except ValueError as e:
+            raise MalformedHeaderError(f"non-integer size line: {size.strip()!r}") from e
+        try:
+            body = _loadtxt(fh, dtype="i8,i8,f8" if fields == 3 else "f8",
+                            comments="%", ndmin=1 if fields == 3 else 2)
+        except ValueError as e:
+            raise MalformedHeaderError(f"bad entry line: {e}") from e
 
     if fmt == "coordinate":
-        if len(size_parts) != 3:
-            raise MalformedHeaderError(f"coordinate size line needs 3 fields: {lines[0]!r}")
-        try:
-            rows, cols, nnz = (int(p) for p in size_parts)
-        except ValueError as e:
-            raise MalformedHeaderError(f"non-integer size line: {lines[0]!r}") from e
-        body = lines[1:]
+        rows, cols, nnz = dims
         if len(body) != nnz:
             raise MalformedHeaderError(f"declared {nnz} entries, found {len(body)}")
-        M = np.zeros((rows, cols))
-        for ln in body:
-            parts = ln.split()
-            if len(parts) != 3:
-                raise MalformedHeaderError(f"bad entry line: {ln!r}")
-            try:
-                i, j, v = int(parts[0]), int(parts[1]), float(parts[2])
-            except ValueError as e:
-                raise MalformedHeaderError(f"bad entry line: {ln!r}") from e
-            if not (1 <= i <= rows and 1 <= j <= cols):
-                raise IndexRangeError(f"index ({i},{j}) outside {rows}x{cols}")
-            M[i - 1, j - 1] = v
-            if qual == "symmetric" and i != j:
-                M[j - 1, i - 1] = v
-        return M
-
-    if len(size_parts) != 2:
-        raise MalformedHeaderError(f"array size line needs 2 fields: {lines[0]!r}")
-    try:
-        rows, cols = (int(p) for p in size_parts)
-    except ValueError as e:
-        raise MalformedHeaderError(f"non-integer size line: {lines[0]!r}") from e
-    try:
-        values = [float(v) for v in lines[1:]]
-    except ValueError as e:
-        raise MalformedHeaderError("non-numeric array value") from e
+        i, j, v = body["f0"] - 1, body["f1"] - 1, body["f2"]
+        outside = (i < 0) | (i >= rows) | (j < 0) | (j >= cols)
+        if outside.any():
+            bad = outside.argmax()
+            raise IndexRangeError(f"index ({i[bad] + 1},{j[bad] + 1}) outside {rows}x{cols}")
+    else:
+        rows, cols = dims
+        expected = rows * cols - (0 if qual == "general" else cols * (cols - 1) // 2)
+        if body.shape != (expected, 1):
+            raise MalformedHeaderError(f"expected {expected} values, found {body.size}")
+        if qual == "general":
+            return body.reshape((cols, rows)).T  # array format stores column-major
+        j, i = np.triu_indices(cols, 0, rows)  # the lower triangle, column by column
+        v = body[:, 0]
     M = np.zeros((rows, cols))
-    if qual == "general":
-        if len(values) != rows * cols:
-            raise MalformedHeaderError(f"expected {rows * cols} values, found {len(values)}")
-        # array format stores column-major
-        return np.array(values).reshape((cols, rows)).T
-    pos = 0
-    expected = sum(rows - j for j in range(cols))
-    if len(values) != expected:
-        raise MalformedHeaderError(f"expected {expected} values, found {len(values)}")
-    for j in range(cols):
-        for i in range(j, rows):
-            M[i, j] = values[pos]
-            M[j, i] = values[pos]
-            pos += 1
+    M[i, j] = v
+    if qual == "symmetric":
+        M[j, i] = v
     return M
 
 
-def _format_cell(v) -> str:
-    if isinstance(v, complex) or np.iscomplexobj(v):
-        v = complex(v)
-        return f"{v.real:.17g}{v.imag:+.17g}j"
-    return f"{float(v):.17g}"
+def _loadtxt(fh, **kwargs) -> np.ndarray:
+    """np.loadtxt, without its warning for a file that holds no data."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        return np.loadtxt(fh, **kwargs)
 
 
 def write_csv(M, path) -> None:
-    """Write a dense matrix as CSV at 17 significant digits (lossless for float64)."""
+    """Write a dense matrix as CSV at 17 significant digits (lossless for
+    float64); a complex matrix writes each cell as a+bj."""
     M = np.asarray(M)
     if M.ndim != 2:
         raise ValueError("expected a 2-D matrix")
+    cell = "%.17g%+.17gj" if np.iscomplexobj(M) else "%.17g"
     with open(path, "w", encoding="ascii") as fh:
-        for row in M:
-            fh.write(",".join(_format_cell(v) for v in row) + "\n")
+        np.savetxt(fh, M, fmt=[cell] * M.shape[1], delimiter=",")
 
 
 def read_csv(path) -> np.ndarray:
-    """Read a rectangular numeric CSV; complex cells use the a+bj form."""
-    rows: list[list[complex]] = []
+    """Read a rectangular numeric CSV; a cell is anything Python's complex()
+    reads, and a matrix whose imaginary parts are all zero reads as real."""
     with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            cells = []
-            for cell in line.split(","):
-                try:
-                    cells.append(complex(cell.strip()))
-                except ValueError as e:
-                    raise ValueError(f"non-numeric cell {cell!r} at line {lineno}") from e
-            rows.append(cells)
-    if not rows:
+        M = _loadtxt(fh, delimiter=",", dtype=complex, comments=None,
+                     converters=complex, ndmin=2)
+    if not M.size:
         raise ValueError("empty csv")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise ValueError("ragged rows")
-    M = np.array(rows, dtype=np.complex128)
-    if np.all(M.imag == 0):
-        return M.real.copy()
-    return M
+    return M.real.copy() if np.all(M.imag == 0) else M

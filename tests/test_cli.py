@@ -199,6 +199,28 @@ def test_multiply_selector_misuse_exits_2(capsys):
         capsys.readouterr()
 
 
+def test_multiply_refuses_options_the_method_does_not_read(capsys):
+    base = ["multiply", "--kind-a", "general", "--kind-b", "general", "--n", "8"]
+    stray = [
+        (["--method", "cd", "--k", "2", "--order", "first", "--sparsify-b", "cols",
+          "--power-iterations", "3"], "--method cd takes no --power-iterations"),
+        (["--method", "svd", "--s", "1", "--order", "first", "--sparsify-b", "rows"],
+         "--method svd takes no --sparsify-b"),
+        (["--method", "naive", "--power-iterations", "0"],
+         "--method naive takes no --power-iterations"),
+    ]
+    for extra, message in stray:
+        with pytest.raises(SystemExit) as exc:
+            main(base + extra)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+    for extra in (["--method", "svd", "--s", "1", "--power-iterations", "1"],
+                  ["--method", "sfft", "--k", "6", "--sparsify-b", "cols"]):
+        code, out, _ = run_cli(capsys, *base, *extra, "--order", "first")
+        assert code == 0
+        assert last_json(out)["method"] == extra[1]
+
+
 def test_multiply_rejects_file_and_kind(tmp_path, capsys):
     a = tmp_path / "a.csv"
     write_csv(np.eye(2), a)

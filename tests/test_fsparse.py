@@ -359,6 +359,27 @@ def test_fft_multiply_k_at_most_row_length():
     assert report.k == 4 and report.norm_db == 0.0 and report.norm_da > 0.0
 
 
+def test_fft_multiply_cols_k_up_to_column_length():
+    # column truncation keeps k of the n entries of each column of Btil
+    # (n x p), so its k runs up to the contracted length n, not p
+    rng = np.random.default_rng(18)
+    A, B = rng.standard_normal((8, 16)), rng.standard_normal((16, 4))
+    k = 6
+    M, report = fft_sparse_first_order_multiply(A, B, k, 1, sparsify_b="cols")
+    Atil = unitary_dft(A, "inverse", axis=1)
+    Btil = unitary_dft(B, "forward", axis=0)
+    SA = topk_sparsify(Atil, k).to_dense()
+    SB = topk_sparsify(Btil.T, k).to_dense().T
+    assert np.all(np.count_nonzero(SB, axis=0) == k)
+    assert report.k == k
+    assert relative_error(M, SA @ Btil + (Atil - SA) @ SB) < 1e-12
+    assert abs(report.norm_db - np.linalg.norm(Btil - SB)) <= 1e-12 * report.norm_db
+    with pytest.raises(ValueError, match=r"k=17 out of range \[0, 16\]"):
+        fft_sparse_first_order_multiply(A, B, 17, 1, sparsify_b="cols")
+    with pytest.raises(ValueError, match=r"k=6 out of range \[0, 4\]"):
+        fft_sparse_first_order_multiply(A, B, k, 1, sparsify_b="rows")
+
+
 def test_fft_multiply_report_fields():
     rng = np.random.default_rng(16)
     n, k = 16, 2

@@ -361,3 +361,33 @@ def test_csv_errors(tmp_path):
         read_csv(empty)
     with pytest.raises(ValueError):
         write_csv(np.ones(3), tmp_path / "v.csv")
+
+
+def test_csv_special_values_exact_text(tmp_path):
+    big = np.finfo(np.float64).max
+    real = np.array([[-0.0, np.nan, np.inf, -np.inf],
+                     [5e-324, big, 0.1, 1.0]])
+    cplx = np.array([[complex(1.0, -0.0), complex(-0.0, 0.1), complex(np.nan, -np.inf)]])
+    for M, text in (
+        (real, "-0,nan,inf,-inf\n"
+               "4.9406564584124654e-324,1.7976931348623157e+308,0.10000000000000001,1\n"),
+        (cplx, "1-0j,-0+0.10000000000000001j,nan-infj\n"),
+    ):
+        p = tmp_path / "special.csv"
+        write_csv(M, p)
+        assert p.read_text(encoding="ascii") == text
+        back = read_csv(p)
+        assert back.dtype == M.dtype
+        assert np.array_equal(back.view(np.uint64), M.view(np.uint64))
+
+
+def test_csv_cells_follow_python_complex(tmp_path):
+    p = tmp_path / "syntax.csv"
+    p.write_text("1_0,2J, 3 \n", encoding="ascii")
+    back = read_csv(p)
+    assert back.dtype == np.complex128
+    assert np.array_equal(back, np.array([[10.0, 2j, 3.0]]))
+    for text in ("#x,1\n", "1,2,\n"):
+        p.write_text(text, encoding="ascii")
+        with pytest.raises(ValueError):
+            read_csv(p)
