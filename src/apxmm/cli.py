@@ -27,6 +27,7 @@ from .baseline import randomized_outer_product_multiply
 from .circulant import circulant_decompose, circulant_first_order_multiply
 from .core import WORKERS, matmul_naive, relative_error
 from .errest import (
+    _CASES,
     ErrorModel,
     HaarMoments,
     apriori_relative_error,
@@ -94,17 +95,17 @@ def operation_count(method: str, n: int, k: int = 0, c: int = 0) -> float:
 
 # The method table: the budget flags each method reads, of which exactly one
 # is given (a bench config lists the first), its k rule, the count of
-# components kept for a factor s, and the one tuning option of _TUNING it
-# reads. The methods with a k rule take an order.
+# components kept for a factor s, and the options of _TUNING it reads. The
+# methods with a k rule take an order.
 _METHODS = {
-    "svd": (("s",), component_count, "power_iterations"),
-    "cd": (("s", "k"), components_for, None),
-    "sfft": (("s", "k"), components_for, "sparsify_b"),
-    "lowrank": (("c",), None, None),
-    "naive": ((), None, None),
+    "svd": (("s",), component_count, ("seed", "power_iterations")),
+    "cd": (("s", "k"), components_for, ()),
+    "sfft": (("s", "k"), components_for, ("sparsify_b",)),
+    "lowrank": (("c",), None, ("seed",)),
+    "naive": ((), None, ()),
 }
 _ORDERED = [method for method, (_, keeps, _) in _METHODS.items() if keeps]
-_TUNING = ("power_iterations", "sparsify_b")
+_TUNING = ("seed", "power_iterations", "sparsify_b")
 
 
 def _budget(method: str, n: int, s: int | None = None, k: int | None = None,
@@ -210,7 +211,7 @@ def cmd_gen(args, parser) -> int:
 
 def cmd_multiply(args, parser) -> int:
     method = args.method
-    flags, keeps, option = _METHODS[method]
+    flags, keeps, options = _METHODS[method]
     if (args.order is not None) != bool(keeps):
         parser.error(f"--order is required for --method {method}" if keeps
                      else f"--method {method} takes no --order")
@@ -221,15 +222,14 @@ def cmd_multiply(args, parser) -> int:
                      f"{'exactly one of ' if len(flags) > 1 else ''}{wanted}")
     # a tuning option not given keeps the product's default
     tuning = {o: getattr(args, o) for o in _TUNING if getattr(args, o) is not None}
-    stray = [o for o in tuning if o != option]
+    stray = [o for o in tuning if o not in options]
     if stray:
         parser.error(f"--method {method} takes no --{stray[0].replace('_', '-')}")
     A, label_a = _matrix_from_args(args, "a", parser)
     B, label_b = _matrix_from_args(args, "b", parser)
     n = A.shape[1]
     M, report = run_method(method, _ORDER_NUM.get(args.order, 0), A, B,
-                           _budget(method, n, args.s, args.k, args.c),
-                           seed=args.seed, **tuning)
+                           _budget(method, n, args.s, args.k, args.c), **tuning)
     if args.real_part:
         M = M.real if np.iscomplexobj(M) else M
     if args.check:
@@ -514,8 +514,7 @@ def cmd_estimate(args, parser) -> int:
         return 0
     # apriori
     _require(parser, args, ["case", "n", "norm_a", "norm_b", "norm_da", "norm_db"])
-    model = ErrorModel(case=args.case, n=args.n,
-                       c=args.c_const if args.case == "custom" else None)
+    model = ErrorModel(case=args.case, n=args.n, c=args.c_const)
     est = apriori_relative_error(args.norm_a, args.norm_b,
                                  args.norm_da, args.norm_db, model)
     print(_json_line({"case": args.case, "n": args.n, "estimate": est}))
@@ -564,7 +563,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, help="component factor (k = ceil(s log2 n))")
     p.add_argument("--k", type=int, help="explicit component count (cd/sfft)")
     p.add_argument("--c", type=int, help="outer-product samples (lowrank)")
-    p.add_argument("--seed", type=int, default=0, help="method randomness seed")
+    p.add_argument("--seed", type=int,
+                   help="method randomness seed for svd and lowrank (default 0)")
     p.add_argument("--power-iterations", dest="power_iterations", type=int,
                    help="extra subspace passes for svd (default 0)")
     p.add_argument("--sparsify-b", dest="sparsify_b", choices=["rows", "cols"],
@@ -621,7 +621,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int)
     p.add_argument("--p", type=int)
     p.add_argument("--a", type=float)
-    p.add_argument("--case", choices=["mean-zero", "unsigned", "custom"])
+    p.add_argument("--case", choices=_CASES)
     p.add_argument("--c-const", dest="c_const", type=float)
     p.add_argument("--norm-a", dest="norm_a", type=float)
     p.add_argument("--norm-b", dest="norm_b", type=float)

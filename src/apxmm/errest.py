@@ -194,21 +194,14 @@ def uniform_product_moment(m: int, n: int, p: int, a: float) -> float:
     return m * p * n * a**4 / 9.0 + m * p * n * (n - 1) * a**4 / 16.0
 
 
-_SAMPLERS = ("uniform01", "rademacher", "normal", "lognormal", "student-t3")
-
-
-def _draw(tag: str, rng, n: int) -> np.ndarray:
-    if tag == "uniform01":
-        return rng.uniform(0.0, 1.0, (n, n))
-    if tag == "rademacher":
-        return rng.integers(0, 2, (n, n)).astype(float) * 2.0 - 1.0
-    if tag == "normal":
-        return rng.standard_normal((n, n))
-    if tag == "lognormal":
-        return rng.lognormal(0.0, 1.0, (n, n))
-    if tag == "student-t3":
-        return rng.standard_t(3, (n, n))
-    raise ValueError(f"unknown distribution tag {tag!r}; expected one of {_SAMPLERS}")
+# each distribution tag's draw of one n x n matrix
+_SAMPLERS = {
+    "uniform01": lambda rng, n: rng.uniform(0.0, 1.0, (n, n)),
+    "rademacher": lambda rng, n: rng.integers(0, 2, (n, n)).astype(float) * 2.0 - 1.0,
+    "normal": lambda rng, n: rng.standard_normal((n, n)),
+    "lognormal": lambda rng, n: rng.lognormal(0.0, 1.0, (n, n)),
+    "student-t3": lambda rng, n: rng.standard_t(3, (n, n)),
+}
 
 
 def estimate_front_constant(sampler: str, n: int, trials: int, seed) -> tuple[float, float]:
@@ -221,12 +214,14 @@ def estimate_front_constant(sampler: str, n: int, trials: int, seed) -> tuple[fl
     if trials < 2:
         raise ValueError("trials must be >= 2")
     if sampler not in _SAMPLERS:
-        raise ValueError(f"unknown distribution tag {sampler!r}; expected one of {_SAMPLERS}")
+        raise ValueError(f"unknown distribution tag {sampler!r}; "
+                         f"expected one of {tuple(_SAMPLERS)}")
+    draw = _SAMPLERS[sampler]
     rng = np.random.default_rng(seed)
     ratios = np.empty(trials)
     for t in range(trials):
-        A = _draw(sampler, rng, n)
-        B = _draw(sampler, rng, n)
+        A = draw(rng, n)
+        B = draw(rng, n)
         ratios[t] = np.linalg.norm(A @ B) / (np.linalg.norm(A) * np.linalg.norm(B))
     return float(ratios.mean()), float(ratios.std(ddof=1))
 

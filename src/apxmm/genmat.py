@@ -252,9 +252,15 @@ def write_csv(M, path) -> None:
     M = np.asarray(M)
     if M.ndim != 2:
         raise ValueError("expected a 2-D matrix")
-    cell = "%.17g%+.17gj" if np.iscomplexobj(M) else "%.17g"
+    if np.iscomplexobj(M):
+        # savetxt formats complex cells one at a time; as (re, im) float
+        # pairs under one row format it formats each row at once
+        fmt = ",".join(["%.17g%+.17gj"] * M.shape[1])
+        M = np.ascontiguousarray(M, dtype=np.complex128).view(np.float64)
+    else:
+        fmt = "%.17g"
     with open(path, "w", encoding="ascii") as fh:
-        np.savetxt(fh, M, fmt=[cell] * M.shape[1], delimiter=",")
+        np.savetxt(fh, M, fmt=fmt, delimiter=",")
 
 
 def read_csv(path) -> np.ndarray:

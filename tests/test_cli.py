@@ -9,6 +9,7 @@ import pytest
 import scipy
 
 from apxmm import core
+from apxmm.baseline import randomized_outer_product_multiply
 from apxmm.cli import (
     BENCH_HEADER,
     BenchRow,
@@ -219,6 +220,36 @@ def test_multiply_refuses_options_the_method_does_not_read(capsys):
         code, out, _ = run_cli(capsys, *base, *extra, "--order", "first")
         assert code == 0
         assert last_json(out)["method"] == extra[1]
+
+
+def test_multiply_seed_only_for_seeded_methods(capsys):
+    base = ["multiply", "--kind-a", "general", "--kind-b", "general", "--n", "8",
+            "--seed", "5"]
+    for extra in (["--method", "cd", "--k", "2", "--order", "first"],
+                  ["--method", "sfft", "--k", "2", "--order", "first"],
+                  ["--method", "naive"]):
+        with pytest.raises(SystemExit) as exc:
+            main(base + extra)
+        assert exc.value.code == 2
+        assert f"--method {extra[1]} takes no --seed" in capsys.readouterr().err
+    for extra in (["--method", "svd", "--s", "1", "--order", "first"],
+                  ["--method", "lowrank", "--c", "4"]):
+        code, out, _ = run_cli(capsys, *base, *extra)
+        assert code == 0
+        assert last_json(out)["method"] == extra[1]
+
+
+def test_multiply_lowrank_writes_the_baseline_product(tmp_path, capsys):
+    out = tmp_path / "m.csv"
+    code, stdout, _ = run_cli(capsys, "multiply", "--method", "lowrank",
+                              "--c", "20", "--seed", "3", "--kind-a", "general",
+                              "--kind-b", "general", "--n", "32", "--out", str(out))
+    assert code == 0
+    assert last_json(stdout)["k"] == 20
+    A = generate(MatrixSpec("general", 32, seed=0))
+    B = generate(MatrixSpec("general", 32, seed=1))
+    M, _ = randomized_outer_product_multiply(A, B, 20, 3)
+    assert np.array_equal(read_csv(out).view(np.uint64), M.view(np.uint64))
 
 
 def test_multiply_rejects_file_and_kind(tmp_path, capsys):
@@ -489,6 +520,21 @@ def test_bench_ratios_file(tmp_path, capsys):
     assert float(lines[1].split(",")[-1]) > 0
 
 
+def test_bench_lowrank_rows_and_ratios(tmp_path, capsys):
+    conf = tmp_path / "b.conf"
+    conf.write_text("methods = lowrank, naive\nkinds = general:general\n"
+                    "sizes = 16\nc = 8\ntrials = 2\n", encoding="ascii")
+    out = tmp_path / "rows.csv"
+    code, _, _ = run_cli(capsys, "bench", "--config", str(conf),
+                         "--out", str(out), "--ratios")
+    assert code == 0
+    rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
+    assert [(r[0], r[6]) for r in rows] == [("lowrank", "8")] * 2 + [("naive", "-")] * 2
+    ratios = (tmp_path / "rows.ratios.csv").read_text().strip().splitlines()[1:]
+    assert [line.split(",")[:7] for line in ratios] == [
+        ["lowrank", "-", "16", "general", "general", "-", "8"]]
+
+
 def test_bench_config_errors(tmp_path, capsys):
     bad = [
         "methods = naive\nkinds = general:general\nsizes = 8\ntrials = 2\ncolor = red\n",
@@ -539,6 +585,15 @@ def test_estimate_apriori(capsys):
                            "--norm-da", "0.1", "--norm-db", "0.1")
     assert code == 0
     assert abs(last_json(out)["estimate"] - 0.01) < 1e-15
+
+
+def test_estimate_apriori_refuses_c_for_a_fixed_case(capsys):
+    code, _, err = run_cli(capsys, "estimate", "--mode", "apriori",
+                           "--case", "mean-zero", "--c-const", "0.5", "--n", "100",
+                           "--norm-a", "1", "--norm-b", "1",
+                           "--norm-da", "0.1", "--norm-db", "0.1")
+    assert code == 1
+    assert "case 'mean-zero' takes no c" in err
 
 
 def test_estimate_uniform_moment(capsys):

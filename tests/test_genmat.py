@@ -379,6 +379,10 @@ def test_csv_special_values_exact_text(tmp_path):
         back = read_csv(p)
         assert back.dtype == M.dtype
         assert np.array_equal(back.view(np.uint64), M.view(np.uint64))
+    F = np.asfortranarray(np.array([[1 + 2j, 3 - 4j], [0.5j, -1 + 0j]]))
+    write_csv(F, p)
+    assert p.read_text(encoding="ascii") == "1+2j,3-4j\n0+0.5j,-1+0j\n"
+    assert np.array_equal(read_csv(p), F)
 
 
 def test_csv_cells_follow_python_complex(tmp_path):

@@ -2,7 +2,8 @@
 
 Every name a module imports is used in that module, and every name listed
 in a module's ``__all__`` is bound at its top level. ``__init__.py`` is
-exempt from the first check: its imports are the package's re-exports.
+exempt from the first check: its imports are the modules it exports, and the
+package root exports modules only, so each public name has one import path.
 Every public name of a numeric module is used somewhere in the package or
 the benchmark outside its own definition, unless UNUSED_PUBLIC says why not,
 and every private top-level name of a module is used somewhere in the
@@ -13,8 +14,11 @@ No module refers to numpy.fft: scipy.fft is the one FFT backend.
 import ast
 import re
 from pathlib import Path
+from types import ModuleType
 
 import pytest
+
+import apxmm
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "apxmm").glob("*.py"))
@@ -82,6 +86,15 @@ def test_dunder_all_names_defined(path):
     tree = _tree(path)
     exported = _dunder_all(tree) or []
     assert sorted(set(exported) - _top_level_bindings(tree)) == []
+
+
+def test_package_root_exports_only_its_modules():
+    assert apxmm.__all__
+    for name in apxmm.__all__:
+        assert (ROOT / "src" / "apxmm" / f"{name}.py").is_file(), name
+        assert isinstance(getattr(apxmm, name), ModuleType), name
+    public = [name for name in vars(apxmm) if not name.startswith("_")]
+    assert [name for name in public if not isinstance(getattr(apxmm, name), ModuleType)] == []
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
