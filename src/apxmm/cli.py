@@ -98,14 +98,14 @@ def operation_count(method: str, n: int, k: int = 0, c: int = 0) -> float:
 # components kept for a factor s, and the options of _TUNING it reads. The
 # methods with a k rule take an order.
 _METHODS = {
-    "svd": (("s",), component_count, ("seed", "power_iterations")),
+    "svd": (("s",), component_count, ("seed",)),
     "cd": (("s", "k"), components_for, ()),
     "sfft": (("s", "k"), components_for, ("sparsify_b",)),
     "lowrank": (("c",), None, ("seed",)),
     "naive": ((), None, ()),
 }
 _ORDERED = [method for method, (_, keeps, _) in _METHODS.items() if keeps]
-_TUNING = ("seed", "power_iterations", "sparsify_b")
+_TUNING = ("seed", "sparsify_b")
 
 
 def _budget(method: str, n: int, s: int | None = None, k: int | None = None,
@@ -149,15 +149,15 @@ def _matrix_from_args(args, which: str, parser) -> tuple[np.ndarray, str]:
     if kind is None:
         parser.error(f"matrix {which}: need --{which} FILE or --kind-{which} KIND")
     if args.n is None:
-        parser.error("--n is required with --kind-a/--kind-b")
-    spath = getattr(args, f"spectrum_{which}", None)
+        parser.error(f"--n is required with --kind-{which}")
+    spath = getattr(args, f"spectrum_{which}")
     spectrum = None if spath is None else _load_spectrum_vector(spath)
     return _generated(kind, args.n, getattr(args, f"seed_{which}"), args.block,
                       spectrum), kind
 
 
 def run_method(method: str, order: int, A, B, budget: int | None = None, *,
-               seed: int = 0, power_iterations: int = 0, sparsify_b: str = "rows"):
+               seed: int = 0, sparsify_b: str = "rows"):
     """Dispatch one approximate (or exact) product with the budget _budget
     gives. Returns (M, report)."""
     if method == "naive":
@@ -169,8 +169,7 @@ def run_method(method: str, order: int, A, B, budget: int | None = None, *,
     if method == "lowrank":
         return randomized_outer_product_multiply(A, B, budget, seed)
     if method == "svd":
-        return svd_first_order_multiply(A, B, budget, order, seed,
-                                        power_iterations=power_iterations)
+        return svd_first_order_multiply(A, B, budget, order, seed)
     if method == "cd":
         return circulant_first_order_multiply(A, B, budget, order)
     if method == "sfft":
@@ -232,14 +231,12 @@ def cmd_multiply(args, parser) -> int:
                            _budget(method, n, args.s, args.k, args.c), **tuning)
     if args.real_part:
         M = M.real if np.iscomplexobj(M) else M
-    if args.check:
-        report.measured_error = relative_error(M, matmul_naive(A, B))
     if args.out:
         write_csv(M, args.out)
     payload = report.to_dict()
     payload.update({"kind_a": label_a, "kind_b": label_b, "n": n})
     if args.check:
-        payload["rel_err"] = report.measured_error
+        payload["rel_err"] = relative_error(M, matmul_naive(A, B))
     print(_json_line(payload))
     return 0
 
@@ -429,8 +426,8 @@ def cmd_bench(args, parser) -> int:
     results = [None] * count
     for (kind_a, kind_b, n, t), jobs in groups.items():
         seed_a, seed_b = pair_seeds(conf["seed_base"], t)
-        A = generate(MatrixSpec(kind=kind_a, n=n, seed=seed_a))
-        B = generate(MatrixSpec(kind=kind_b, n=n, seed=seed_b))
+        A = _generated(kind_a, n, seed_a, None)
+        B = _generated(kind_b, n, seed_b, None)
         AB, naive_report = run_method("naive", 0, A, B)
         for shared in (A, B, AB):  # no method may change another's operands
             shared.flags.writeable = False
@@ -475,23 +472,42 @@ def cmd_bench(args, parser) -> int:
     return 0
 
 
-def _require(parser, args, names) -> None:
-    missing = [f"--{n.replace('_', '-')}" for n in names
-               if getattr(args, n) is None]
+# The estimate modes: the flags each one needs, then the further flags it may
+# take; a flag of another mode is a usage error.
+_MODES = {
+    "front-constant": (("distribution", "n"), ("trials", "seed")),
+    "haar-moments": (("spectrum_1", "spectrum_2"), ("tail_t", "d2_spectral")),
+    "uniform-moment": (("m", "n", "p", "a"), ()),
+    "apriori": (("case", "n", "norm_a", "norm_b", "norm_da", "norm_db"),
+                ("c_const",)),
+}
+_MODE_FLAGS = list(dict.fromkeys(f for ns, ts in _MODES.values() for f in ns + ts))
+
+
+def _check_mode_flags(parser, args) -> None:
+    """Exit 2 on a flag the mode does not read or one it needs and lacks."""
+    needs, takes = _MODES[args.mode]
+    if args.case == "custom":  # the custom model's constant has no default
+        needs += ("c_const",)
+    stray = [f for f in _MODE_FLAGS if getattr(args, f) is not None
+             and f not in needs + takes]
+    if stray:
+        parser.error(f"mode {args.mode} takes no --{stray[0].replace('_', '-')}")
+    missing = [f"--{f.replace('_', '-')}" for f in needs if getattr(args, f) is None]
     if missing:
         parser.error(f"mode {args.mode} needs {', '.join(missing)}")
 
 
 def cmd_estimate(args, parser) -> int:
+    _check_mode_flags(parser, args)
     if args.mode == "front-constant":
-        _require(parser, args, ["distribution", "n"])
-        c, sd = estimate_front_constant(args.distribution, args.n,
-                                        args.trials, args.seed)
+        trials = 25 if args.trials is None else args.trials
+        c, sd = estimate_front_constant(args.distribution, args.n, trials,
+                                        0 if args.seed is None else args.seed)
         print(_json_line({"distribution": args.distribution, "n": args.n,
-                          "trials": args.trials, "c": c, "stddev": sd}))
+                          "trials": trials, "c": c, "stddev": sd}))
         return 0
     if args.mode == "haar-moments":
-        _require(parser, args, ["spectrum_1", "spectrum_2"])
         d1 = _load_spectrum_vector(args.spectrum_1)
         d2 = _load_spectrum_vector(args.spectrum_2)
         m = HaarMoments.from_spectra(d1, d2)
@@ -507,13 +523,11 @@ def cmd_estimate(args, parser) -> int:
         print(_json_line(payload))
         return 0
     if args.mode == "uniform-moment":
-        _require(parser, args, ["m", "n", "p", "a"])
         value = uniform_product_moment(args.m, args.n, args.p, args.a)
         print(_json_line({"m": args.m, "n": args.n, "p": args.p, "a": args.a,
                           "mean_sq": value}))
         return 0
     # apriori
-    _require(parser, args, ["case", "n", "norm_a", "norm_b", "norm_da", "norm_db"])
     model = ErrorModel(case=args.case, n=args.n, c=args.c_const)
     est = apriori_relative_error(args.norm_a, args.norm_b,
                                  args.norm_da, args.norm_db, model)
@@ -524,19 +538,19 @@ def cmd_estimate(args, parser) -> int:
 # ------------------------------------------------------------------- parser
 
 
-def _add_pair_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--a", help="matrix A file (.mtx or CSV)")
-    p.add_argument("--b", help="matrix B file (.mtx or CSV)")
-    p.add_argument("--kind-a", dest="kind_a", help="generate A with this kind")
-    p.add_argument("--kind-b", dest="kind_b", help="generate B with this kind")
+def _add_operand_args(p: argparse.ArgumentParser, *operands: str) -> None:
+    """Each operand's flags (a file, or a generator kind with its seed, by
+    default the operand's position), then the size flags they share."""
+    for seed, which in enumerate(operands):
+        name = which.upper()
+        p.add_argument(f"--{which}", help=f"matrix {name} file (.mtx or CSV)")
+        p.add_argument(f"--kind-{which}", dest=f"kind_{which}",
+                       help=f"generate {name} with this kind")
+        p.add_argument(f"--seed-{which}", dest=f"seed_{which}", type=int, default=seed)
+        p.add_argument(f"--spectrum-{which}", dest=f"spectrum_{which}",
+                       help=f"CSV vector for kind haar-spectrum ({name})")
     p.add_argument("--n", type=int, help="size for generated matrices")
-    p.add_argument("--seed-a", dest="seed_a", type=int, default=0)
-    p.add_argument("--seed-b", dest="seed_b", type=int, default=1)
     p.add_argument("--block", type=int, help="block size for block-toeplitz")
-    p.add_argument("--spectrum-a", dest="spectrum_a",
-                   help="CSV vector for kind haar-spectrum (A)")
-    p.add_argument("--spectrum-b", dest="spectrum_b",
-                   help="CSV vector for kind haar-spectrum (B)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -565,8 +579,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=int, help="outer-product samples (lowrank)")
     p.add_argument("--seed", type=int,
                    help="method randomness seed for svd and lowrank (default 0)")
-    p.add_argument("--power-iterations", dest="power_iterations", type=int,
-                   help="extra subspace passes for svd (default 0)")
     p.add_argument("--sparsify-b", dest="sparsify_b", choices=["rows", "cols"],
                    help="sfft truncation side for B (default rows)")
     p.add_argument("--out", help="write the product matrix as CSV")
@@ -574,7 +586,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also compute the exact product and report rel_err")
     p.add_argument("--real-part", dest="real_part", action="store_true",
                    help="project a complex result to its real part")
-    _add_pair_args(p)
+    _add_operand_args(p, "a", "b")
     p.set_defaults(func=cmd_multiply)
 
     p = sub.add_parser("sweep", help="find minimal s reaching a tolerance")
@@ -596,7 +608,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, default=5,
                    help="rsvd factor when n > 1024 (svd branch)")
     p.add_argument("--seed", type=int, default=0)
-    _add_pair_args(p)
+    _add_operand_args(p, "a")
     p.set_defaults(func=cmd_spectra)
 
     p = sub.add_parser("bench", help="batch-run methods into a fixed-schema CSV")
@@ -612,8 +624,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "apriori"])
     p.add_argument("--distribution")
     p.add_argument("--n", type=int)
-    p.add_argument("--trials", type=int, default=25)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=int, help="front-constant (default 25)")
+    p.add_argument("--seed", type=int, help="front-constant (default 0)")
     p.add_argument("--spectrum-1", dest="spectrum_1")
     p.add_argument("--spectrum-2", dest="spectrum_2")
     p.add_argument("--tail-t", dest="tail_t", type=float)

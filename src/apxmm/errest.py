@@ -15,14 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_pair
-
 __all__ = [
     "ErrorModel",
     "HaarMoments",
     "apriori_relative_error",
     "posterior_relative_error",
-    "sketch_norm_estimate",
     "haar_product_moments",
     "uniform_product_moment",
     "estimate_front_constant",
@@ -134,21 +131,6 @@ def posterior_relative_error(norm_dA: float, norm_dB: float,
     if n < 1:
         raise ValueError("n must be >= 1")
     return norm_dA * norm_dB / (math.sqrt(n) * norm_M)
-
-
-def sketch_norm_estimate(A, B, k: int, seed) -> float:
-    """Unbiased estimate of ||AB||_F^2 via a thin Gaussian sketch.
-
-    Draws G with standard-normal entries (cols(B) x k) and returns
-    ||A (B G)||_F^2 / k, which costs O(k n^2) instead of the O(n^3) full
-    product.
-    """
-    A, B = as_pair(A, B)
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    rng = np.random.default_rng(seed)
-    G = rng.standard_normal((B.shape[1], k))
-    return float(np.linalg.norm(A @ (B @ G)) ** 2 / k)
 
 
 def haar_product_moments(m: HaarMoments) -> tuple[float, float, float]:

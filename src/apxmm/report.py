@@ -17,8 +17,7 @@ class ApproxReport:
     """What a single approximate product run measured and estimated.
 
     norm_da / norm_db are the Frobenius norms of the residues (the parts of A
-    and B the truncated decomposition dropped). measured_error is filled only
-    when the exact product was computed alongside. wall_time covers the
+    and B the truncated decomposition dropped). wall_time covers the
     decomposition plus the multiply, not input generation or checking.
     """
 
@@ -29,7 +28,6 @@ class ApproxReport:
     norm_db: float
     apriori_estimate: float | None = None
     posterior_estimate: float | None = None
-    measured_error: float | None = None
     wall_time: float = 0.0
 
     def __post_init__(self):

@@ -95,15 +95,13 @@ def _real_matrix(A) -> tuple[np.ndarray, float]:
     return A, np.linalg.norm(A)
 
 
-def randomized_partial_svd(A, s: int, seed, power_iterations: int = 0,
+def randomized_partial_svd(A, s: int, seed,
                            components: int | None = None) -> TruncatedSVD:
     """Rank-k randomized SVD of A with k set by `s` (or by `components` directly).
 
     Sketches Y = A phi with a Gaussian phi of min(k + 5, m, n) columns,
     orthonormalizes Y, takes the exact SVD of Q^T A and keeps its leading k
-    triplets. `power_iterations` extra passes (Y <- A A^T Y with
-    re-orthonormalization) sharpen the captured subspace for slowly decaying
-    spectra; the default 0 matches the plain method.
+    triplets.
     """
     A, norm = _real_matrix(A)
     m, n = A.shape
@@ -113,16 +111,11 @@ def randomized_partial_svd(A, s: int, seed, power_iterations: int = 0,
         k = min(components, m, n)
     else:
         k = min(component_count(n, s), m)
-    if power_iterations < 0:
-        raise ValueError("power_iterations must be >= 0")
 
     rng = np.random.default_rng(seed)
     phi = rng.standard_normal((n, min(k + _OVERSAMPLING, m, n)))
     Y = A @ phi
     Q, _ = np.linalg.qr(Y, mode="reduced")
-    for _ in range(power_iterations):
-        Q, _ = np.linalg.qr(A.T @ Q, mode="reduced")
-        Q, _ = np.linalg.qr(A @ Q, mode="reduced")
     B = Q.T @ A
     # SVD of the tall B^T = W diag(sigma) Z^T, so B = Z diag(sigma) W^T:
     # LAPACK takes the tall transpose about twice as fast as the wide B
@@ -151,8 +144,7 @@ def svd_reconstruct(decomp: TruncatedSVD) -> np.ndarray:
     return (decomp.U * decomp.sigma) @ decomp.V.T
 
 
-def svd_first_order_multiply(A, B, s: int, order: int, seed,
-                             power_iterations: int = 0):
+def svd_first_order_multiply(A, B, s: int, order: int, seed):
     """Approximate A @ B through rank-k truncations of both factors.
 
     order 0 returns Ahat @ Bhat evaluated through the factors (the k x k core
@@ -172,8 +164,8 @@ def svd_first_order_multiply(A, B, s: int, order: int, seed,
     t0 = time.perf_counter()
     seed_a = np.random.default_rng([seed, 0])
     seed_b = np.random.default_rng([seed, 1])
-    da = randomized_partial_svd(A, s, seed_a, power_iterations=power_iterations)
-    db = randomized_partial_svd(B, s, seed_b, power_iterations=power_iterations)
+    da = randomized_partial_svd(A, s, seed_a)
+    db = randomized_partial_svd(B, s, seed_b)
     norm_da = svd_residual_norm(da)
     norm_db = svd_residual_norm(db)
 

@@ -3,6 +3,9 @@
 import json
 import math
 import os
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from apxmm.baseline import randomized_outer_product_multiply
 from apxmm.cli import (
     BENCH_HEADER,
     BenchRow,
+    build_parser,
     components_for,
     main,
     operation_count,
@@ -20,6 +24,7 @@ from apxmm.cli import (
     parse_bench_config,
 )
 from apxmm.genmat import MatrixSpec, generate, read_csv, write_csv
+from apxmm.svd import svd_first_order_multiply
 
 
 def run_cli(capsys, *argv):
@@ -203,23 +208,38 @@ def test_multiply_selector_misuse_exits_2(capsys):
 def test_multiply_refuses_options_the_method_does_not_read(capsys):
     base = ["multiply", "--kind-a", "general", "--kind-b", "general", "--n", "8"]
     stray = [
-        (["--method", "cd", "--k", "2", "--order", "first", "--sparsify-b", "cols",
-          "--power-iterations", "3"], "--method cd takes no --power-iterations"),
+        (["--method", "cd", "--k", "2", "--order", "first", "--sparsify-b", "cols"],
+         "--method cd takes no --sparsify-b"),
         (["--method", "svd", "--s", "1", "--order", "first", "--sparsify-b", "rows"],
          "--method svd takes no --sparsify-b"),
-        (["--method", "naive", "--power-iterations", "0"],
-         "--method naive takes no --power-iterations"),
+        (["--method", "naive", "--sparsify-b", "rows"],
+         "--method naive takes no --sparsify-b"),
+        (["--method", "svd", "--s", "1", "--order", "first", "--power-iterations", "1"],
+         "unrecognized arguments: --power-iterations 1"),
     ]
     for extra, message in stray:
         with pytest.raises(SystemExit) as exc:
             main(base + extra)
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
-    for extra in (["--method", "svd", "--s", "1", "--power-iterations", "1"],
+    for extra in (["--method", "svd", "--s", "1", "--seed", "1"],
                   ["--method", "sfft", "--k", "6", "--sparsify-b", "cols"]):
         code, out, _ = run_cli(capsys, *base, *extra, "--order", "first")
         assert code == 0
         assert last_json(out)["method"] == extra[1]
+
+
+def test_multiply_check_reports_rel_err_once(capsys):
+    code, stdout, _ = run_cli(capsys, "multiply", "--method", "svd", "--s", "1",
+                              "--order", "first", "--kind-a", "general",
+                              "--kind-b", "toeplitz", "--n", "16", "--check")
+    assert code == 0
+    payload = last_json(stdout)
+    assert "measured_error" not in payload
+    A = generate(MatrixSpec("general", 16, seed=0))
+    B = generate(MatrixSpec("toeplitz", 16, seed=1))
+    M, _ = svd_first_order_multiply(A, B, 1, 1, 0)
+    assert payload["rel_err"] == core.relative_error(M, core.matmul_naive(A, B))
 
 
 def test_multiply_seed_only_for_seeded_methods(capsys):
@@ -380,6 +400,17 @@ def test_spectra_toeplitz_cd_concentrates(tmp_path, capsys):
     energy = np.sort(mags**2)[::-1]
     share = energy[: math.ceil(math.log2(n))].sum() / energy.sum()
     assert share > 0.5
+
+
+@pytest.mark.parametrize("flag,value", [("--b", "b.csv"), ("--kind-b", "general"),
+                                        ("--seed-b", "3"), ("--spectrum-b", "s.csv")])
+def test_spectra_takes_no_b_operand(tmp_path, capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["spectra", "--which", "cd", "--kind-a", "kappa", "--n", "8",
+              flag, value, "--out", str(tmp_path / "o.csv")])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert not (tmp_path / "o.csv").exists()
 
 
 def test_spectra_cd_needs_square(tmp_path, capsys):
@@ -638,3 +669,81 @@ def test_estimate_missing_flags_exit_2(capsys):
     with pytest.raises(SystemExit):
         main(["estimate", "--mode", "apriori", "--case", "mean-zero"])
     capsys.readouterr()
+
+
+def test_estimate_front_constant_defaults(capsys):
+    argv = ["estimate", "--mode", "front-constant", "--distribution", "normal",
+            "--n", "10"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert last_json(out)["trials"] == 25
+    _, explicit, _ = run_cli(capsys, *argv, "--trials", "25", "--seed", "0")
+    assert out == explicit
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--mode", "haar-moments", "--n", "100", "--spectrum-1", "d1.csv",
+      "--spectrum-2", "d2.csv"], "mode haar-moments takes no --n"),
+    (["--mode", "uniform-moment", "--m", "1", "--n", "1", "--p", "1", "--a", "1",
+      "--trials", "7"], "mode uniform-moment takes no --trials"),
+    (["--mode", "front-constant", "--distribution", "normal", "--n", "10",
+      "--case", "mean-zero"], "mode front-constant takes no --case"),
+    (["--mode", "apriori", "--case", "mean-zero", "--n", "100", "--norm-a", "1",
+      "--norm-b", "1", "--norm-da", "0.1", "--norm-db", "0.1", "--seed", "3"],
+     "mode apriori takes no --seed"),
+    (["--mode", "apriori", "--case", "custom", "--n", "100", "--norm-a", "1",
+      "--norm-b", "1", "--norm-da", "0.1", "--norm-db", "0.1"],
+     "mode apriori needs --c-const"),
+])
+def test_estimate_refuses_flags_of_other_modes(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["estimate", *argv])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_estimate_apriori_custom_case(capsys):
+    code, out, _ = run_cli(capsys, "estimate", "--mode", "apriori",
+                           "--case", "custom", "--c-const", "0.5", "--n", "100",
+                           "--norm-a", "1", "--norm-b", "1",
+                           "--norm-da", "0.1", "--norm-db", "0.1")
+    assert code == 0
+    assert last_json(out)["estimate"] == pytest.approx(0.002, rel=1e-12)
+
+
+# -------------------------------------------------------------------- README
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_commands() -> list[list[str]]:
+    """The argument lists of every `apxmm ...` line in the README's sh blocks,
+    with backslash continuations joined."""
+    commands = []
+    for block in re.findall(r"^```sh\n(.*?)^```", README.read_text(encoding="utf-8"),
+                            flags=re.S | re.M):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line)
+            if words[:1] == ["apxmm"]:
+                commands.append(words[1:])
+    return commands
+
+
+def test_readme_commands_parse():
+    commands = _readme_commands()
+    assert {c[0] for c in commands} == {"gen", "multiply", "sweep", "spectra",
+                                        "bench", "estimate"}
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv)
+
+
+def test_readme_estimate_examples_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for name in ("d1.csv", "d2.csv"):
+        (tmp_path / name).write_text("3,2,1,0.5\n", encoding="ascii")
+    examples = [c for c in _readme_commands() if c[0] == "estimate"]
+    assert len(examples) == 4
+    for argv in examples:
+        assert main(argv) == 0, argv
+        capsys.readouterr()

@@ -6,7 +6,6 @@ import warnings
 import numpy as np
 import pytest
 
-from apxmm.core import matmul_naive
 from apxmm.errest import (
     ErrorModel,
     HaarMoments,
@@ -15,7 +14,6 @@ from apxmm.errest import (
     estimate_front_constant,
     haar_product_moments,
     posterior_relative_error,
-    sketch_norm_estimate,
     uniform_product_moment,
 )
 from apxmm.genmat import generate_haar_orthogonal
@@ -102,36 +100,6 @@ def test_posterior_validation():
         posterior_relative_error(-1.0, 1.0, 1.0, 16)
     with pytest.raises(ValueError):
         posterior_relative_error(1.0, 1.0, 1.0, 0)
-
-
-# ------------------------------------------------------------------- sketch
-
-def test_sketch_identity_mean():
-    # A = B = I: the estimate is ||G||^2 / k with mean n
-    n, k = 16, 8
-    vals = [sketch_norm_estimate(np.eye(n), np.eye(n), k, seed)
-            for seed in range(200)]
-    assert abs(np.mean(vals) - n) < 0.05 * n
-
-
-def test_sketch_zero_matrix():
-    assert sketch_norm_estimate(np.zeros((4, 4)), np.eye(4), 3, 0) == 0.0
-
-
-def test_sketch_unbiased_on_fixed_pair():
-    rng = np.random.default_rng(42)
-    A = rng.standard_normal((32, 32))
-    B = rng.standard_normal((32, 32))
-    exact = float(np.linalg.norm(matmul_naive(A, B)) ** 2)
-    vals = [sketch_norm_estimate(A, B, 4, seed) for seed in range(1000)]
-    assert abs(np.mean(vals) / exact - 1.0) < 0.03
-
-
-def test_sketch_validation():
-    with pytest.raises(ValueError):
-        sketch_norm_estimate(np.eye(3), np.eye(4), 2, 0)
-    with pytest.raises(ValueError):
-        sketch_norm_estimate(np.eye(3), np.eye(3), 0, 0)
 
 
 # ------------------------------------------------------------- haar moments

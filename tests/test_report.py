@@ -16,7 +16,7 @@ def test_report_roundtrip():
     assert d["method"] == "svd"
     assert d["k"] == 7
     assert d["posterior_estimate"] is None
-    assert d["measured_error"] is None
+    assert "measured_error" not in d
 
 
 def test_report_validation():

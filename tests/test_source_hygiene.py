@@ -29,7 +29,6 @@ CALLERS = SOURCES + sorted((ROOT / "perfbench").rglob("*.py"))
 UNUSED_PUBLIC = {
     "circulant.circulant_component": "test oracle: R_k by cycle averaging, not by the FFT",
     "core.frobenius": "norm and complex inner product the tests check products with",
-    "errest.sketch_norm_estimate": "to be replaced by the sketched error of ROADMAP item 5",
     "genmat.generate_haar_orthogonal": "Haar orthogonal factor the acceptance tests sample",
 }
 
