@@ -5,6 +5,10 @@ pair), sweep (minimal s reaching a tolerance), spectra (singular values or
 circulant magnitudes to CSV), bench (batch runs to a fixed-schema CSV), and
 estimate (error-model numbers without running a product).
 
+One table, _METHODS, states and runs each method of multiply, sweep and
+bench. Its naive row, a timed BLAS A @ B behind core.as_pair, is also the
+exact product that --check, sweep and bench compare against.
+
 Matrix arguments come either from files (.mtx MatrixMarket, anything else
 CSV) or from a generator kind plus size and seed. All randomness is seeded;
 repeated runs with the same flags produce identical outputs.
@@ -13,19 +17,21 @@ repeated runs with the same flags produce identical outputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
 import time
 from dataclasses import astuple, dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy
 
 from .baseline import randomized_outer_product_multiply
 from .circulant import circulant_decompose, circulant_first_order_multiply
-from .core import WORKERS, matmul_naive, relative_error
+from .core import WORKERS, as_pair, relative_error
 from .errest import (
     _CASES,
     ErrorModel,
@@ -66,8 +72,10 @@ def components_for(n: int, s: int) -> int:
     return max(1, math.ceil(s * math.log2(n)))
 
 
-def operation_count(method: str, n: int, k: int = 0, c: int = 0) -> float:
-    """Leading-term arithmetic-operation model per method (multiply+add = 2).
+def operation_count(method: str, n: int, k: int = 0) -> float:
+    """Leading-term arithmetic-operation model of a k-component product
+    (multiply+add = 2), the price sweep stops at and the benchmark's
+    *.model_gflops divide by.
 
     svd:     6 k n^2   (sketch product, projection, factored apply)
     cd:      4 k n^2 + 5 n^2 ceil(log2 n)   (the kept sum is W* P W with P
@@ -76,8 +84,6 @@ def operation_count(method: str, n: int, k: int = 0, c: int = 0) -> float:
              FFT passes)
     sfft:    8 k n^2 + 2 n^2 ceil(log2 n)   (two k-per-row sparse-dense
              products in complex arithmetic, plus the two transforms)
-    lowrank: 2 c n^2   (one rank-c GEMM of the scaled samples)
-    naive:   2 n^3
     """
     L = math.ceil(math.log2(n)) if n > 1 else 1
     if method == "svd":
@@ -86,38 +92,55 @@ def operation_count(method: str, n: int, k: int = 0, c: int = 0) -> float:
         return 4.0 * k * n * n + 5.0 * n * n * L
     if method == "sfft":
         return 8.0 * k * n * n + 2.0 * n * n * L
-    if method == "lowrank":
-        return 2.0 * c * n * n
-    if method == "naive":
-        return 2.0 * float(n) ** 3
     raise ValueError(f"unknown method {method!r}")
 
 
-# The method table: the budget flags each method reads, of which exactly one
-# is given (a bench config lists the first), its k rule, the count of
-# components kept for a factor s, and the options of _TUNING it reads. The
-# methods with a k rule take an order.
+def _blas(A, B):
+    """The exact product: one timed BLAS A @ B of the gated operands."""
+    A, B = as_pair(A, B)
+    t0 = time.perf_counter()
+    M = A @ B
+    wall = time.perf_counter() - t0
+    return M, ApproxReport(method="naive", order=0, k=0, norm_da=0.0,
+                           norm_db=0.0, wall_time=wall)
+
+
+class _Method(NamedTuple):
+    """One CLI method: the budget flags it reads, of which exactly one is
+    given (a bench config lists the first); its k rule, the count of
+    components kept for a factor s, which only methods taking an order have;
+    the tuning options it reads, each with its value when not given; and its
+    product(A, B, budget, order, **options), less what it does not take."""
+
+    flags: tuple
+    keeps: Callable | None
+    options: dict
+    product: Callable
+
+    def run(self, A, B, order: str | None = None, s: int | None = None,
+            k: int | None = None, c: int | None = None, **options):
+        """(M, report) of the product on one pair. An s given in place of
+        cd's or sfft's k sets it by their k rule; options the method does
+        not read are dropped, so every method may be handed a trial's seed."""
+        args = [A, B]
+        if self.flags:
+            given = {"s": s, "k": k, "c": c}[self.flags[-1]]
+            args.append(self.keeps(A.shape[1], s) if given is None else given)
+        if self.keeps:
+            args.append(_ORDER_NUM[order])
+        return self.product(*args, **{o: options.get(o, default)
+                                      for o, default in self.options.items()})
+
+
 _METHODS = {
-    "svd": (("s",), component_count, ("seed",)),
-    "cd": (("s", "k"), components_for, ()),
-    "sfft": (("s", "k"), components_for, ("sparsify_b",)),
-    "lowrank": (("c",), None, ("seed",)),
-    "naive": ((), None, ()),
+    "svd": _Method(("s",), component_count, {"seed": 0}, svd_first_order_multiply),
+    "cd": _Method(("s", "k"), components_for, {}, circulant_first_order_multiply),
+    "sfft": _Method(("s", "k"), components_for, {"sparsify_b": "rows"},
+                    fft_sparse_first_order_multiply),
+    "lowrank": _Method(("c",), None, {"seed": 0}, randomized_outer_product_multiply),
+    "naive": _Method((), None, {}, _blas),
 }
-_ORDERED = [method for method, (_, keeps, _) in _METHODS.items() if keeps]
-_TUNING = ("seed", "sparsify_b")
-
-
-def _budget(method: str, n: int, s: int | None = None, k: int | None = None,
-            c: int | None = None) -> int | None:
-    """The one int a method's product takes, from its budget flags: svd's s,
-    lowrank's c, and the k of cd and sfft, which an s given in its place
-    sets by their k rule; None for naive."""
-    flags, keeps, _ = _METHODS[method]
-    if not flags:
-        return None
-    given = {"s": s, "k": k, "c": c}[flags[-1]]
-    return keeps(n, s) if given is None else given
+_ORDERED = [method for method, row in _METHODS.items() if row.keeps]
 
 
 def _load_spectrum_vector(path) -> np.ndarray:
@@ -156,28 +179,6 @@ def _matrix_from_args(args, which: str, parser) -> tuple[np.ndarray, str]:
                       spectrum), kind
 
 
-def run_method(method: str, order: int, A, B, budget: int | None = None, *,
-               seed: int = 0, sparsify_b: str = "rows"):
-    """Dispatch one approximate (or exact) product with the budget _budget
-    gives. Returns (M, report)."""
-    if method == "naive":
-        t0 = time.perf_counter()
-        M = matmul_naive(A, B)
-        wall = time.perf_counter() - t0
-        return M, ApproxReport(method="naive", order=0, k=0, norm_da=0.0,
-                               norm_db=0.0, wall_time=wall)
-    if method == "lowrank":
-        return randomized_outer_product_multiply(A, B, budget, seed)
-    if method == "svd":
-        return svd_first_order_multiply(A, B, budget, order, seed)
-    if method == "cd":
-        return circulant_first_order_multiply(A, B, budget, order)
-    if method == "sfft":
-        return fft_sparse_first_order_multiply(A, B, budget, order,
-                                               sparsify_b=sparsify_b)
-    raise ValueError(f"unknown method {method!r}")
-
-
 def _json_line(payload: dict) -> str:
     return json.dumps(payload, default=float)
 
@@ -210,33 +211,32 @@ def cmd_gen(args, parser) -> int:
 
 def cmd_multiply(args, parser) -> int:
     method = args.method
-    flags, keeps, options = _METHODS[method]
-    if (args.order is not None) != bool(keeps):
-        parser.error(f"--order is required for --method {method}" if keeps
+    row = _METHODS[method]
+    if (args.order is not None) != bool(row.keeps):
+        parser.error(f"--order is required for --method {method}" if row.keeps
                      else f"--method {method} takes no --order")
     given = [f for f in "skc" if getattr(args, f) is not None]
-    if len(given) != min(len(flags), 1) or not set(given) <= set(flags):
-        wanted = " or ".join(f"--{f}" for f in flags) or "none of --s/--k/--c"
+    if len(given) != min(len(row.flags), 1) or not set(given) <= set(row.flags):
+        wanted = " or ".join(f"--{f}" for f in row.flags) or "none of --s/--k/--c"
         parser.error(f"--method {method} takes "
-                     f"{'exactly one of ' if len(flags) > 1 else ''}{wanted}")
-    # a tuning option not given keeps the product's default
-    tuning = {o: getattr(args, o) for o in _TUNING if getattr(args, o) is not None}
-    stray = [o for o in tuning if o not in options]
+                     f"{'exactly one of ' if len(row.flags) > 1 else ''}{wanted}")
+    # a tuning option not given keeps the row's default
+    tuning = {o: getattr(args, o) for other in _METHODS.values()
+              for o in other.options if getattr(args, o) is not None}
+    stray = [o for o in tuning if o not in row.options]
     if stray:
         parser.error(f"--method {method} takes no --{stray[0].replace('_', '-')}")
     A, label_a = _matrix_from_args(args, "a", parser)
     B, label_b = _matrix_from_args(args, "b", parser)
-    n = A.shape[1]
-    M, report = run_method(method, _ORDER_NUM.get(args.order, 0), A, B,
-                           _budget(method, n, args.s, args.k, args.c), **tuning)
+    M, report = row.run(A, B, args.order, args.s, args.k, args.c, **tuning)
     if args.real_part:
         M = M.real if np.iscomplexobj(M) else M
     if args.out:
         write_csv(M, args.out)
     payload = report.to_dict()
-    payload.update({"kind_a": label_a, "kind_b": label_b, "n": n})
+    payload.update({"kind_a": label_a, "kind_b": label_b, "n": A.shape[1]})
     if args.check:
-        payload["rel_err"] = relative_error(M, matmul_naive(A, B))
+        payload["rel_err"] = relative_error(M, _METHODS["naive"].run(A, B)[0])
     print(_json_line(payload))
     return 0
 
@@ -246,25 +246,23 @@ def cmd_sweep(args, parser) -> int:
         parser.error("--tol must be > 0")
     if args.trials < 1 or args.s_max < 1:
         parser.error("--trials and --s-max must be >= 1")
-    order = _ORDER_NUM[args.order]
     n = args.n
-    keeps = _METHODS[args.method][1]
+    row = _METHODS[args.method]
     pairs = []
     for t in range(args.trials):
         seed_a, seed_b = pair_seeds(args.seed_base, t)
         A = _generated(args.kind_a, n, seed_a, args.block)
         B = _generated(args.kind_b, n, seed_b, args.block)
-        pairs.append((A, B, matmul_naive(A, B)))
+        pairs.append((A, B, _METHODS["naive"].run(A, B)[0]))
 
     for s in range(1, args.s_max + 1):
-        # stop where the method's modeled cost passes the naive 2 n^3
-        if operation_count(args.method, n, k=keeps(n, s)) > 2.0 * float(n) ** 3:
+        # stop where the method's modeled cost passes the exact product's 2 n^3
+        if operation_count(args.method, n, k=row.keeps(n, s)) > 2.0 * float(n) ** 3:
             print("-")
             return 0
         errs = []
         for t, (A, B, AB) in enumerate(pairs):
-            M, report = run_method(args.method, order, A, B,
-                                   _budget(args.method, n, s=s), seed=t)
+            M, report = row.run(A, B, args.order, s=s, seed=t)
             errs.append(relative_error(M, AB))
         mean_err = float(np.mean(errs))
         print(_json_line({"s": s, "k": report.k, "mean_rel_err": mean_err}),
@@ -278,6 +276,8 @@ def cmd_sweep(args, parser) -> int:
 
 def cmd_spectra(args, parser) -> int:
     A, _ = _matrix_from_args(args, "a", parser)
+    if args.which != "svd" and A.shape[0] != A.shape[1]:
+        parser.error("cd spectra need a square matrix")
     n = min(A.shape)
     outputs = []
 
@@ -296,8 +296,6 @@ def cmd_spectra(args, parser) -> int:
         path = args.out if args.which == "svd" else f"{stem}_svd.csv"
         write_two_col(path, sigma)
     if args.which in ("cd", "both"):
-        if A.shape[0] != A.shape[1]:
-            parser.error("cd spectra need a square matrix")
         mags = circulant_decompose(A).magnitudes
         path = args.out if args.which == "cd" else f"{stem}_cd.csv"
         write_two_col(path, mags)
@@ -400,7 +398,7 @@ def parse_bench_config(path) -> dict:
     if parsed["trials"] < 1:
         raise ValueError("trials must be >= 1")
     for name, _ in methods:
-        flags = _METHODS[name][0]
+        flags = _METHODS[name].flags
         if flags and not parsed[flags[0]]:
             raise ValueError(f"config needs {flags[0]} = ... for {name}")
     return parsed
@@ -413,7 +411,7 @@ def cmd_bench(args, parser) -> int:
     groups: dict = {}
     count = 0
     for method, order_name in conf["methods"]:
-        flags = _METHODS[method][0]
+        flags = _METHODS[method].flags
         selectors = conf[flags[0]] if flags else [None]
         for kind_a, kind_b in conf["kinds"]:
             for n in conf["sizes"]:
@@ -428,18 +426,17 @@ def cmd_bench(args, parser) -> int:
         seed_a, seed_b = pair_seeds(conf["seed_base"], t)
         A = _generated(kind_a, n, seed_a, None)
         B = _generated(kind_b, n, seed_b, None)
-        AB, naive_report = run_method("naive", 0, A, B)
+        AB, naive_report = _METHODS["naive"].run(A, B)
         for shared in (A, B, AB):  # no method may change another's operands
             shared.flags.writeable = False
         for i, method, order_name, sel in jobs:
-            flags, keeps, _ = _METHODS[method]
+            m = _METHODS[method]
             if method == "naive":
                 M, report = AB, naive_report
             else:
-                M, report = run_method(method, _ORDER_NUM.get(order_name, 0), A, B,
-                                       _budget(method, n, **{flags[0]: sel}), seed=t)
+                M, report = m.run(A, B, order_name, **{m.flags[0]: sel}, seed=t)
             row = BenchRow(method=method, order=order_name, n=n, kind_a=kind_a,
-                           kind_b=kind_b, s=sel if keeps else None,
+                           kind_b=kind_b, s=sel if m.keeps else None,
                            k=None if method == "naive" else report.k,
                            rel_err=relative_error(M, AB),
                            apriori_est=report.apriori_estimate,
@@ -554,14 +551,16 @@ def _add_operand_args(p: argparse.ArgumentParser, *operands: str) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # no flag may be abbreviated: a removed flag must not parse as another
     parser = argparse.ArgumentParser(
-        prog="apxmm",
+        prog="apxmm", allow_abbrev=False,
         description="Approximate dense matrix multiplication via truncated "
                     "decompositions, with error estimates and benchmarks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    command = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("gen", help="generate a matrix and write it as CSV")
+    p = command("gen", help="generate a matrix and write it as CSV")
     p.add_argument("--kind", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
@@ -570,7 +569,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("multiply", help="run one method on one matrix pair")
+    p = command("multiply", help="run one method on one matrix pair")
     p.add_argument("--method", required=True,
                    choices=list(_METHODS))
     p.add_argument("--order", choices=["zeroth", "first"])
@@ -583,13 +582,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sfft truncation side for B (default rows)")
     p.add_argument("--out", help="write the product matrix as CSV")
     p.add_argument("--check", action="store_true",
-                   help="also compute the exact product and report rel_err")
+                   help="also compute the exact BLAS product and report rel_err")
     p.add_argument("--real-part", dest="real_part", action="store_true",
                    help="project a complex result to its real part")
     _add_operand_args(p, "a", "b")
     p.set_defaults(func=cmd_multiply)
 
-    p = sub.add_parser("sweep", help="find minimal s reaching a tolerance")
+    p = command("sweep", help="find minimal s reaching a tolerance")
     p.add_argument("--method", required=True, choices=_ORDERED)
     p.add_argument("--order", required=True, choices=["zeroth", "first"])
     p.add_argument("--tol", type=float, required=True)
@@ -602,7 +601,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed-base", dest="seed_base", type=int, default=0)
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("spectra", help="write singular values / circulant magnitudes")
+    p = command("spectra", help="write singular values / circulant magnitudes")
     p.add_argument("--which", required=True, choices=["svd", "cd", "both"])
     p.add_argument("--out", required=True)
     p.add_argument("--s", type=int, default=5,
@@ -611,14 +610,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_operand_args(p, "a")
     p.set_defaults(func=cmd_spectra)
 
-    p = sub.add_parser("bench", help="batch-run methods into a fixed-schema CSV")
+    p = command("bench", help="batch-run methods into a fixed-schema CSV")
     p.add_argument("--config", required=True, help="key = value config file")
     p.add_argument("--out", required=True)
     p.add_argument("--ratios", action="store_true",
-                   help="also write <out>.ratios.csv with naive/method wall-time ratios")
+                   help="also write <out>.ratios.csv with BLAS/method wall-time ratios")
     p.set_defaults(func=cmd_bench)
 
-    p = sub.add_parser("estimate", help="evaluate error-model numbers directly")
+    p = command("estimate", help="evaluate error-model numbers directly")
     p.add_argument("--mode", required=True,
                    choices=["front-constant", "haar-moments", "uniform-moment",
                             "apriori"])

@@ -53,14 +53,13 @@ def test_components_for():
 
 
 def test_operation_count_forms():
-    assert operation_count("naive", 8) == 2 * 8**3
     assert operation_count("svd", 10, k=3) == 6 * 3 * 100
     L = math.ceil(math.log2(16))
     assert operation_count("cd", 16, k=2) == 4 * 2 * 256 + 5 * 256 * L
     assert operation_count("sfft", 16, k=2) == 8 * 2 * 256 + 2 * 256 * L
-    assert operation_count("lowrank", 16, c=7) == 2 * 7 * 256
-    with pytest.raises(ValueError):
-        operation_count("magic", 8)
+    for method in ("magic", "lowrank"):
+        with pytest.raises(ValueError):
+            operation_count(method, 8)
 
 
 def test_bench_row_formatting():
@@ -239,7 +238,7 @@ def test_multiply_check_reports_rel_err_once(capsys):
     A = generate(MatrixSpec("general", 16, seed=0))
     B = generate(MatrixSpec("toeplitz", 16, seed=1))
     M, _ = svd_first_order_multiply(A, B, 1, 1, 0)
-    assert payload["rel_err"] == core.relative_error(M, core.matmul_naive(A, B))
+    assert payload["rel_err"] == core.relative_error(M, A @ B)
 
 
 def test_multiply_seed_only_for_seeded_methods(capsys):
@@ -270,6 +269,33 @@ def test_multiply_lowrank_writes_the_baseline_product(tmp_path, capsys):
     B = generate(MatrixSpec("general", 32, seed=1))
     M, _ = randomized_outer_product_multiply(A, B, 20, 3)
     assert np.array_equal(read_csv(out).view(np.uint64), M.view(np.uint64))
+
+
+@pytest.mark.parametrize("a,b,message", [
+    (np.eye(2), np.array([[1.0, np.nan], [0.0, 1.0]]), core.NOT_FINITE),
+    (np.ones((3, 4)), np.ones((3, 4)), "dimension mismatch: (3, 4) x (3, 4)"),
+])
+def test_multiply_naive_gates_its_operands(tmp_path, capsys, a, b, message):
+    # the exact product refuses what every approximate product refuses
+    write_csv(a, tmp_path / "a.csv")
+    write_csv(b, tmp_path / "b.csv")
+    code, _, err = run_cli(capsys, "multiply", "--method", "naive",
+                           "--a", str(tmp_path / "a.csv"), "--b", str(tmp_path / "b.csv"))
+    assert code == 1
+    assert message in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectra", "--which", "cd", "--kind-a", "toeplitz", "--n", "8", "--b", "4"],
+    ["multiply", "--method", "svd", "--s", "1", "--ord", "first",
+     "--kind-a", "general", "--kind-b", "general", "--n", "8"],
+])
+def test_flags_are_not_abbreviated(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(tmp_path / "x.csv")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_multiply_rejects_file_and_kind(tmp_path, capsys):
@@ -415,11 +441,14 @@ def test_spectra_takes_no_b_operand(tmp_path, capsys, flag, value):
 
 def test_spectra_cd_needs_square(tmp_path, capsys):
     a = tmp_path / "r.csv"
-    write_csv(np.ones((2, 3)), a)
-    with pytest.raises(SystemExit):
-        main(["spectra", "--which", "cd", "--a", str(a),
-              "--out", str(tmp_path / "o.csv")])
-    capsys.readouterr()
+    write_csv(np.ones((3, 4)), a)
+    for which in ("cd", "both"):  # both refuses before it writes the svd file
+        with pytest.raises(SystemExit) as exc:
+            main(["spectra", "--which", which, "--a", str(a),
+                  "--out", str(tmp_path / "o.csv")])
+        assert exc.value.code == 2
+        assert "cd spectra need a square matrix" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["r.csv"]
 
 
 # --------------------------------------------------------------------- bench
@@ -500,8 +529,9 @@ def test_bench_exact_product_once_per_pair(tmp_path, capsys, monkeypatch):
     from apxmm import cli
 
     calls = []
-    real = cli.matmul_naive
-    monkeypatch.setattr(cli, "matmul_naive", lambda A, B: calls.append(1) or real(A, B))
+    naive = cli._METHODS["naive"]
+    monkeypatch.setitem(cli._METHODS, "naive", naive._replace(
+        product=lambda A, B: calls.append(1) or naive.product(A, B)))
     conf = tmp_path / "b.conf"
     conf.write_text("methods = naive, cd:zeroth, cd:first, svd:first\n"
                     "kinds = general:toeplitz\nsizes = 8\ns = 1, 2\ntrials = 2\n",

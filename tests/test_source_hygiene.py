@@ -29,6 +29,7 @@ CALLERS = SOURCES + sorted((ROOT / "perfbench").rglob("*.py"))
 UNUSED_PUBLIC = {
     "circulant.circulant_component": "test oracle: R_k by cycle averaging, not by the FFT",
     "core.frobenius": "norm and complex inner product the tests check products with",
+    "core.matmul_naive": "the tests' bit-deterministic oracle; the CLI's exact product is BLAS",
     "genmat.generate_haar_orthogonal": "Haar orthogonal factor the acceptance tests sample",
 }
 
