@@ -8,7 +8,8 @@ R_t: the spectrum of a real matrix stores only the half t <= n/2, the
 selection keeps conjugate pairs whole, and every kept sum is real. A
 circulant is diagonal in the Fourier basis, so the kept sum is
 Ahat = W* P W with P a sparse matrix of k nonzeros per row: each product is
-two FFT passes around one sparse-dense product with P, and
+two FFT passes around one sparse-dense product with P, fused per slab of
+the dense operand under the one slab rule (core.for_sub_blocks), and
 circulant_materialize densifies the same operator. For real inputs the
 passes run in real arithmetic on half the rows (rfft, irfft, hfft). Passes
 over n^2 >= core.GRAIN entries run in blocks on every CPU (core.for_blocks).
@@ -31,7 +32,6 @@ import scipy.sparse
 
 from .core import (
     CHUNKS,
-    _sparse_rows_times,
     as_matrix,
     as_pair,
     cycle_reorder,
@@ -221,15 +221,16 @@ def circulant_first_order_multiply(A, B, k: int, order: int):
     """Approximate A @ B keeping the k largest circulant components of each.
 
     order 0 computes Ahat @ B = W* P_a W B with the sparse P_a of
-    _fourier_operator (the left factor is the only one truncated); order 1
-    adds the correction dA @ Bhat = dA W* P_b W from the dense Ahat, one
-    block of rows of dA = A - Ahat at a time. Both cost
-    O(k n^2 + n^2 log n). For real A and B every kept sum is real (whole
-    conjugate pairs, see circulant_select) and so are M and dA: the product
-    forms only the rows i <= n/2 of P_a W B and ends in irfft, the
-    correction only the columns j <= n/2 of dA W* P_b and ends in hfft, and
-    M is float64. Otherwise M is complex. report.k is the budget k; a real
-    factor keeps k + 1 components when its cut falls inside a pair, and
+    _fourier_operator (the left factor is the only one truncated), one slab
+    of core.SUB_ROWS columns of B at a time; order 1 adds the correction
+    dA @ Bhat = dA W* P_b W from the dense Ahat, one slab of rows of
+    dA = A - Ahat at a time. Both cost O(k n^2 + n^2 log n). For real A and
+    B every kept sum is real (whole conjugate pairs, see circulant_select)
+    and so are M and dA: the product forms only the rows i <= n/2 of
+    P_a W B and ends in irfft, the correction only the columns j <= n/2 of
+    dA W* P_b and ends in hfft, and M is float64. Otherwise M is complex.
+    report.k is the budget k; a real factor keeps k + 1 components when its
+    cut falls inside a pair, and
     len(circulant_select(circulant_decompose(A), k).selected) gives the
     count kept. Deterministic, no randomness involved, and bit-identical
     however many threads the n^2 passes run on.
@@ -253,11 +254,16 @@ def circulant_first_order_multiply(A, B, k: int, order: int):
     # take real input at about half cost and may overwrite the intermediates
     real = spec_a.half and spec_b.half
     half = n // 2 + 1 if real else n
-    workers = pass_workers(n * n)
-    PWB = _sparse_rows_times(_fourier_operator(spec_a, half, n),
-                             scipy.fft.fft(B, axis=0, norm="ortho", workers=workers))
-    M = (scipy.fft.irfft if real else scipy.fft.ifft)(
-        PWB, n, axis=0, norm="ortho", overwrite_x=True, workers=workers)
+    P_a = _fourier_operator(spec_a, half, n)
+    inverse = scipy.fft.irfft if real else scipy.fft.ifft
+    M = np.empty((n, n), np.float64 if real else np.complex128)
+
+    def apply(lo, hi):
+        # every step acts on whole columns of B, a few columns at a time
+        WB = scipy.fft.fft(B[:, lo:hi], axis=0, norm="ortho")
+        M[:, lo:hi] = inverse(P_a @ WB, n, axis=0, norm="ortho", overwrite_x=True)
+
+    for_sub_blocks(apply, n, n * n, CHUNKS)
     if order == 1:
         dA = circulant_materialize(spec_a)
         P_b = _fourier_operator(spec_b, n, half)

@@ -67,6 +67,8 @@ def pair_seeds(base: int, trial: int) -> tuple[int, int]:
 
 def components_for(n: int, s: int) -> int:
     """Component budget k = ceil(s * log2 n) used when a run is s-driven."""
+    if s < 1:
+        raise ValueError("s must be >= 1")
     if n <= 1:
         return 1
     return max(1, math.ceil(s * math.log2(n)))

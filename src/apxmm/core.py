@@ -3,15 +3,17 @@
 Input validation for single matrices and product pairs, Frobenius algebra,
 an arbitrary-length unitary DFT, cycle reordering of a square matrix, the
 exact multiplication oracle that all approximate products are tested
-against, and the sparse-dense row-block products cd and sfft share.
+against, and the one slab rule (for_sub_blocks) of every sparse-dense
+product in cd and sfft.
 
 Threading: a pass over GRAIN or more array entries is cut into contiguous
 index blocks that run on one private thread pool with one thread per CPU in
-the process's affinity mask (WORKERS). Each block computes whole rows (of a
-sparse product too) or whole entries exactly as one call over the full array
-would, so the output is bit-identical to a single thread; unitary_dft hands
-the same WORKERS to scipy.fft, which splits by whole 1-D transforms. Smaller
-passes run on the calling thread. No setting changes this rule.
+the process's affinity mask (WORKERS). Each block computes whole rows, whole
+columns (a slab of a sparse product) or whole entries exactly as one call
+over the full array would, so the output is bit-identical to a single
+thread; unitary_dft hands the same WORKERS to scipy.fft, which splits by
+whole 1-D transforms. Smaller passes run on the calling thread. No setting
+changes this rule.
 """
 
 from __future__ import annotations
@@ -42,11 +44,12 @@ WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
 # passes over fewer entries run on the calling thread; at n = 512 the
 # hand-off to the pool costs more than the split saves
 GRAIN = 1 << 20
-# row blocks per worker of a product pass: many small blocks keep each
-# block's temporaries a small fraction of one n x n array
+# blocks per worker of a product pass: many small blocks keep each block's
+# temporaries a small fraction of one n x n array
 CHUNKS = 64
-# rows of a dense factor one dense @ CSR call takes: scipy multiplies a
-# transposed copy of its dense operand, and on a few rows both stay in cache
+# width of the dense operand's slab one CSR product call takes (rows of B in
+# B @ S, columns of X in S @ X): scipy copies its dense operand, and on a
+# few rows or columns the copy and the result stay in cache
 SUB_ROWS = 64
 NOT_FINITE = "matrix entries must be finite (no NaN/Inf)"
 
@@ -106,8 +109,10 @@ def for_blocks(fn, length: int, entries: int, chunks: int = 1) -> None:
 
 def for_sub_blocks(fn, length: int, entries: int, chunks: int = 1) -> None:
     """for_blocks(..., chunks), each block handed to fn(lo, hi) in pieces of
-    at most SUB_ROWS indices: the rule for row steps that include a dense @
-    CSR product. The pieces of one block run in order on its thread."""
+    at most SUB_ROWS indices: the rule for every step that includes a CSR
+    product, with the dense operand cut along its free axis (the rows of B
+    in B @ S, the columns of X in S @ X). The pieces of one block run in
+    order on its thread."""
 
     def block(lo, hi):
         for i in range(lo, hi, SUB_ROWS):
@@ -116,39 +121,24 @@ def for_sub_blocks(fn, length: int, entries: int, chunks: int = 1) -> None:
     for_blocks(block, length, entries, chunks)
 
 
-def _dense_times_rows(B: np.ndarray, S: scipy.sparse.csr_array, chunks: int) -> np.ndarray:
-    """B @ S into one C-order array, SUB_ROWS rows of B per scipy call.
+def _sparse_product(S: scipy.sparse.csr_array, X: np.ndarray, side: str,
+                    chunks: int) -> np.ndarray:
+    """S @ X (side "left") or X @ S ("right") into one C-order array, one
+    scipy call per SUB_ROWS columns (left) or rows (right) of X.
 
-    Each row of B is summed in the same order as by one call over all of B.
+    Each entry is summed in the same order as by one call over all of X.
     """
-    out = np.empty((B.shape[0], S.shape[1]), np.result_type(B.dtype, S.dtype))
+    left = side == "left"
+    shape = (S.shape[0], X.shape[1]) if left else (X.shape[0], S.shape[1])
+    out = np.empty(shape, np.result_type(S.dtype, X.dtype))
 
-    def rows(lo, hi):
-        out[lo:hi] = B[lo:hi] @ S
+    def slab(lo, hi):
+        if left:
+            out[:, lo:hi] = S @ X[:, lo:hi]
+        else:
+            out[lo:hi] = X[lo:hi] @ S
 
-    for_sub_blocks(rows, B.shape[0], out.size, chunks)
-    return out
-
-
-def _sparse_rows_times(P: scipy.sparse.csr_array, X: np.ndarray) -> np.ndarray:
-    """P @ X, above the grain as row blocks of the result by scipy's kernel.
-
-    Each block multiplies a CSR view of P's rows lo:hi, so every row of the
-    result is summed in the same order as by one call over all of P.
-    """
-    if pass_workers(P.shape[0] * X.shape[1]) == 1:
-        return P @ X
-    X = np.ascontiguousarray(X)  # each block's product reads X in C order
-    out = np.empty((P.shape[0], X.shape[1]), np.result_type(P.dtype, X.dtype))
-
-    def block(lo, hi):
-        a, b = P.indptr[lo], P.indptr[hi]
-        rows = scipy.sparse.csr_array(
-            (P.data[a:b], P.indices[a:b], P.indptr[lo:hi + 1] - a),
-            shape=(hi - lo, P.shape[1]))
-        out[lo:hi] = rows @ X
-
-    for_blocks(block, P.shape[0], out.size, CHUNKS)
+    for_sub_blocks(slab, X.shape[1] if left else X.shape[0], out.size, chunks)
     return out
 
 

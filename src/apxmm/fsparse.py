@@ -5,8 +5,9 @@ unchanged (Atil Btil = A B by unitarity) but concentrates smooth rows into a
 few Fourier coefficients. Keeping the top-k entries per transformed row gives
 sparse factors whose product costs O(k n^2) instead of O(n^3); the
 first-order form corrects with the exact Btil against the truncation error
-of Atil. The selections and CSR products run in row blocks on every CPU
-above core.GRAIN entries (core.for_blocks), bit-identical to one thread.
+of Atil. The selections run in row blocks, and the CSR products in slabs of
+the dense operand (core.for_sub_blocks, the one rule cd follows too), on
+every CPU above core.GRAIN entries, bit-identical to one thread.
 """
 
 from __future__ import annotations
@@ -20,8 +21,7 @@ import scipy.sparse as sp
 from .core import (
     NOT_FINITE,
     _coerce,
-    _dense_times_rows,
-    _sparse_rows_times,
+    _sparse_product,
     as_matrix,
     as_pair,
     for_blocks,
@@ -36,7 +36,7 @@ __all__ = [
     "fft_sparse_first_order_multiply",
 ]
 
-# row blocks per worker of topk_sparsify and of dense @ CSR: each block
+# blocks per worker of topk_sparsify and of the CSR products: each block
 # makes a dozen numpy or scipy calls, so fewer blocks than core.CHUNKS spend
 # less on per-call overhead; a block's temporaries stay 1/16 of its share
 _CHUNKS = 16
@@ -130,19 +130,18 @@ def topk_sparsify(M, k: int) -> SparseRowMatrix:
 def sparse_dense_multiply(S: SparseRowMatrix, B, side: str = "left") -> np.ndarray:
     """S @ B (side="left") or B @ S (side="right"), O(nnz * dense width).
 
-    CSR-dense products in row blocks of the result; never densifies S.
+    One scipy call per core.SUB_ROWS-wide slab of B: its columns on the
+    left, its rows on the right. Never densifies S.
     """
     B = as_matrix(B)
     rows, cols = S.csr.shape
-    if side == "left":
-        if cols != B.shape[0]:
-            raise ValueError(f"dimension mismatch: ({rows},{cols}) x {B.shape}")
-        return _sparse_rows_times(S.csr, B)
-    if side == "right":
-        if B.shape[1] != rows:
-            raise ValueError(f"dimension mismatch: {B.shape} x ({rows},{cols})")
-        return _dense_times_rows(B, S.csr, _CHUNKS)
-    raise ValueError(f"unknown side {side!r}")
+    if side not in ("left", "right"):
+        raise ValueError(f"unknown side {side!r}")
+    if side == "left" and cols != B.shape[0]:
+        raise ValueError(f"dimension mismatch: ({rows},{cols}) x {B.shape}")
+    if side == "right" and B.shape[1] != rows:
+        raise ValueError(f"dimension mismatch: {B.shape} x ({rows},{cols})")
+    return _sparse_product(S.csr, B, side, _CHUNKS)
 
 
 def _zero_kept(X: np.ndarray, S: SparseRowMatrix) -> np.ndarray:
@@ -166,12 +165,12 @@ def fft_sparse_first_order_multiply(A, B, k: int, order: int,
     The result is complex; residual norms in the report are those of the
     transformed factors, which equal the untransformed ones by unitarity.
 
-    Every pass over n^2 >= core.GRAIN entries runs as contiguous row blocks
-    on every CPU: the two transforms, both top-k selections, SA @ Btil (the
-    CSR row-block helper cd shares) and dAt @ SB (core.SUB_ROWS-row
-    sub-blocks even on one thread, the rule cd's correction follows). The
+    Every pass over n^2 >= core.GRAIN entries runs as contiguous blocks on
+    every CPU: the two transforms, both top-k selections, SA @ Btil and
+    dAt @ SB. Both CSR products take slabs of core.SUB_ROWS columns of Btil
+    or rows of dAt even on one thread, the rule cd's products follow. The
     O(k n) scatter that zeroes the kept entries stays on the calling
-    thread. Each row is computed as one call over the whole array computes
+    thread. Each entry is computed as one call over the whole array computes
     it, so M and the report are bit-identical at any thread count.
     """
     A, B = as_pair(A, B)

@@ -335,11 +335,12 @@ def test_split_decompose_bit_identical(n, one_and_split):
         assert one.magnitudes.tobytes() == split.magnitudes.tobytes()
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 31, 64])
+@pytest.mark.parametrize("n", [1, 2, 3, 31, 64, 130])
 @pytest.mark.parametrize("order", [0, 1])
 def test_split_multiply_bit_identical(n, order, one_and_split):
     # the real path (a real pair), the complex path (a complex pair) and a
-    # real A with a complex B
+    # real A with a complex B; at n=130 one thread cuts both products into
+    # three 64-wide slabs
     rng = np.random.default_rng(100 + n)
     A = rng.standard_normal((n, n))
     B = rng.standard_normal((n, n))
@@ -374,19 +375,20 @@ def _split_peak_arrays(monkeypatch, order, dtype):
 
 
 def test_split_zeroth_order_peak_memory(monkeypatch):
-    # the row blocks of P_a @ (W B) allocate their results one block at a
-    # time, so the peak stays at the four n x n complex arrays of one thread;
-    # a real pair holds half spectra and half of P_a W B: 2.5 arrays
+    # each column slab of B goes through W, P_a and W* into M, so no n x n
+    # transform of B is held; a complex pair peaks at 4.00 arrays in the
+    # decompositions, a real pair at 2.00 (half spectra and a float64 M)
     assert _split_peak_arrays(monkeypatch, 0, complex) <= 4.05
-    assert _split_peak_arrays(monkeypatch, 0, float) <= 2.55
+    assert _split_peak_arrays(monkeypatch, 0, float) <= 2.05
 
 
 def test_split_first_order_peak_memory(monkeypatch):
-    # materialize transforms the dense P in place, and the correction
-    # overwrites Ahat with dA a few rows at a time; for a real pair Ahat, dA
-    # and M are float64
+    # the zeroth-order term streams column slabs of B into M, materialize
+    # transforms the dense P in place, and the correction overwrites Ahat
+    # with dA a few rows at a time; for a real pair Ahat, dA and M are
+    # float64 and the peak is 2.51 arrays
     assert _split_peak_arrays(monkeypatch, 1, complex) <= 4.25
-    assert _split_peak_arrays(monkeypatch, 1, float) <= 3.05
+    assert _split_peak_arrays(monkeypatch, 1, float) <= 2.55
 
 
 def test_multiply_validates_each_factor_once(monkeypatch):

@@ -50,6 +50,9 @@ def test_components_for():
     assert components_for(64, 2) == 12
     assert components_for(700, 1) == 10
     assert components_for(1, 5) == 1
+    for s in (0, -3):  # the same refusal as svd's s
+        with pytest.raises(ValueError, match="s must be >= 1"):
+            components_for(64, s)
 
 
 def test_operation_count_forms():
@@ -163,6 +166,16 @@ def test_multiply_s_drives_k(capsys):
     assert code == 0
     payload = last_json(stdout)
     assert payload["k"] == components_for(16, 1)
+
+
+def test_multiply_s_below_one_exits_1(capsys):
+    for method, s in (("cd", "0"), ("sfft", "-1")):
+        code, _, err = run_cli(capsys, "multiply", "--method", method,
+                               "--order", "first", "--s", s,
+                               "--kind-a", "general", "--kind-b", "toeplitz",
+                               "--n", "16")
+        assert code == 1
+        assert "error: s must be >= 1" in err
 
 
 def test_multiply_real_part_output(tmp_path, capsys):
@@ -607,6 +620,8 @@ def test_bench_config_errors(tmp_path, capsys):
         "methods = cd:first\nkinds = general:general\nsizes = 8\ntrials = 2\n",
         "methods = naive\nkinds = generalgeneral\nsizes = 8\ntrials = 2\n",
         "methods = naive\nkinds = general:general\nsizes = 8\ntrials = 0\n",
+        # cd reads s only through its k rule, which refuses s < 1 as svd does
+        "methods = cd:first\nkinds = general:toeplitz\nsizes = 8\ns = 0\ntrials = 1\n",
     ]
     for i, text in enumerate(bad):
         conf = tmp_path / f"bad{i}.conf"

@@ -487,7 +487,8 @@ def _dense_layouts(rows, cols, rng):
 @pytest.mark.parametrize("layout", ["C", "F", "sliced"])
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_split_sparse_dense_bit_identical(side, layout, one_and_split):
-    # 150 dense rows on the right: more than one 64-row sub-block per block
+    # 150 dense columns on the left and rows on the right: more than one
+    # 64-wide slab per block
     rng = np.random.default_rng(19)
     S = topk_sparsify(rng.standard_normal((30, 40)) + 1j * rng.standard_normal((30, 40)), 5)
     shape = (40, 150) if side == "left" else (150, 30)
