@@ -222,9 +222,9 @@ def circulant_first_order_multiply(A, B, k: int, order: int):
 
     order 0 computes Ahat @ B = W* P_a W B with the sparse P_a of
     _fourier_operator (the left factor is the only one truncated), one slab
-    of core.SUB_ROWS columns of B at a time; order 1 adds the correction
-    dA @ Bhat = dA W* P_b W from the dense Ahat, one slab of rows of
-    dA = A - Ahat at a time. Both cost O(k n^2 + n^2 log n). For real A and
+    of at most core.SUB_ROWS columns of B at a time; order 1 adds the
+    correction dA @ Bhat = dA W* P_b W from the dense Ahat, one slab of rows
+    of dA = A - Ahat at a time. Both cost O(k n^2 + n^2 log n). For real A and
     B every kept sum is real (whole conjugate pairs, see circulant_select)
     and so are M and dA: the product forms only the rows i <= n/2 of
     P_a W B and ends in irfft, the correction only the columns j <= n/2 of

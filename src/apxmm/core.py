@@ -25,7 +25,6 @@ from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 import scipy.fft
-import scipy.sparse
 from numpy.lib.stride_tricks import as_strided
 
 __all__ = [
@@ -47,8 +46,8 @@ GRAIN = 1 << 20
 # blocks per worker of a product pass: many small blocks keep each block's
 # temporaries a small fraction of one n x n array
 CHUNKS = 64
-# width of the dense operand's slab one CSR product call takes (rows of B in
-# B @ S, columns of X in S @ X): scipy copies its dense operand, and on a
+# the widest slab of the dense operand one CSR product call takes (rows of B
+# in B @ S, columns of X in S @ X): scipy copies its dense operand, and on a
 # few rows or columns the copy and the result stay in cache
 SUB_ROWS = 64
 NOT_FINITE = "matrix entries must be finite (no NaN/Inf)"
@@ -112,34 +111,20 @@ def for_sub_blocks(fn, length: int, entries: int, chunks: int = 1) -> None:
     at most SUB_ROWS indices: the rule for every step that includes a CSR
     product, with the dense operand cut along its free axis (the rows of B
     in B @ S, the columns of X in S @ X). The pieces of one block run in
-    order on its thread."""
+    order on its thread.
+
+    A split pass is first cut into chunks * WORKERS blocks, and SUB_ROWS
+    only caps a block, so a slab is min(SUB_ROWS, length / (chunks *
+    WORKERS)) wide: on 2 CPUs cd (CHUNKS = 64) runs 128 slabs, 8 wide at
+    length 1024 and 16 at 2048, and sfft (16 blocks per worker) 32 and 64
+    wide. A pass on the calling thread is one block, cut into SUB_ROWS-wide
+    slabs."""
 
     def block(lo, hi):
         for i in range(lo, hi, SUB_ROWS):
             fn(i, min(i + SUB_ROWS, hi))
 
     for_blocks(block, length, entries, chunks)
-
-
-def _sparse_product(S: scipy.sparse.csr_array, X: np.ndarray, side: str,
-                    chunks: int) -> np.ndarray:
-    """S @ X (side "left") or X @ S ("right") into one C-order array, one
-    scipy call per SUB_ROWS columns (left) or rows (right) of X.
-
-    Each entry is summed in the same order as by one call over all of X.
-    """
-    left = side == "left"
-    shape = (S.shape[0], X.shape[1]) if left else (X.shape[0], S.shape[1])
-    out = np.empty(shape, np.result_type(S.dtype, X.dtype))
-
-    def slab(lo, hi):
-        if left:
-            out[:, lo:hi] = S @ X[:, lo:hi]
-        else:
-            out[lo:hi] = X[lo:hi] @ S
-
-    for_sub_blocks(slab, X.shape[1] if left else X.shape[0], out.size, chunks)
-    return out
 
 
 def _coerce(a) -> np.ndarray:

@@ -21,10 +21,10 @@ import scipy.sparse as sp
 from .core import (
     NOT_FINITE,
     _coerce,
-    _sparse_product,
     as_matrix,
     as_pair,
     for_blocks,
+    for_sub_blocks,
     unitary_dft,
 )
 from .report import _fro, estimated_report
@@ -130,8 +130,10 @@ def topk_sparsify(M, k: int) -> SparseRowMatrix:
 def sparse_dense_multiply(S: SparseRowMatrix, B, side: str = "left") -> np.ndarray:
     """S @ B (side="left") or B @ S (side="right"), O(nnz * dense width).
 
-    One scipy call per core.SUB_ROWS-wide slab of B: its columns on the
-    left, its rows on the right. Never densifies S.
+    One scipy call per slab of B (its columns on the left, its rows on the
+    right) into one C-order result, under core.for_sub_blocks with _CHUNKS
+    blocks per worker; each entry is summed in the same order as by one call
+    over all of B. Never densifies S.
     """
     B = as_matrix(B)
     rows, cols = S.csr.shape
@@ -141,7 +143,18 @@ def sparse_dense_multiply(S: SparseRowMatrix, B, side: str = "left") -> np.ndarr
         raise ValueError(f"dimension mismatch: ({rows},{cols}) x {B.shape}")
     if side == "right" and B.shape[1] != rows:
         raise ValueError(f"dimension mismatch: {B.shape} x ({rows},{cols})")
-    return _sparse_product(S.csr, B, side, _CHUNKS)
+    left = side == "left"
+    out = np.empty((rows, B.shape[1]) if left else (B.shape[0], cols),
+                   np.result_type(S.csr.dtype, B.dtype))
+
+    def slab(lo, hi):
+        if left:
+            out[:, lo:hi] = S.csr @ B[:, lo:hi]
+        else:
+            out[lo:hi] = B[lo:hi] @ S.csr
+
+    for_sub_blocks(slab, B.shape[1] if left else B.shape[0], out.size, _CHUNKS)
+    return out
 
 
 def _zero_kept(X: np.ndarray, S: SparseRowMatrix) -> np.ndarray:
@@ -167,11 +180,11 @@ def fft_sparse_first_order_multiply(A, B, k: int, order: int,
 
     Every pass over n^2 >= core.GRAIN entries runs as contiguous blocks on
     every CPU: the two transforms, both top-k selections, SA @ Btil and
-    dAt @ SB. Both CSR products take slabs of core.SUB_ROWS columns of Btil
-    or rows of dAt even on one thread, the rule cd's products follow. The
-    O(k n) scatter that zeroes the kept entries stays on the calling
-    thread. Each entry is computed as one call over the whole array computes
-    it, so M and the report are bit-identical at any thread count.
+    dAt @ SB. Both CSR products take slabs of at most core.SUB_ROWS columns
+    of Btil or rows of dAt even on one thread, the rule cd's products
+    follow. The O(k n) scatter that zeroes the kept entries stays on the
+    calling thread. Each entry is computed as one call over the whole array
+    computes it, so M and the report are bit-identical at any thread count.
     """
     A, B = as_pair(A, B)
     if sparsify_b not in ("rows", "cols"):

@@ -415,6 +415,37 @@ def test_spectra_svd_type1(tmp_path, capsys):
     assert np.max(np.abs(mags - expect)) < 1e-6
 
 
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_spectra_svd_is_exact_above_1024(tmp_path, capsys, dtype):
+    # one path at every size: all 64 singular values of a 1025 x 64 matrix,
+    # real or complex, as np.linalg.svd gives them
+    rng = np.random.default_rng(5)
+    A = rng.uniform(size=(1025, 64))
+    if dtype is complex:
+        A = A + 1j * rng.uniform(size=A.shape)
+    a = tmp_path / "a.csv"
+    write_csv(A, a)
+    out = tmp_path / "s.csv"
+    code, _, _ = run_cli(capsys, "spectra", "--which", "svd", "--a", str(a),
+                         "--out", str(out))
+    assert code == 0
+    table = np.loadtxt(out, delimiter=",", skiprows=1)
+    expect = np.linalg.svd(read_csv(a), compute_uv=False)
+    assert table.shape == (64, 2)
+    assert np.array_equal(table[:, 0], np.arange(64))
+    assert np.max(np.abs(table[:, 1] - expect)) <= 1e-12 * expect[0]
+
+
+@pytest.mark.parametrize("flag", ["--s", "--seed"])
+def test_spectra_takes_no_sketch_flags(tmp_path, capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["spectra", "--which", "svd", "--kind-a", "kappa", "--n", "8",
+              flag, "1", "--out", str(tmp_path / "o.csv")])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
+
+
 def test_spectra_both_writes_two_files(tmp_path, capsys):
     out = tmp_path / "pair.csv"
     code, stdout, _ = run_cli(capsys, "spectra", "--which", "both",
@@ -538,7 +569,8 @@ def test_bench_combination_count(tmp_path, capsys):
 
 
 def test_bench_exact_product_once_per_pair(tmp_path, capsys, monkeypatch):
-    # 14 rows on 2 distinct (kind pair, n, trial) pairs: 2 exact products
+    # 14 rows on 2 distinct (kind pair, n, trial) pairs: each pair's exact
+    # product runs three times, for the median of its wall times
     from apxmm import cli
 
     calls = []
@@ -552,7 +584,7 @@ def test_bench_exact_product_once_per_pair(tmp_path, capsys, monkeypatch):
     out = tmp_path / "rows.csv"
     code, stdout, _ = run_cli(capsys, "bench", "--config", str(conf), "--out", str(out))
     assert code == 0
-    assert len(calls) == 2
+    assert len(calls) == 6
     lines = out.read_text().strip().splitlines()
     assert lines[0] == BENCH_HEADER
     # rows keep the config's order: method, then kind pair, n, s, trial
@@ -704,6 +736,15 @@ def test_estimate_haar_moments(tmp_path, capsys):
     assert abs(payload["mean_sq"] - 4.0) < 1e-12
     assert payload["variance"] == 0.0
     assert 0 < payload["tail_bound"] <= 1
+
+
+def test_estimate_haar_moments_takes_no_d2_spectral(capsys):
+    # the tail bound is that of the given D2 only at its own spectral norm
+    with pytest.raises(SystemExit) as exc:
+        main(["estimate", "--mode", "haar-moments", "--spectrum-1", "d1.csv",
+              "--spectrum-2", "d2.csv", "--tail-t", "1.0", "--d2-spectral", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --d2-spectral" in capsys.readouterr().err
 
 
 def test_estimate_missing_flags_exit_2(capsys):
