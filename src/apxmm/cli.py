@@ -577,7 +577,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", required=True,
                    choices=list(_METHODS))
     p.add_argument("--order", choices=["zeroth", "first"])
-    p.add_argument("--s", type=int, help="component factor (k = ceil(s log2 n))")
+    p.add_argument("--s", type=int,
+                   help="component factor (svd: k = s floor(log2 n) + 1; "
+                        "cd/sfft: k = ceil(s log2 n))")
     p.add_argument("--k", type=int, help="explicit component count (cd/sfft)")
     p.add_argument("--c", type=int, help="outer-product samples (lowrank)")
     p.add_argument("--seed", type=int,

@@ -7,9 +7,10 @@ projected factor and truncating it to the leading k. The 5 extra columns
 are the oversampling of the randomized range finder (Halko, Martinsson &
 Tropp, SIAM Rev. 2011, sections 4.2 and 10), whose error bound needs at
 least 2; without them the rank-k result drifts away from the truncated
-SVD. The multiply routines evaluate the approximate product in factored
-form so the dense n x n approximants are never built, except for the single
-residual matrix the first-order correction needs.
+SVD. The product is evaluated through the factors: the zeroth order
+contracts the k x k core first, and the first order M = Ahat B + dA Bhat is
+one GEMM of inner dimension 2k, [Ua Sa | dA Ub Sb] @ [Va^T B ; Vb^T]. Its
+one dense intermediate is the residual dA, formed in place of Ahat.
 """
 
 from __future__ import annotations
@@ -149,9 +150,10 @@ def svd_first_order_multiply(A, B, s: int, order: int, seed):
 
     order 0 returns Ahat @ Bhat evaluated through the factors (the k x k core
     is contracted first, so no n x n intermediate other than the result).
-    order 1 adds the correction dA @ Bhat, computed as term1 + term2 where
-    term1 = Ahat @ B uses the exact B; the residual dA = A - Ahat is the one
-    dense intermediate materialized.
+    order 1 returns Ahat @ B + dA @ Bhat as the single product
+    [Ua Sa | (dA Ub) Sb] @ [Va^T B ; Vb^T]. The residual dA = A - Ahat is
+    subtracted into the array svd_reconstruct returns and released before
+    that product writes M, so one n x n array is live at a time.
 
     The two decompositions draw from independent streams derived from `seed`.
     Returns (M, ApproxReport) with a-priori and posterior error estimates
@@ -175,10 +177,12 @@ def svd_first_order_multiply(A, B, s: int, order: int, seed):
         core = (da.V.T @ db.U) * db.sigma
         M = Ua_s @ (core @ db.V.T)
     else:
-        term1 = Ua_s @ (da.V.T @ B)
-        dA = A - svd_reconstruct(da)
-        term2 = ((dA @ db.U) * db.sigma) @ db.V.T
-        M = term1 + term2
+        # dA overwrites Ahat and is freed before the 2k-wide GEMM writes M
+        dA = svd_reconstruct(da)
+        np.subtract(A, dA, out=dA)
+        left = np.hstack((Ua_s, (dA @ db.U) * db.sigma))
+        del dA
+        M = left @ np.vstack((da.V.T @ B, db.V.T))
     wall = time.perf_counter() - t0
     return M, estimated_report("svd", order, da.k, M, A.shape[1],
                                math.sqrt(da.source_frobenius_sq),

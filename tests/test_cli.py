@@ -24,7 +24,7 @@ from apxmm.cli import (
     parse_bench_config,
 )
 from apxmm.genmat import MatrixSpec, generate, read_csv, write_csv
-from apxmm.svd import svd_first_order_multiply
+from apxmm.svd import component_count, svd_first_order_multiply
 
 
 def run_cli(capsys, *argv):
@@ -166,6 +166,23 @@ def test_multiply_s_drives_k(capsys):
     assert code == 0
     payload = last_json(stdout)
     assert payload["k"] == components_for(16, 1)
+
+
+def test_multiply_help_states_each_k_rule(capsys):
+    # svd keeps s floor(log2 n) + 1 components, cd and sfft ceil(s log2 n)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["multiply", "--help"])
+    assert exit_info.value.code == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "svd: k = s floor(log2 n) + 1" in help_text
+    assert "cd/sfft: k = ceil(s log2 n)" in help_text
+    code, stdout, _ = run_cli(capsys, "multiply", "--method", "svd",
+                              "--order", "first", "--s", "1",
+                              "--kind-a", "toeplitz", "--kind-b", "toeplitz",
+                              "--n", "16")
+    assert code == 0
+    assert last_json(stdout)["k"] == component_count(16, 1) == 5
+    assert components_for(16, 1) == 4
 
 
 def test_multiply_s_below_one_exits_1(capsys):

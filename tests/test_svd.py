@@ -1,8 +1,13 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from apxmm.core import matmul_naive, relative_error
+from apxmm.genmat import MatrixSpec, generate
+from apxmm.report import estimated_report
 from apxmm.svd import (
     TruncatedSVD,
     component_count,
@@ -108,17 +113,93 @@ def test_multiply_exact_when_b_low_rank():
     assert relative_error(M, A @ B) < 1e-8
 
 
-def test_first_order_identity():
-    rng = np.random.default_rng(12)
-    A = rng.standard_normal((64, 64))
-    B = rng.standard_normal((64, 64))
-    M, _ = svd_first_order_multiply(A, B, 2, 1, seed=13)
-    da = randomized_partial_svd(A, 2, np.random.default_rng([13, 0]))
-    db = randomized_partial_svd(B, 2, np.random.default_rng([13, 1]))
+def _first_order_identity_ranks(A, B, s, seed):
+    """Check AB - M = dA @ dB for svd1 and return the ranks A and B kept."""
+    M, _ = svd_first_order_multiply(A, B, s, 1, seed=seed)
+    da = randomized_partial_svd(A, s, np.random.default_rng([seed, 0]))
+    db = randomized_partial_svd(B, s, np.random.default_rng([seed, 1]))
     dA = A - svd_reconstruct(da)
     dB = B - svd_reconstruct(db)
     gap = matmul_naive(A, B) - M
     assert np.linalg.norm(gap - matmul_naive(dA, dB)) < 1e-8 * np.linalg.norm(A @ B)
+    return da.k, db.k
+
+
+def test_first_order_identity():
+    rng = np.random.default_rng(12)
+    A = rng.standard_normal((64, 64))
+    B = rng.standard_normal((64, 64))
+    assert _first_order_identity_ranks(A, B, 2, 13) == (13, 13)
+
+
+def test_first_order_identity_rectangular():
+    # (40 x 24) @ (24 x 56): A keeps k = 5 of its 24 columns, B k = 6 of
+    # its 56, so the 2k-wide factors of M are joined from unequal halves
+    rng = np.random.default_rng(21)
+    A = rng.standard_normal((40, 24))
+    B = rng.standard_normal((24, 56))
+    assert _first_order_identity_ranks(A, B, 1, 22) == (5, 6)
+
+
+@pytest.mark.parametrize("kinds", [("general", "toeplitz"), ("type1", "type1")])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_products_match_two_term_form(kinds, seed):
+    # the first order equals Ahat B + dA Bhat summed as two dense terms to
+    # rounding, and so does its report; the zeroth order is unchanged
+    n = 512
+    A = generate(MatrixSpec(kinds[0], n, seed=2 * seed))
+    B = generate(MatrixSpec(kinds[1], n, seed=2 * seed + 1))
+    da = randomized_partial_svd(A, 1, np.random.default_rng([seed, 0]))
+    db = randomized_partial_svd(B, 1, np.random.default_rng([seed, 1]))
+    Ua_s = da.U * da.sigma
+    dA = A - svd_reconstruct(da)
+    two_term = Ua_s @ (da.V.T @ B) + ((dA @ db.U) * db.sigma) @ db.V.T
+    zeroth = Ua_s @ (((da.V.T @ db.U) * db.sigma) @ db.V.T)
+
+    M1, rep1 = svd_first_order_multiply(A, B, 1, 1, seed)
+    assert np.linalg.norm(M1 - two_term) <= 1e-12 * np.linalg.norm(two_term)
+    ref = estimated_report("svd", 1, da.k, two_term, n,
+                           math.sqrt(da.source_frobenius_sq),
+                           math.sqrt(db.source_frobenius_sq),
+                           svd_residual_norm(da), svd_residual_norm(db), 0.0)
+    got, want = rep1.to_dict(), ref.to_dict()
+    del got["wall_time"], want["wall_time"]
+    for field, value in want.items():
+        if isinstance(value, float):
+            assert got[field] == pytest.approx(value, rel=1e-12), field
+        else:
+            assert got[field] == value, field
+
+    M0, _ = svd_first_order_multiply(A, B, 1, 0, seed)
+    assert np.array_equal(M0, zeroth)
+
+
+def _peak_arrays(order):
+    """tracemalloc peak of an svd product at n=1024, in n x n float64 arrays."""
+    n = 1024
+    rng = np.random.default_rng(23)
+    A = rng.standard_normal((n, n))
+    B = rng.standard_normal((n, n))
+    svd_first_order_multiply(A, B, 1, order, seed=0)  # warm caches outside the trace
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        svd_first_order_multiply(A, B, 1, order, seed=0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return peak / (n * n * 8)
+
+
+def test_zeroth_order_peak_memory():
+    # M is the one n x n array; the factors and the k x k core are thin
+    assert _peak_arrays(0) <= 1.15
+
+
+def test_first_order_peak_memory():
+    # the residual overwrites Ahat and is dropped once dA Ub is formed, so
+    # it and M, the two n x n arrays, are never held at once
+    assert _peak_arrays(1) <= 1.15
 
 
 def test_zeroth_order_is_factored_product():
