@@ -18,6 +18,14 @@ from .report import ApproxReport
 __all__ = ["randomized_outer_product_multiply"]
 
 
+def _squares(X: np.ndarray, spec: str) -> np.ndarray:
+    """Squared 2-norms of X's columns ("ij,ij->j") or rows ("ij,ij->i"),
+    summed in place: np.linalg.norm squares X into a fresh array first."""
+    if np.iscomplexobj(X):
+        return np.einsum(spec, X.real, X.real) + np.einsum(spec, X.imag, X.imag)
+    return np.einsum(spec, X, X)
+
+
 def randomized_outer_product_multiply(A, B, c: int, seed):
     """Unbiased c-sample outer-product estimate of A @ B.
 
@@ -35,7 +43,7 @@ def randomized_outer_product_multiply(A, B, c: int, seed):
     n = A.shape[1]
 
     t0 = time.perf_counter()
-    weights = np.linalg.norm(A, axis=0) * np.linalg.norm(B, axis=1)
+    weights = np.sqrt(_squares(A, "ij,ij->j")) * np.sqrt(_squares(B, "ij,ij->i"))
     total = float(weights.sum())
     if total == 0.0:
         raise ValueError("all column/row norm products are zero; nothing to sample")

@@ -32,6 +32,7 @@ import scipy.sparse
 
 from .core import (
     CHUNKS,
+    SUM_ROWS,
     as_matrix,
     as_pair,
     cycle_reorder,
@@ -49,9 +50,6 @@ __all__ = [
     "circulant_materialize",
     "circulant_first_order_multiply",
 ]
-
-# rows of the spectrum measured together in circulant_decompose
-_BLOCK_ROWS = 16
 
 
 @dataclass
@@ -113,13 +111,13 @@ def circulant_decompose(A) -> CirculantSpectrum:
     T = (scipy.fft.rfft if half else scipy.fft.fft)(C, axis=1, norm="forward",
                                                    workers=pass_workers(n * n))
     del C
-    blocks = -(-n // _BLOCK_ROWS)
+    blocks = -(-n // SUM_ROWS)
     partial = np.empty((blocks, T.shape[1]))
 
     def measure(lo, hi):
         # sum |T|^2 down the columns, one cached block of rows at a time
         for b in range(lo, hi):
-            rows = T[b * _BLOCK_ROWS:(b + 1) * _BLOCK_ROWS]
+            rows = T[b * SUM_ROWS:(b + 1) * SUM_ROWS]
             partial[b] = (rows.real**2 + rows.imag**2).sum(axis=0)
 
     for_blocks(measure, blocks, n * n)

@@ -48,8 +48,13 @@ GRAIN = 1 << 20
 CHUNKS = 64
 # the widest slab of the dense operand one CSR product call takes (rows of B
 # in B @ S, columns of X in S @ X): scipy copies its dense operand, and on a
-# few rows or columns the copy and the result stay in cache
+# few rows or columns the copy and the result stay in cache; also the most
+# rows one top-k selection call sorts
 SUB_ROWS = 64
+# rows per block of a fixed-order sum (circulant magnitudes, report._fro):
+# each block's partial sum and the order they add in do not depend on the
+# worker count
+SUM_ROWS = 16
 NOT_FINITE = "matrix entries must be finite (no NaN/Inf)"
 
 
@@ -110,8 +115,9 @@ def for_sub_blocks(fn, length: int, entries: int, chunks: int = 1) -> None:
     """for_blocks(..., chunks), each block handed to fn(lo, hi) in pieces of
     at most SUB_ROWS indices: the rule for every step that includes a CSR
     product, with the dense operand cut along its free axis (the rows of B
-    in B @ S, the columns of X in S @ X). The pieces of one block run in
-    order on its thread.
+    in B @ S, the columns of X in S @ X), and for sfft's top-k selections,
+    whose row temporaries then stay SUB_ROWS rows even on one thread. The
+    pieces of one block run in order on its thread.
 
     A split pass is first cut into chunks * WORKERS blocks, and SUB_ROWS
     only caps a block, so a slab is min(SUB_ROWS, length / (chunks *
@@ -205,8 +211,12 @@ def unitary_dft(x, direction: str = "forward", axis: int = -1) -> np.ndarray:
     primes).
 
     One scipy.fft call on pass_workers(x.size) threads, bit-identical at any
-    count. Real input takes scipy's real-input path: half the arithmetic, no
-    complex copy of the input, and an exactly conjugate-symmetric output.
+    count. Real input takes scipy's real-input path: no complex copy of the
+    input, and an output that is exactly rfft's plus its conjugate mirror,
+    so conjugate-symmetric bit for bit. It costs about as much as a complex
+    transform, not half: on the rows at n = 512, 1.2 ms against 1.4 ms for
+    complex input and 0.8 ms for rfft alone. An rfft followed by a numpy
+    mirror was not faster at n = 2048, so the transform stays one call.
     """
     x = np.asarray(x)
     if x.ndim == 0 or x.shape[axis] < 1:

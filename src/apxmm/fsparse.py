@@ -5,9 +5,10 @@ unchanged (Atil Btil = A B by unitarity) but concentrates smooth rows into a
 few Fourier coefficients. Keeping the top-k entries per transformed row gives
 sparse factors whose product costs O(k n^2) instead of O(n^3); the
 first-order form corrects with the exact Btil against the truncation error
-of Atil. The selections run in row blocks, and the CSR products in slabs of
-the dense operand (core.for_sub_blocks, the one rule cd follows too), on
-every CPU above core.GRAIN entries, bit-identical to one thread.
+of Atil. The selections run in pieces of at most core.SUB_ROWS rows, and
+the CSR products in slabs of the dense operand (core.for_sub_blocks, the one
+rule cd follows too), on every CPU above core.GRAIN entries, bit-identical
+to one thread.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .core import (
     _coerce,
     as_matrix,
     as_pair,
-    for_blocks,
     for_sub_blocks,
     unitary_dft,
 )
@@ -37,8 +37,8 @@ __all__ = [
 ]
 
 # blocks per worker of topk_sparsify and of the CSR products: each block
-# makes a dozen numpy or scipy calls, so fewer blocks than core.CHUNKS spend
-# less on per-call overhead; a block's temporaries stay 1/16 of its share
+# makes a dozen numpy or scipy calls per piece, so fewer blocks than
+# core.CHUNKS spend less on per-call overhead
 _CHUNKS = 16
 
 
@@ -83,9 +83,11 @@ def topk_sparsify(M, k: int) -> SparseRowMatrix:
     """Keep the k largest-modulus entries of each row, zeroing the rest.
 
     Ties are broken toward the lower column index. k above the column count
-    is clamped. One partial sort selects every row of a block at once; only
-    rows with a tie at the cut are redone. Deterministic, and row by row, so
-    the row blocks of a large M select exactly what one call over M would.
+    is clamped. One partial sort selects every row of a piece of at most
+    core.SUB_ROWS rows at once (core.for_sub_blocks), so its moduli and sort
+    indices stay that small even on one thread; only rows with a tie at the
+    cut are redone. Deterministic, and row by row, so the pieces of a large
+    M select exactly what one call over M would.
     Non-finite entries raise as_matrix's ValueError; each block reads them
     off the moduli it sorts, so M takes no separate isfinite pass.
     """
@@ -119,7 +121,7 @@ def topk_sparsify(M, k: int) -> SparseRowMatrix:
         vals[lo:hi] = np.take_along_axis(M[lo:hi], kb, axis=1)
 
     if k > 0:
-        for_blocks(block, rows, M.size, _CHUNKS)
+        for_sub_blocks(block, rows, M.size, _CHUNKS)
     else:
         as_matrix(M)  # no block runs to check the entries
     csr = sp.csr_array((vals.ravel(), keep.ravel(), np.arange(rows + 1) * k),
@@ -175,12 +177,17 @@ def fft_sparse_first_order_multiply(A, B, k: int, order: int,
       order 1: SA @ Btil + dAt @ SB       (dAt = Atil - dense(SA))
 
     The residues are Atil and Btil with the kept entries zeroed in place.
-    The result is complex; residual norms in the report are those of the
-    transformed factors, which equal the untransformed ones by unitarity.
+    dBt is measured and dropped as soon as SA @ Btil is formed, so the
+    first order holds dAt, M and the correction (three n x n complex
+    arrays), not Btil as a fourth. The result is complex; residual norms in
+    the report are those of the transformed factors, which equal the
+    untransformed ones by unitarity.
 
     Every pass over n^2 >= core.GRAIN entries runs as contiguous blocks on
-    every CPU: the two transforms, both top-k selections, SA @ Btil and
-    dAt @ SB. Both CSR products take slabs of at most core.SUB_ROWS columns
+    every CPU: the two transforms, both top-k selections, SA @ Btil,
+    dAt @ SB and the norms (report._fro, which calls no BLAS there, so
+    dAt @ SB does not start beside a spinning BLAS worker). Both CSR
+    products take slabs of at most core.SUB_ROWS columns
     of Btil or rows of dAt even on one thread, the rule cd's products
     follow. The O(k n) scatter that zeroes the kept entries stays on the
     calling thread. Each entry is computed as one call over the whole array
@@ -211,12 +218,12 @@ def fft_sparse_first_order_multiply(A, B, k: int, order: int,
         M = SparseRowMatrix(prod).to_dense()
     else:
         M = sparse_dense_multiply(SA, Btil, "left")
+    norm_db = _fro(_zero_kept(Btil, SB))
+    del Btil  # before dAt @ SB allocates its result
     dAt = _zero_kept(Atil, SA)
-    dBt = _zero_kept(Btil, SB)
     if order == 1:
         M += sparse_dense_multiply(SB, dAt, "right")
     norm_da = _fro(dAt)
-    norm_db = _fro(dBt)
     wall = time.perf_counter() - t0
     return M, estimated_report("sfft", order, k, M, A.shape[1], _fro(A), _fro(B),
                                norm_da, norm_db, wall)

@@ -7,6 +7,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
+from . import core
 from .errest import ErrorModel, apriori_relative_error, posterior_relative_error
 
 __all__ = ["ApproxReport", "estimated_report"]
@@ -42,9 +43,29 @@ class ApproxReport:
 
 
 def _fro(X: np.ndarray) -> float:
-    """Frobenius norm from one contiguous dot; np.linalg.norm takes two
-    strided passes over a complex array."""
-    return math.sqrt(np.vdot(X, X).real)
+    """Frobenius norm of a 2-D array, the one norm helper of the products.
+
+    Below core.GRAIN entries it is one dot (np.linalg.norm takes two strided
+    passes over a complex array). From GRAIN on it makes no BLAS call: each
+    block of core.SUM_ROWS rows sums its squares with numpy on apxmm's pool,
+    and the partial sums add in one fixed order, so the norm is
+    bit-identical at any worker count. A threaded BLAS call leaves its
+    worker spinning for a while after it returns, and a pooled pass that
+    follows it then shares a core with that worker.
+    """
+    if X.size < core.GRAIN:
+        return math.sqrt(np.vdot(X, X).real)
+    partial = np.empty(-(-X.shape[0] // core.SUM_ROWS))
+
+    def measure(lo, hi):
+        for b in range(lo, hi):
+            rows = X[b * core.SUM_ROWS:(b + 1) * core.SUM_ROWS]
+            if np.iscomplexobj(rows):  # |z|^2 as the squares of its two parts
+                rows = np.ascontiguousarray(rows).view(np.float64)
+            partial[b] = np.einsum("ij,ij->", rows, rows)
+
+    core.for_blocks(measure, partial.size, X.size)
+    return math.sqrt(partial.sum())
 
 
 def estimated_report(method: str, order: int, k: int, M: np.ndarray, n: int,

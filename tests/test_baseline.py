@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from apxmm.baseline import randomized_outer_product_multiply
+from apxmm.baseline import _squares, randomized_outer_product_multiply
 from apxmm.core import matmul_naive, relative_error
 
 
@@ -84,3 +84,16 @@ def test_validation():
         randomized_outer_product_multiply(np.eye(2), np.eye(2), 0, 0)
     with pytest.raises(ValueError):
         randomized_outer_product_multiply(np.zeros((2, 2)), np.eye(2), 1, 0)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_squares_match_linalg_norm(dtype):
+    # the sampling weights sum squares in place of np.linalg.norm's squared
+    # copy: a different summation order, so equal to a few ulps
+    rng = np.random.default_rng(4)
+    X = rng.standard_normal((40, 33))
+    if dtype is complex:
+        X = X + 1j * rng.standard_normal((40, 33))
+    for spec, axis in (("ij,ij->j", 0), ("ij,ij->i", 1)):
+        np.testing.assert_allclose(np.sqrt(_squares(X, spec)),
+                                   np.linalg.norm(X, axis=axis), rtol=1e-14, atol=0)

@@ -5,7 +5,7 @@ import pytest
 
 from apxmm.circulant import circulant_first_order_multiply
 from apxmm.fsparse import fft_sparse_first_order_multiply
-from apxmm.report import ApproxReport
+from apxmm.report import ApproxReport, _fro
 from apxmm.svd import component_count, svd_first_order_multiply
 
 
@@ -71,3 +71,26 @@ def test_estimates_closed_forms(method, n, dtype, order):
         residues / (np.linalg.norm(A) * np.linalg.norm(B)), rel=1e-12, abs=0)
     assert rep.posterior_estimate == pytest.approx(
         residues / (math.sqrt(n) * np.linalg.norm(M)), rel=1e-12, abs=0)
+
+
+def _layouts(X):
+    """X in C order, in Fortran order, and as a strided slice of a larger array."""
+    big = np.zeros((2 * X.shape[0], 3 * X.shape[1]), X.dtype)
+    big[1::2, ::3] = X
+    return {"C": X, "F": np.asfortranarray(X), "sliced": big[1::2, ::3]}
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "sliced"])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_fro_matches_linalg_norm_at_any_worker_count(one_and_split, dtype, layout):
+    # 165 rows: ten full blocks of core.SUM_ROWS and a short one
+    rng = np.random.default_rng(7)
+    X = rng.standard_normal((165, 29))
+    if dtype is complex:
+        X = X + 1j * rng.standard_normal((165, 29))
+    X = _layouts(X)[layout]
+    ref = np.linalg.norm(X)
+    assert _fro(X) == pytest.approx(ref, rel=1e-13, abs=0)  # one dot below GRAIN
+    one, split = one_and_split(lambda: _fro(X))  # the blocked sum from GRAIN = 1
+    assert one == split
+    assert one == pytest.approx(ref, rel=1e-13, abs=0)

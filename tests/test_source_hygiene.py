@@ -8,7 +8,8 @@ Every public name of a numeric module is used somewhere in the package or
 the benchmark outside its own definition, unless UNUSED_PUBLIC says why not,
 and every private top-level name of a module is used somewhere in the
 package outside its own definition.
-No module refers to numpy.fft: scipy.fft is the one FFT backend.
+No module refers to numpy.fft: scipy.fft is the one FFT backend. The
+products whose norms follow pooled passes (cd and sfft) call no BLAS norm.
 """
 
 import ast
@@ -142,3 +143,35 @@ def test_private_names_have_callers():
                                 for other in trees.values())):
                 unused.append(f"{path.stem}.{name}")
     assert sorted(unused) == []
+
+
+def _blas_norm_calls(tree: ast.Module) -> list[str]:
+    """Calls of vdot, or of linalg.norm without an axis (a BLAS dot underneath)."""
+    calls = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            called = ast.unparse(node.func)
+            axis = len(node.args) >= 3 or any(kw.arg == "axis" for kw in node.keywords)
+            if called.endswith("vdot") or (called.endswith("linalg.norm") and not axis):
+                calls.append(ast.unparse(node))
+    return calls
+
+
+# the report names each pooled product takes its n x n norms from:
+# estimated_report measures M with report._fro
+NORMS_FROM_REPORT = {
+    "circulant.py": {"estimated_report"},
+    "fsparse.py": {"_fro", "estimated_report"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(NORMS_FROM_REPORT))
+def test_pooled_products_take_norms_through_fro(name):
+    # a threaded BLAS call leaves its worker spinning for a while, and the
+    # pooled pass after it then shares a core with that worker
+    tree = _tree(ROOT / "src" / "apxmm" / name)
+    assert _blas_norm_calls(tree) == []
+    from_report = {alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.level == 1
+                   and node.module == "report" for alias in node.names}
+    assert from_report >= NORMS_FROM_REPORT[name]
