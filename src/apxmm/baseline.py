@@ -18,12 +18,29 @@ from .report import ApproxReport
 __all__ = ["randomized_outer_product_multiply"]
 
 
-def _squares(X: np.ndarray, spec: str) -> np.ndarray:
-    """Squared 2-norms of X's columns ("ij,ij->j") or rows ("ij,ij->i"),
-    summed in place: np.linalg.norm squares X into a fresh array first."""
-    if np.iscomplexobj(X):
-        return np.einsum(spec, X.real, X.real) + np.einsum(spec, X.imag, X.imag)
-    return np.einsum(spec, X, X)
+# rows of a factor squared at a time by _norms
+_ROWS = 64
+
+
+def _norms(X: np.ndarray, axis: int) -> np.ndarray:
+    """np.linalg.norm(X, axis=axis) bit for bit, without its n x n array of
+    squares: a C-order X is squared _ROWS rows at a time, in the order
+    linalg.norm sums them (each row's squares as one reduction for axis=1,
+    a running sum down the rows for axis=0). Other layouts call linalg.norm.
+    """
+    if not X.flags.c_contiguous:
+        return np.linalg.norm(X, axis=axis)
+    out = np.empty(X.shape[0]) if axis == 1 else None
+    for lo in range(0, X.shape[0], _ROWS):
+        rows = X[lo:lo + _ROWS]
+        sq = (rows.conj() * rows).real
+        if axis == 1:
+            np.add.reduce(sq, axis=1, out=out[lo:lo + _ROWS])
+        else:
+            if out is not None:
+                sq[0] += out  # continue the running sum of the rows above
+            out = np.add.reduce(sq, axis=0)
+    return np.sqrt(out)
 
 
 def randomized_outer_product_multiply(A, B, c: int, seed):
@@ -43,7 +60,7 @@ def randomized_outer_product_multiply(A, B, c: int, seed):
     n = A.shape[1]
 
     t0 = time.perf_counter()
-    weights = np.sqrt(_squares(A, "ij,ij->j")) * np.sqrt(_squares(B, "ij,ij->i"))
+    weights = _norms(A, axis=0) * _norms(B, axis=1)
     total = float(weights.sum())
     if total == 0.0:
         raise ValueError("all column/row norm products are zero; nothing to sample")

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from apxmm.baseline import _squares, randomized_outer_product_multiply
+from apxmm.baseline import _norms, randomized_outer_product_multiply
 from apxmm.core import matmul_naive, relative_error
 
 
@@ -86,14 +86,33 @@ def test_validation():
         randomized_outer_product_multiply(np.zeros((2, 2)), np.eye(2), 1, 0)
 
 
+@pytest.mark.parametrize("layout", ["C", "F", "sliced"])
 @pytest.mark.parametrize("dtype", [float, complex])
-def test_squares_match_linalg_norm(dtype):
-    # the sampling weights sum squares in place of np.linalg.norm's squared
-    # copy: a different summation order, so equal to a few ulps
+def test_norms_equal_linalg_norm_bitwise(dtype, layout):
+    # the sampling weights are linalg.norm's to the bit, so the sampler
+    # accepts the same indices as any copy that calls linalg.norm; 150 rows
+    # are two full blocks of _ROWS and a short one
     rng = np.random.default_rng(4)
-    X = rng.standard_normal((40, 33))
+    X = rng.standard_normal((150, 33))
     if dtype is complex:
-        X = X + 1j * rng.standard_normal((40, 33))
-    for spec, axis in (("ij,ij->j", 0), ("ij,ij->i", 1)):
-        np.testing.assert_allclose(np.sqrt(_squares(X, spec)),
-                                   np.linalg.norm(X, axis=axis), rtol=1e-14, atol=0)
+        X = X + 1j * rng.standard_normal((150, 33))
+    X = {"C": X, "F": np.asfortranarray(X), "sliced": X[::2, 1:]}[layout]
+    for axis in (0, 1):
+        assert np.array_equal(_norms(X, axis), np.linalg.norm(X, axis=axis))
+
+
+def test_product_from_linalg_norm_weights():
+    # M is bit for bit the GEMM over the indices that weights from
+    # np.linalg.norm draw, as the benchmark's check redraws them
+    rng = np.random.default_rng(5)
+    A, B = rng.standard_normal((150, 130)), rng.standard_normal((130, 140))
+    c, seed = 12, 3
+    p = np.linalg.norm(A, axis=0) * np.linalg.norm(B, axis=1)
+    p /= p.sum()
+    draw, idx = np.random.default_rng(seed), []
+    while len(idx) < c:
+        k = int(draw.integers(0, A.shape[1]))
+        if float(draw.uniform()) * p.max() < p[k]:
+            idx.append(k)
+    M, _ = randomized_outer_product_multiply(A, B, c, seed)
+    assert np.array_equal(M, (A[:, idx] / (c * p[idx])) @ B[idx])
