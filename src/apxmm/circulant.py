@@ -9,15 +9,20 @@ selection keeps conjugate pairs whole, and every kept sum is real. A
 circulant is diagonal in the Fourier basis, so the kept sum is
 Ahat = W* P W with P a sparse matrix of k nonzeros per row: each product is
 two FFT passes around one sparse-dense product with P, fused per slab of
-the dense operand under the one slab rule (core.for_sub_blocks), and
-circulant_materialize densifies the same operator. For real inputs the
-passes run in real arithmetic on half the rows (rfft, irfft, hfft). Passes
-over n^2 >= core.GRAIN entries run in blocks on every CPU (core.for_blocks).
+the dense operand under the one slab rule (core.for_sub_blocks).
+circulant_materialize builds the same sum densely from the spectrum, the
+way circulant_decompose took it apart: one inverse FFT along the rows of
+the kept spectrum columns gives the cycle reordering of the sum, and the
+inverse column roll of core.cycle_reorder turns that back into the matrix,
+in place. That is O(n^2 log n), one n x n array and no matrix product. For
+real inputs the passes run in real arithmetic on half the rows (rfft,
+irfft, hfft). Passes over n^2 >= core.GRAIN entries run in blocks on every
+CPU (core.for_blocks).
 
 Sign conventions, with W(p,q) = exp(-2i*pi*p*q/n)/sqrt(n) and
 (C^t z)_i = z_{(i-t) mod n}: R_t = W* diag(fft(column(t))) W and
-W D^t = C^t W. Products and materialize share P, so the test that pins the
-signs compares materialize with the cycle-averaging circulant_component.
+W D^t = C^t W. The tests pin materialize against the cycle-averaging
+circulant_component, and the products, which apply P, against materialize.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ import scipy.sparse
 from .core import (
     CHUNKS,
     SUM_ROWS,
+    _roll_columns,
     as_matrix,
     as_pair,
     cycle_reorder,
@@ -166,23 +172,33 @@ def circulant_select(spectrum: CirculantSpectrum, k: int) -> CirculantSpectrum:
 
 
 def circulant_materialize(spectrum: CirculantSpectrum) -> np.ndarray:
-    """Dense sum_{t in selected} R_t D^t = W* P W.
+    """Dense sum_{t in selected} R_t D^t, O(n^2 log n) and no matrix product.
 
-    The dense form of the operator the products apply: P of _fourier_operator
-    densified, then one transform along each axis, O(n^2 log n). The sum is
-    real when the spectrum is half and the selection closed under
-    t -> n - t (always so after circulant_select); it is then float64 and
-    needs only the rows i <= n/2 of P W, which irfft completes. Otherwise
-    the output is complex.
+    Row j of the sum's cycle reordering is sum_{t in selected} column(t)[j]
+    omega^{ti}: one unscaled inverse FFT of the kept spectrum columns along
+    each row, run in row slabs (core.for_sub_blocks) into the one n x n
+    output, whose column i is then rolled back by i in place (the inverse
+    of core.cycle_reorder, in column slabs). The only other memory is each
+    slab's transform and each block's roll buffer. The sum is real when the
+    spectrum is half and the selection closed under t -> n - t (always so
+    after circulant_select); it is then float64, and irfft reads only the
+    kept t <= n/2. Otherwise the output is complex, through ifft.
     """
     n = spectrum.n
     kept = set(spectrum.selected)
     real = spectrum.half and all(-t % n in kept for t in kept)
-    workers = pass_workers(n * n)
-    PW = scipy.fft.fft(_fourier_operator(spectrum, n // 2 + 1 if real else n, n).toarray(),
-                       axis=1, norm="ortho", overwrite_x=True, workers=workers)
-    return (scipy.fft.irfft if real else scipy.fft.ifft)(
-        PW, n, axis=0, norm="ortho", overwrite_x=True, workers=workers)
+    sel = np.array([t for t in spectrum.selected if not real or t <= n // 2], dtype=np.intp)
+    K = spectrum.column(sel)
+    inverse = scipy.fft.irfft if real else scipy.fft.ifft
+    out = np.empty((n, n), np.float64 if real else np.complex128)
+
+    def synthesize(lo, hi):
+        T = np.zeros((hi - lo, n // 2 + 1 if real else n), np.complex128)
+        T[:, sel] = K[:, lo:hi].T
+        out[lo:hi] = inverse(T, n, axis=1, norm="forward", overwrite_x=True)
+
+    for_sub_blocks(synthesize, n, n * n, CHUNKS)
+    return _roll_columns(out, -1)
 
 
 def _norms(spectrum: CirculantSpectrum) -> tuple[float, float]:
@@ -200,7 +216,8 @@ def _norms(spectrum: CirculantSpectrum) -> tuple[float, float]:
 
 def _fourier_operator(spectrum: CirculantSpectrum, rows: int,
                       cols: int) -> scipy.sparse.csr_array:
-    """Rows < rows and columns < cols of P, sum_{t in selected} R_t D^t = W* P W.
+    """Rows < rows and columns < cols of P, sum_{t in selected} R_t D^t = W* P W,
+    the form in which the product applies the kept sum.
 
     R_t D^t = W* diag(L_t) W D^t = W* diag(L_t) C^t W with L_t the
     unnormalized FFT of R_t's first column, so P[i, (i-t) mod n] = L_t[i]:

@@ -9,11 +9,16 @@ product in cd and sfft.
 Threading: a pass over GRAIN or more array entries is cut into contiguous
 index blocks that run on one private thread pool with one thread per CPU in
 the process's affinity mask (WORKERS). Each block computes whole rows, whole
-columns (a slab of a sparse product) or whole entries exactly as one call
-over the full array would, so the output is bit-identical to a single
-thread; unitary_dft hands the same WORKERS to scipy.fft, which splits by
-whole 1-D transforms. Smaller passes run on the calling thread. No setting
-changes this rule.
+columns (a slab of a sparse product or of the column roll) or whole entries
+exactly as one call over the full array would, so the output is
+bit-identical to a single thread; unitary_dft hands the same WORKERS to
+scipy.fft, which splits by whole 1-D transforms. Smaller passes run on the
+calling thread. No setting changes this rule. The column roll (column i
+rolled by i: cycle_reorder, and its inverse in circulant_materialize) takes
+each block SUB_ROWS columns at a time through one buffer per block of
+n + SUB_ROWS - 1 rows, so every slab is read and written in cache; the
+gather checks finiteness on those buffers, so it is the one check of a
+matrix it is given.
 """
 
 from __future__ import annotations
@@ -115,9 +120,10 @@ def for_sub_blocks(fn, length: int, entries: int, chunks: int = 1) -> None:
     """for_blocks(..., chunks), each block handed to fn(lo, hi) in pieces of
     at most SUB_ROWS indices: the rule for every step that includes a CSR
     product, with the dense operand cut along its free axis (the rows of B
-    in B @ S, the columns of X in S @ X), and for sfft's top-k selections,
-    whose row temporaries then stay SUB_ROWS rows even on one thread. The
-    pieces of one block run in order on its thread.
+    in B @ S, the columns of X in S @ X), and for sfft's top-k selections
+    and circulant_materialize's row transforms, whose row temporaries then
+    stay SUB_ROWS rows even on one thread. The pieces of one block run in
+    order on its thread.
 
     A split pass is first cut into chunks * WORKERS blocks, and SUB_ROWS
     only caps a block, so a slab is min(SUB_ROWS, length / (chunks *
@@ -226,6 +232,44 @@ def unitary_dft(x, direction: str = "forward", axis: int = -1) -> np.ndarray:
     return fft(x, axis=axis, norm="ortho", workers=pass_workers(x.size))
 
 
+def _roll_columns(X: np.ndarray, sign: int) -> np.ndarray:
+    """Column i of the square X rolled by sign * i: Y[r, i] = X[(r + sign*i) % n, i].
+
+    One column slab of at most SUB_ROWS columns at a time: the slab's rows,
+    rolled by sign times its first column, are copied into an
+    (n + SUB_ROWS - 1) x SUB_ROWS buffer, in which the rest of each column's
+    roll is one strided view, copied out in rows of SUB_ROWS contiguous
+    entries. for_blocks splits the columns into one block per worker, and
+    each block allocates one buffer. sign = 1 (the cycle gather) returns a
+    new array and raises ValueError(NOT_FINITE) if a buffer holds a NaN or
+    an inf; sign = -1 (its inverse) rolls X in place and returns it. A pure
+    copy, so bit-identical at any thread count.
+    """
+    n = X.shape[0]
+    out = np.empty((n, n), X.dtype) if sign == 1 else X
+    rows = n + SUB_ROWS - 1
+
+    def block(lo, hi):
+        buf = np.empty((rows, SUB_ROWS), X.dtype)
+        s0, s1 = buf.strides
+        for c0 in range(lo, hi, SUB_ROWS):
+            c1 = min(c0 + SUB_ROWS, hi)
+            width = c1 - c0
+            # buf[q, d] = X[(q + start) % n, c0 + d], so that
+            # Y[r, c0 + d] = buf[r + sign*d + skip, d]
+            skip = 0 if sign == 1 else width - 1
+            start = (sign * c0 - skip) % n
+            buf[:n - start, :width] = X[start:, c0:c1]
+            buf[n - start:n + width - 1, :width] = X[:start + width - 1, c0:c1]
+            if sign == 1 and not np.isfinite(buf[:n, :width]).all():
+                raise ValueError(NOT_FINITE)
+            out[:, c0:c1] = as_strided(buf[skip:], (n, width), (s0, s1 + sign * s0),
+                                       writeable=False)
+
+    for_blocks(block, n, n * n)
+    return out
+
+
 def cycle_reorder(A) -> np.ndarray:
     """Arrange the n cycles of a square matrix into rows.
 
@@ -235,29 +279,16 @@ def cycle_reorder(A) -> np.ndarray:
     C[i, (i-1) % n] = 1. Cycle j is the entry set {A(i, (i-j) mod n)}; the
     n cycles partition the n^2 entries.
 
-    A is doubled into a 2n x n array, where the gather is one strided view,
-    copied in row blocks into a fresh C-ordered array; no index arrays.
+    Column i of A rolled by i (_roll_columns), one column slab at a time
+    through a buffer that stays in cache, into a fresh C-ordered array; no
+    index arrays and no n x n temporary. Raises ValueError for a non-square
+    or non-2-D input, and for a NaN or an inf, which each slab's buffer is
+    checked for: the gather is the finiteness check, so A is read once.
     """
-    A = as_matrix(A)
-    n = A.shape[0]
-    if A.shape[1] != n:
+    A = _coerce(A)
+    if A.shape[1] != A.shape[0]:
         raise ValueError(f"square matrix required, got {A.shape}")
-    A2 = np.empty((2 * n, n), A.dtype)
-
-    def double(lo, hi):
-        A2[lo:hi] = A[lo:hi]
-        A2[n + lo:n + hi] = A[lo:hi]
-
-    for_blocks(double, n, n * n)
-    s0, s1 = A2.strides
-    view = as_strided(A2, (n, n), (s0, s0 + s1), writeable=False)
-    out = np.empty((n, n), A.dtype)
-
-    def gather(lo, hi):
-        out[lo:hi] = view[lo:hi]
-
-    for_blocks(gather, n, n * n)
-    return out
+    return _roll_columns(A, 1)
 
 
 def relative_error(M, C_ref) -> float:

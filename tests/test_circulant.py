@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -96,20 +97,24 @@ def test_materialize_selected_subset():
 
 
 def test_materialize_partial_matches_component_oracle(one_and_split):
-    # sum of R_t D^t over a partial selection, each R_t built from the
-    # cycle-averaging oracle rather than from the FFT decomposition; the
-    # products share materialize's P, so this pins P's sign convention
+    # sum of R_t D^t over a selection, each R_t built from the
+    # cycle-averaging oracle rather than from the FFT decomposition, so this
+    # pins the sign convention; n = 65, 130 and 200 roll more than one
+    # 64-column slab, and the split cuts them into other slabs
     rng = np.random.default_rng(9)
-    for n in (8, 31):
+    for n in (8, 31, 65, 130, 200):
         A = rng.standard_normal((n, n))
+        Z = A + 1j * rng.standard_normal((n, n))
         omega = np.exp(2j * np.pi * np.arange(n) / n)
         # a selection that splits conjugate pairs sums to a complex matrix;
-        # a conjugate-closed one to a real matrix, through irfft
-        for selected, dtype in (([0, 2, 3, n - 1], np.complex128),
-                                ([0, 1, 3, n - 3, n - 1], np.float64)):
-            spec = circulant_select(circulant_decompose(A), 0)
+        # a conjugate-closed one to a real matrix, through irfft; a complex
+        # matrix's full spectrum sums to the matrix
+        for X, selected, dtype in ((A, [0, 2, 3, n - 1], np.complex128),
+                                   (A, [0, 1, 3, n - 3, n - 1], np.float64),
+                                   (Z, list(range(n)), np.complex128)):
+            spec = circulant_select(circulant_decompose(X), 0)
             spec.selected = selected
-            ref = sum(scipy.linalg.circulant(circulant_component(A, t)) * omega**t
+            ref = sum(scipy.linalg.circulant(circulant_component(X, t)) * omega**t
                       for t in spec.selected)
             one, split = one_and_split(lambda: circulant_materialize(spec))
             assert one.dtype == dtype
@@ -376,24 +381,27 @@ def _split_peak_arrays(monkeypatch, order, dtype):
 
 def test_split_zeroth_order_peak_memory(monkeypatch):
     # each column slab of B goes through W, P_a and W* into M, so no n x n
-    # transform of B is held; a complex pair peaks at 4.00 arrays in the
-    # decompositions, a real pair at 2.00 (half spectra and a float64 M)
-    assert _split_peak_arrays(monkeypatch, 0, complex) <= 4.05
-    assert _split_peak_arrays(monkeypatch, 0, float) <= 2.05
+    # transform of B is held, and the cycle gather holds no copy of a factor
+    # beside its output; a complex pair peaks at 3.05 arrays in the
+    # decompositions, a real pair at 1.54 (half spectra and a float64 M)
+    assert _split_peak_arrays(monkeypatch, 0, complex) <= 3.10
+    assert _split_peak_arrays(monkeypatch, 0, float) <= 1.59
 
 
 def test_split_first_order_peak_memory(monkeypatch):
     # the zeroth-order term streams column slabs of B into M, materialize
-    # transforms the dense P in place, and the correction overwrites Ahat
-    # with dA a few rows at a time; for a real pair Ahat, dA and M are
-    # float64 and the peak is 2.51 arrays
-    assert _split_peak_arrays(monkeypatch, 1, complex) <= 4.25
-    assert _split_peak_arrays(monkeypatch, 1, float) <= 2.55
+    # builds Ahat in its one output array and rolls it in place, and the
+    # correction overwrites Ahat with dA a few rows at a time; for a real
+    # pair Ahat, dA and M are float64 and the peak is 2.08 arrays, and a
+    # complex pair peaks at 4.16, in materialize beside both spectra and M
+    assert _split_peak_arrays(monkeypatch, 1, complex) <= 4.21
+    assert _split_peak_arrays(monkeypatch, 1, float) <= 2.13
 
 
 def test_multiply_validates_each_factor_once(monkeypatch):
-    # the operand gate checks each factor, and each decomposition's cycle
-    # reordering checks it once more; materialize takes a spectrum, no matrix
+    # the operand gate checks each factor; the cycle reordering of each
+    # decomposition checks finiteness in its own gather, and materialize
+    # takes a spectrum, no matrix
     calls = []
     real = core.as_matrix
     counted = lambda a: calls.append(1) or real(a)  # noqa: E731
@@ -404,4 +412,29 @@ def test_multiply_validates_each_factor_once(monkeypatch):
     for order in (0, 1):
         calls.clear()
         circulant_first_order_multiply(A, B, 3, order)
-        assert len(calls) == 4
+        assert len(calls) == 2
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_cycle_gather_rejects_non_finite(bad, one_and_split):
+    # the gather checks each slab it copies: at n = 130 one thread copies
+    # columns 0-63, 64-127 and the ragged 128-129, and the split pass cuts
+    # them into three blocks of other slabs; a bad entry of either factor
+    # fails the decomposition and both orders of the product
+    n = 130
+    rng = np.random.default_rng(13)
+    B = rng.standard_normal((n, n))
+    for where in ((0, 0), (77, 100), (3, 129), (129, 128)):
+        A = rng.standard_normal((n, n))
+        A[where] = bad
+        calls = [(core.cycle_reorder, A), (core.cycle_reorder, A + 0j),
+                 (circulant_decompose, A), (circulant_decompose, A.T + 0j)]
+        calls += [(circulant_first_order_multiply, X, Y, 5, order)
+                  for X, Y in ((A, B), (B, A)) for order in (0, 1)]
+
+        def check():
+            for f, *args in calls:
+                with pytest.raises(ValueError, match=re.escape(core.NOT_FINITE)):
+                    f(*args)
+
+        one_and_split(check)

@@ -184,8 +184,9 @@ def _cycle_reorder_reference(A):
     return A[(I + J) % A.shape[0], I]
 
 
-@pytest.mark.parametrize("n", [1, 2, 7, 64])
+@pytest.mark.parametrize("n", [1, 2, 7, 64, 65, 130, 200])
 def test_cycle_reorder_matches_index_reference(n):
+    # n = 64 is one 64-column slab; 65, 130 and 200 end in a ragged slab
     rng = np.random.default_rng(n)
     real = rng.standard_normal((n, n))
     cplx = real + 1j * rng.standard_normal((n, n))
@@ -197,7 +198,7 @@ def test_cycle_reorder_matches_index_reference(n):
         assert not np.shares_memory(out, A)
 
 
-SPLIT_SIZES = [1, 2, 3, 31, 64]
+SPLIT_SIZES = [1, 2, 3, 31, 64, 65, 130, 200]
 
 
 @pytest.mark.parametrize("n", SPLIT_SIZES)

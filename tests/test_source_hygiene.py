@@ -9,7 +9,8 @@ the benchmark outside its own definition, unless UNUSED_PUBLIC says why not,
 and every private top-level name of a module is used somewhere in the
 package outside its own definition.
 No module refers to numpy.fft: scipy.fft is the one FFT backend. The
-products whose norms follow pooled passes (cd and sfft) call no BLAS norm.
+products whose norms follow pooled passes (cd and sfft) call no BLAS norm,
+and the column roll and circulant_materialize make no matrix product.
 """
 
 import ast
@@ -166,3 +167,21 @@ def test_pooled_products_call_no_blas_norm(name):
     # pooled pass after it then shares a core with that worker; report._fro
     # makes no BLAS call at pool sizes
     assert _blas_norm_calls(_tree(ROOT / "src" / "apxmm" / name)) == []
+
+
+@pytest.mark.parametrize("name, function", [("core.py", "_roll_columns"),
+                                            ("circulant.py", "circulant_materialize")])
+def test_roll_and_materialize_make_no_matrix_product(name, function):
+    # cd's correction pass follows materialize on the pool; a GEMM per slab
+    # in materialize halved its own time at n=2048, but the spinning BLAS
+    # workers it left slowed the pooled correction after it by about 40%
+    body = next(node for node in _tree(ROOT / "src" / "apxmm" / name).body
+                if isinstance(node, ast.FunctionDef) and node.name == function)
+    products = []
+    for node in ast.walk(body):
+        matmul = isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+        called = (node.id if isinstance(node, ast.Name)
+                  else node.attr if isinstance(node, ast.Attribute) else "")
+        if matmul or re.search("matmul|dot|einsum", called):
+            products.append(ast.unparse(node))
+    assert products == []
