@@ -4,15 +4,19 @@ Writes A @ B = sum_k (col_k of A)(row_k of B) and Monte-Carlo samples c of
 the n outer products with probability proportional to the norm product
 ||A^(k)|| ||B_(k)||, rescaling each accepted term by 1/(c p_k) so the sum is
 unbiased. Indices are drawn by rejection sampling and with replacement.
+The column and row norms are the one pass numpy makes over the factors
+before the GEMM, and the finiteness check: their sum is finite only when
+every entry is (and no norm overflows).
 """
 
 from __future__ import annotations
 
+import math
 import time
 
 import numpy as np
 
-from .core import as_pair
+from .core import _coerce_pair, as_matrix
 from .report import ApproxReport
 
 __all__ = ["randomized_outer_product_multiply"]
@@ -43,6 +47,12 @@ def _norms(X: np.ndarray, axis: int) -> np.ndarray:
     return np.sqrt(out)
 
 
+def _scaled(X: np.ndarray) -> np.ndarray:
+    """A validated X divided by its largest |entry|, if that is nonzero."""
+    X = as_matrix(X)
+    return X / (np.abs(X).max() or 1.0)
+
+
 def randomized_outer_product_multiply(A, B, c: int, seed):
     """Unbiased c-sample outer-product estimate of A @ B.
 
@@ -53,15 +63,25 @@ def randomized_outer_product_multiply(A, B, c: int, seed):
     Zero-probability indices are never accepted; if every p_k is zero the
     product is identically zero and there is nothing to sample, so that
     degenerate input is rejected.
+
+    The weights are np.linalg.norm's bit for bit (_norms). Only when their
+    sum is not finite are the factors checked (as_matrix raises for a NaN or
+    an inf) and the weights recomputed from each factor over its largest
+    |entry|, which leaves p unchanged and keeps finite factors whose norms
+    overflow from stalling the sampler.
     """
-    A, B = as_pair(A, B)
+    A, B = _coerce_pair(A, B)
     if c < 1:
         raise ValueError("c must be >= 1")
     n = A.shape[1]
 
     t0 = time.perf_counter()
-    weights = _norms(A, axis=0) * _norms(B, axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # handled below
+        weights = _norms(A, axis=0) * _norms(B, axis=1)
     total = float(weights.sum())
+    if not math.isfinite(total):
+        weights = _norms(_scaled(A), axis=0) * _norms(_scaled(B), axis=1)
+        total = float(weights.sum())
     if total == 0.0:
         raise ValueError("all column/row norm products are zero; nothing to sample")
     p = weights / total

@@ -46,7 +46,7 @@ from .core import (
     for_sub_blocks,
     pass_workers,
 )
-from .report import estimated_report
+from .report import _fro, estimated_report
 
 __all__ = [
     "CirculantSpectrum",
@@ -280,8 +280,11 @@ def circulant_first_order_multiply(A, B, k: int, order: int):
 
     for_sub_blocks(apply, n, n * n, CHUNKS)
     if order == 1:
-        dA = circulant_materialize(spec_a)
+        # P_b is all the correction reads of B's spectrum: free it before
+        # materialize allocates Ahat
         P_b = _fourier_operator(spec_b, n, half)
+        del spec_b
+        dA = circulant_materialize(spec_a)
         forward = scipy.fft.hfft if real else scipy.fft.fft
 
         def correct(lo, hi):
@@ -293,5 +296,5 @@ def circulant_first_order_multiply(A, B, k: int, order: int):
 
         for_sub_blocks(correct, n, n * n, CHUNKS)
     wall = time.perf_counter() - t0
-    return M, estimated_report("cd", order, k, M, n, norm_a, norm_b,
+    return M, estimated_report("cd", order, k, _fro(M), n, norm_a, norm_b,
                                norm_da, norm_db, wall)

@@ -164,17 +164,26 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def as_pair(A, B) -> tuple[np.ndarray, np.ndarray]:
-    """Validate the two factors of a product A @ B and return them coerced.
-
-    Each factor passes as_matrix; the inner dimensions must agree. This is
-    the construction gate of every product's operands.
-    """
-    A = as_matrix(A)
-    B = as_matrix(B)
+def _coerce_pair(A, B) -> tuple[np.ndarray, np.ndarray]:
+    """The two factors of a product A @ B through _coerce, entries
+    unchecked; the inner dimensions must agree."""
+    A, B = _coerce(A), _coerce(B)
     if A.shape[1] != B.shape[0]:
         raise ValueError(f"dimension mismatch: {A.shape} x {B.shape}")
     return A, B
+
+
+def as_pair(A, B) -> tuple[np.ndarray, np.ndarray]:
+    """Validate the two factors of a product A @ B and return them coerced.
+
+    The inner dimensions must agree, and each factor passes as_matrix. cd,
+    sfft and the exact products gate their operands here. svd and lowrank
+    take _coerce_pair instead: the norms each of them computes first read
+    every entry and are finite only when every entry is, so that pass is
+    their finiteness check.
+    """
+    A, B = _coerce_pair(A, B)
+    return as_matrix(A), as_matrix(B)
 
 
 def matmul_naive(A, B) -> np.ndarray:

@@ -225,5 +225,5 @@ def fft_sparse_first_order_multiply(A, B, k: int, order: int,
         M += sparse_dense_multiply(SB, dAt, "right")
     norm_da = _fro(dAt)
     wall = time.perf_counter() - t0
-    return M, estimated_report("sfft", order, k, M, A.shape[1], _fro(A), _fro(B),
-                               norm_da, norm_db, wall)
+    return M, estimated_report("sfft", order, k, _fro(M), A.shape[1], _fro(A),
+                               _fro(B), norm_da, norm_db, wall)

@@ -68,20 +68,21 @@ def _fro(X: np.ndarray) -> float:
     return math.sqrt(partial.sum())
 
 
-def estimated_report(method: str, order: int, k: int, M: np.ndarray, n: int,
+def estimated_report(method: str, order: int, k: int, norm_m: float, n: int,
                      norm_a: float, norm_b: float, norm_da: float,
                      norm_db: float, wall: float) -> ApproxReport:
     """Report of a product M = Ahat B + dA Bhat (or its zeroth order) with
     the paper's two error estimates over the inner dimension n.
 
-    The a-priori estimate takes the mean-zero model, which reduces it to
-    ||dA|| ||dB|| / (||A|| ||B||); it is None when ||A|| or ||B|| is 0. The
-    posterior ||dA|| ||dB|| / (sqrt(n) ||M||) is None when M is 0.
+    norm_m is ||M||_F: cd and sfft take _fro(M), svd takes it from the
+    factors of M. The a-priori estimate takes the mean-zero model, which
+    reduces it to ||dA|| ||dB|| / (||A|| ||B||); it is None when ||A|| or
+    ||B|| is 0. The posterior ||dA|| ||dB|| / (sqrt(n) ||M||) is None when
+    norm_m is 0.
     """
     apriori = (apriori_relative_error(norm_a, norm_b, norm_da, norm_db,
                                       ErrorModel(case="mean-zero", n=n))
                if norm_a > 0 and norm_b > 0 else None)
-    norm_m = _fro(M)
     posterior = (posterior_relative_error(norm_da, norm_db, norm_m, n)
                  if norm_m > 0 else None)
     return ApproxReport(method=method, order=order, k=k, norm_da=norm_da,

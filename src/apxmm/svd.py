@@ -11,6 +11,11 @@ SVD. The product is evaluated through the factors: the zeroth order
 contracts the k x k core first, and the first order M = Ahat B + dA Bhat is
 one GEMM of inner dimension 2k, [Ua Sa | dA Ub Sb] @ [Va^T B ; Vb^T]. Its
 one dense intermediate is the residual dA, formed in place of Ahat.
+
+Each factor is read by numpy once before BLAS takes over: the Frobenius
+norm the decomposition needs anyway is the finiteness check, and ||M||,
+which the posterior estimate divides by, comes from the thin factors of M,
+so no pooled pass runs beside a spinning BLAS worker.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_matrix, as_pair
+from .core import _coerce_pair, as_matrix
 from .report import estimated_report
 
 __all__ = [
@@ -81,9 +86,10 @@ def _real_matrix(A) -> tuple[np.ndarray, float]:
     """A as a validated real float64 matrix, and its Frobenius norm.
 
     The norm reads every entry and is finite only when every entry is, so a
-    float64 matrix with a finite norm needs no separate isfinite pass; the
-    factors a product has already validated cost no second check. Anything
-    else goes through as_matrix.
+    float64 matrix with a finite norm needs no separate isfinite pass: this
+    is the one finiteness check of svd_first_order_multiply's factors.
+    Anything else goes through as_matrix, which raises for a NaN or an inf
+    and accepts a finite matrix whose norm overflows.
     """
     A = np.asarray(A)
     if A.dtype == np.float64 and A.ndim == 2 and A.size:
@@ -145,6 +151,15 @@ def svd_reconstruct(decomp: TruncatedSVD) -> np.ndarray:
     return (decomp.U * decomp.sigma) @ decomp.V.T
 
 
+def _product_norm(L: np.ndarray, R: np.ndarray) -> float:
+    """||L @ R||_F from the thin factors: ||L R||^2 = sum((L^T L) * (R R^T)).
+
+    Two GEMMs of O(n k^2) and no pass over the n x n product; a sum that
+    rounding leaves below 0 is clamped to 0.
+    """
+    return math.sqrt(max(0.0, float(np.sum((L.T @ L) * (R @ R.T)))))
+
+
 def svd_first_order_multiply(A, B, s: int, order: int, seed):
     """Approximate A @ B through rank-k truncations of both factors.
 
@@ -156,10 +171,12 @@ def svd_first_order_multiply(A, B, s: int, order: int, seed):
     that product writes M, so one n x n array is live at a time.
 
     The two decompositions draw from independent streams derived from `seed`.
+    Each decomposition's norm pass checks its factor for NaN and inf, and
+    the posterior's ||M|| comes from the factors of M (_product_norm).
     Returns (M, ApproxReport) with a-priori and posterior error estimates
     filled in.
     """
-    A, B = as_pair(A, B)
+    A, B = _coerce_pair(A, B)
     if order not in (0, 1):
         raise ValueError("order must be 0 or 1")
 
@@ -174,17 +191,18 @@ def svd_first_order_multiply(A, B, s: int, order: int, seed):
     Ua_s = da.U * da.sigma
     if order == 0:
         # (Ua sa Va^T)(Ub sb Vb^T): contract the k x k core first
-        core = (da.V.T @ db.U) * db.sigma
-        M = Ua_s @ (core @ db.V.T)
+        left = Ua_s
+        right = ((da.V.T @ db.U) * db.sigma) @ db.V.T
     else:
         # dA overwrites Ahat and is freed before the 2k-wide GEMM writes M
         dA = svd_reconstruct(da)
         np.subtract(A, dA, out=dA)
         left = np.hstack((Ua_s, (dA @ db.U) * db.sigma))
         del dA
-        M = left @ np.vstack((da.V.T @ B, db.V.T))
+        right = np.vstack((da.V.T @ B, db.V.T))
+    M = left @ right
     wall = time.perf_counter() - t0
-    return M, estimated_report("svd", order, da.k, M, A.shape[1],
-                               math.sqrt(da.source_frobenius_sq),
+    return M, estimated_report("svd", order, da.k, _product_norm(left, right),
+                               A.shape[1], math.sqrt(da.source_frobenius_sq),
                                math.sqrt(db.source_frobenius_sq),
                                norm_da, norm_db, wall)

@@ -1,10 +1,12 @@
 """Tests for the randomized outer-product comparison method."""
 
+import re
+
 import numpy as np
 import pytest
 
 from apxmm.baseline import _norms, randomized_outer_product_multiply
-from apxmm.core import matmul_naive, relative_error
+from apxmm.core import NOT_FINITE, matmul_naive, relative_error
 
 
 def test_identity_single_sample_structure():
@@ -116,3 +118,43 @@ def test_product_from_linalg_norm_weights():
             idx.append(k)
     M, _ = randomized_outer_product_multiply(A, B, c, seed)
     assert np.array_equal(M, (A[:, idx] / (c * p[idx])) @ B[idx])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_rejects_non_finite_factors(bad):
+    # a NaN or an inf at the first or the last entry of either factor makes
+    # the weights' sum non-finite, and the factors are then checked
+    rng = np.random.default_rng(6)
+    good = rng.standard_normal((12, 12))
+    for where in ((0, 0), (-1, -1)):
+        for side in (0, 1):
+            pair = [good, good]
+            pair[side] = good.copy()
+            pair[side][where] = bad
+            with pytest.raises(ValueError, match=re.escape(NOT_FINITE)):
+                randomized_outer_product_multiply(*pair, 3, 0)
+
+
+def test_finite_factors_whose_norms_overflow():
+    # every column norm of A is inf; the weights are taken again from A over
+    # its largest entry, so p stays uniform and the sampler returns
+    A = np.full((4, 4), 1e160)
+    M, _ = randomized_outer_product_multiply(A, np.eye(4), 2, 0)
+    assert np.isfinite(M).all()
+    assert np.array_equal(M, randomized_outer_product_multiply(np.ones((4, 4)), np.eye(4),
+                                                               2, 0)[0] * 1e160)
+
+
+def test_finite_weights_call_no_as_matrix(monkeypatch):
+    # the weights read every entry, so finite weights need no isfinite pass
+    from apxmm import baseline, core
+
+    calls = []
+    real = core.as_matrix
+    counted = lambda a: calls.append(1) or real(a)  # noqa: E731
+    for module in (core, baseline):
+        monkeypatch.setattr(module, "as_matrix", counted)
+    rng = np.random.default_rng(7)
+    baseline.randomized_outer_product_multiply(rng.standard_normal((16, 16)),
+                                               rng.standard_normal((16, 16)), 4, 0)
+    assert calls == []

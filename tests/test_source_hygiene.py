@@ -10,7 +10,9 @@ and every private top-level name of a module is used somewhere in the
 package outside its own definition.
 No module refers to numpy.fft: scipy.fft is the one FFT backend. The
 products whose norms follow pooled passes (cd and sfft) call no BLAS norm,
-and the column roll and circulant_materialize make no matrix product.
+the products that end in BLAS (svd and lowrank) take neither the pooled
+operand gate nor the pooled norm, and the column roll and
+circulant_materialize make no matrix product.
 """
 
 import ast
@@ -167,6 +169,15 @@ def test_pooled_products_call_no_blas_norm(name):
     # pooled pass after it then shares a core with that worker; report._fro
     # makes no BLAS call at pool sizes
     assert _blas_norm_calls(_tree(ROOT / "src" / "apxmm" / name)) == []
+
+
+@pytest.mark.parametrize("name", ["svd.py", "baseline.py"])
+def test_blas_products_take_no_pooled_gate_or_norm(name):
+    # svd and lowrank end in BLAS calls: their finiteness check is the norm
+    # pass they make anyway, and svd's ||M|| comes from its factors, so on
+    # finite factors no pooled pass runs beside a spinning BLAS worker
+    tree = _tree(ROOT / "src" / "apxmm" / name)
+    assert {"as_pair", "_fro"} & (_references(tree) | _imported_names(tree)) == set()
 
 
 @pytest.mark.parametrize("name, function", [("core.py", "_roll_columns"),

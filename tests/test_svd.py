@@ -1,11 +1,12 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from apxmm.core import matmul_naive, relative_error
+from apxmm.core import NOT_FINITE, matmul_naive, relative_error
 from apxmm.genmat import MatrixSpec, generate
 from apxmm.report import estimated_report
 from apxmm.svd import (
@@ -158,7 +159,7 @@ def test_products_match_two_term_form(kinds, seed):
 
     M1, rep1 = svd_first_order_multiply(A, B, 1, 1, seed)
     assert np.linalg.norm(M1 - two_term) <= 1e-12 * np.linalg.norm(two_term)
-    ref = estimated_report("svd", 1, da.k, two_term, n,
+    ref = estimated_report("svd", 1, da.k, np.linalg.norm(two_term), n,
                            math.sqrt(da.source_frobenius_sq),
                            math.sqrt(db.source_frobenius_sq),
                            svd_residual_norm(da), svd_residual_norm(db), 0.0)
@@ -280,9 +281,10 @@ def test_decompose_accepts_finite_input_whose_norm_overflows():
     assert ints.source_frobenius_sq == pytest.approx(3.0, rel=1e-15)
 
 
-def test_multiply_validates_each_factor_once(monkeypatch):
-    # svd_first_order_multiply's operand gate checks each factor; the
-    # decompositions reuse that check through the norm they compute anyway
+def test_multiply_calls_no_as_matrix_on_finite_factors(monkeypatch):
+    # each decomposition's Frobenius norm reads every entry and is finite
+    # only when every entry is, so finite float64 factors pass no isfinite
+    # pass of as_matrix
     from apxmm import core, svd
 
     calls = []
@@ -293,6 +295,71 @@ def test_multiply_validates_each_factor_once(monkeypatch):
     rng = np.random.default_rng(3)
     A, B = rng.standard_normal((16, 16)), rng.standard_normal((16, 16))
     for order in (0, 1):
-        calls.clear()
         svd.svd_first_order_multiply(A, B, 1, order, seed=0)
-        assert len(calls) == 2
+    assert calls == []
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_multiply_rejects_non_finite_factors(bad, one_and_split):
+    # a NaN or an inf at the first or the last entry of either factor makes
+    # that factor's norm non-finite, and as_matrix then raises, on one
+    # thread and with its isfinite pass split into blocks
+    rng = np.random.default_rng(4)
+    good = rng.standard_normal((24, 24))
+
+    def check():
+        for where in ((0, 0), (-1, -1)):
+            for side in (0, 1):
+                pair = [good, good]
+                pair[side] = good.copy()
+                pair[side][where] = bad
+                for order in (0, 1):
+                    with pytest.raises(ValueError, match=re.escape(NOT_FINITE)):
+                        svd_first_order_multiply(*pair, 1, order, seed=0)
+
+    one_and_split(check)
+
+
+def test_multiply_coerces_and_checks_operands(monkeypatch):
+    from apxmm import svd
+
+    # int and list factors are coerced to float64 and give its product
+    ints = np.arange(36).reshape(6, 6) % 5
+    floats = ints.astype(np.float64)
+    for order in (0, 1):
+        M, _ = svd_first_order_multiply(ints, ints.tolist(), 1, order, seed=0)
+        assert np.array_equal(M, svd_first_order_multiply(floats, floats, 1, order,
+                                                          seed=0)[0])
+    with pytest.raises(ValueError, match="expects a real matrix"):
+        svd_first_order_multiply(np.eye(4) * 1j, np.eye(4), 1, 0, seed=0)
+    calls = []
+    monkeypatch.setattr(svd, "randomized_partial_svd",
+                        lambda *args: calls.append(1))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        svd.svd_first_order_multiply(np.ones((4, 3)), np.ones((4, 4)), 1, 0, seed=0)
+    assert calls == []
+
+
+@pytest.mark.parametrize("n", [31, 512])
+@pytest.mark.parametrize("order", [0, 1])
+def test_report_norm_of_m_from_factors(monkeypatch, order, n):
+    # ||M||^2 = sum((L^T L) * (R R^T)) for M = L R matches the norm of M
+    from apxmm import svd
+
+    seen = []
+    real = svd.estimated_report
+    monkeypatch.setattr(svd, "estimated_report",
+                        lambda *args: seen.append(args[3]) or real(*args))
+    rng = np.random.default_rng(n)
+    A, B = rng.standard_normal((n, n)), rng.standard_normal((n, n))
+    M, _ = svd.svd_first_order_multiply(A, B, 1, order, seed=1)
+    assert seen[0] == pytest.approx(np.linalg.norm(M), rel=1e-13, abs=0)
+
+
+def test_zero_product_leaves_posterior_unset():
+    rng = np.random.default_rng(6)
+    for order in (0, 1):
+        M, rep = svd_first_order_multiply(np.zeros((8, 8)), rng.standard_normal((8, 8)),
+                                          1, order, seed=0)
+        assert not M.any()
+        assert rep.posterior_estimate is None
