@@ -34,8 +34,6 @@ from .circulant import circulant_decompose, circulant_first_order_multiply
 from .core import WORKERS, as_pair, relative_error
 from .errest import (
     _CASES,
-    ErrorModel,
-    HaarMoments,
     apriori_relative_error,
     concentration_tail_bound,
     estimate_front_constant,
@@ -514,13 +512,11 @@ def cmd_estimate(args, parser) -> int:
     if args.mode == "haar-moments":
         d1 = _load_spectrum_vector(args.spectrum_1)
         d2 = _load_spectrum_vector(args.spectrum_2)
-        m = HaarMoments.from_spectra(d1, d2)
-        mean_sq, variance, mean_norm = haar_product_moments(m)
-        payload = {"n": m.n, "mean_sq": mean_sq, "variance": variance,
+        mean_sq, variance, mean_norm = haar_product_moments(d1, d2)
+        payload = {"n": d1.size, "mean_sq": mean_sq, "variance": variance,
                    "mean_norm": mean_norm}
-        if args.tail_t is not None:  # the bound of D2 needs its spectral norm
-            payload["tail_bound"] = concentration_tail_bound(
-                m, args.tail_t, float(np.max(np.abs(d2))))
+        if args.tail_t is not None:
+            payload["tail_bound"] = concentration_tail_bound(d1, d2, args.tail_t)
         print(_json_line(payload))
         return 0
     if args.mode == "uniform-moment":
@@ -529,9 +525,8 @@ def cmd_estimate(args, parser) -> int:
                           "mean_sq": value}))
         return 0
     # apriori
-    model = ErrorModel(case=args.case, n=args.n, c=args.c_const)
-    est = apriori_relative_error(args.norm_a, args.norm_b,
-                                 args.norm_da, args.norm_db, model)
+    est = apriori_relative_error(args.norm_a, args.norm_b, args.norm_da,
+                                 args.norm_db, args.n, args.case, args.c_const)
     print(_json_line({"case": args.case, "n": args.n, "estimate": est}))
     return 0
 

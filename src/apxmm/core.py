@@ -1,10 +1,9 @@
 """Dense-matrix primitives shared by every approximation method.
 
-Input validation for single matrices and product pairs, Frobenius algebra,
-an arbitrary-length unitary DFT, cycle reordering of a square matrix, the
-exact multiplication oracle that all approximate products are tested
-against, and the one slab rule (for_sub_blocks) of every sparse-dense
-product in cd and sfft.
+Input validation for single matrices and product pairs, an arbitrary-length
+unitary DFT, cycle reordering of a square matrix, the exact multiplication
+oracle that all approximate products are tested against, and the one slab
+rule (for_sub_blocks) of every sparse-dense product in cd and sfft.
 
 Threading: a pass over GRAIN or more array entries is cut into contiguous
 index blocks that run on one private thread pool with one thread per CPU in
@@ -36,7 +35,6 @@ __all__ = [
     "as_matrix",
     "as_pair",
     "matmul_naive",
-    "frobenius",
     "unitary_dft",
     "cycle_reorder",
     "relative_error",
@@ -197,24 +195,6 @@ def matmul_naive(A, B) -> np.ndarray:
     A, B = as_pair(A, B)
     # optimize=False keeps einsum on the fixed-order nditer path
     return np.einsum("ik,kj->ij", A, B, optimize=False)
-
-
-def frobenius(A, B=None):
-    """Frobenius norm of A, or the inner product <A, B> = sum(conj(A) * B).
-
-    With one argument returns the real norm ||A||_F. With two, returns the
-    (possibly complex) Frobenius inner product.
-    """
-    A = as_matrix(A)
-    if B is None:
-        return float(np.linalg.norm(A))
-    B = as_matrix(B)
-    if A.shape != B.shape:
-        raise ValueError(f"shape mismatch: {A.shape} vs {B.shape}")
-    out = np.vdot(A, B)
-    if not (np.iscomplexobj(A) or np.iscomplexobj(B)):
-        return float(out.real)
-    return complex(out)
 
 
 def unitary_dft(x, direction: str = "forward", axis: int = -1) -> np.ndarray:

@@ -6,18 +6,16 @@ with the norm of the computed product. The moment helpers give closed forms
 for ||D1 Q D2||_F^2 over Q Haar-distributed on the real orthogonal group
 (the group every generator here samples) and for ||AB||_F^2 over uniform
 entries, plus an empirical front-constant estimator for other distributions.
+Each function takes the numbers it reads: norms, sizes or the two spectra.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "ErrorModel",
-    "HaarMoments",
     "apriori_relative_error",
     "posterior_relative_error",
     "haar_product_moments",
@@ -29,96 +27,36 @@ __all__ = [
 _CASES = ("mean-zero", "unsigned", "custom")
 
 
-@dataclass(frozen=True)
-class ErrorModel:
-    """Entry-distribution model for the denominator of a-priori estimates.
-
-    case "mean-zero": ||AB||_F ~ ||A||_F ||B||_F / sqrt(n).
-    case "unsigned":  ||AB||_F ~ (3/4) ||A||_F ||B||_F (uniform-sign entries).
-    case "custom":    ||AB||_F ~ c ||A||_F ||B||_F with a supplied c in (0, 1]
-                      (c is bounded by 1 via Cauchy-Schwarz).
-    """
-
-    case: str
-    n: int
-    c: float | None = None
-
-    def __post_init__(self):
-        if self.case not in _CASES:
-            raise ValueError(f"unknown case {self.case!r}")
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        if self.case == "custom":
-            if self.c is None or not 0.0 < self.c <= 1.0:
-                raise ValueError("custom model needs c in (0, 1]")
-        elif self.c is not None:
-            raise ValueError(f"case {self.case!r} takes no c")
-
-    def product_constant(self) -> float:
-        """Front constant c_prod with ||AB||_F ~ c_prod ||A||_F ||B||_F."""
-        if self.case == "mean-zero":
-            return 1.0 / math.sqrt(self.n)
-        if self.case == "unsigned":
-            return 0.75
-        return float(self.c)
-
-
-@dataclass(frozen=True)
-class HaarMoments:
-    """Spectrum power sums for the Haar product moment formulas.
-
-    alpha_i = sum D_i(j)^2, beta_i = sum D_i(j)^4 for the two diagonal
-    spectra; n is the matrix size.
-    """
-
-    alpha1: float
-    alpha2: float
-    beta1: float
-    beta2: float
-    n: int
-
-    def __post_init__(self):
-        for name in ("alpha1", "alpha2", "beta1", "beta2"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-        # power-mean bound: sum d^4 <= (sum d^2)^2
-        if self.beta1 > self.alpha1**2 * (1 + 1e-12) or self.beta2 > self.alpha2**2 * (1 + 1e-12):
-            raise ValueError("beta must not exceed alpha^2")
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-
-    @classmethod
-    def from_spectra(cls, d1, d2) -> "HaarMoments":
-        d1 = np.asarray(d1, dtype=float)
-        d2 = np.asarray(d2, dtype=float)
-        if d1.ndim != 1 or d2.ndim != 1 or d1.size != d2.size:
-            raise ValueError("spectra must be 1-D and of equal length")
-        return cls(
-            alpha1=float(np.sum(d1**2)),
-            alpha2=float(np.sum(d2**2)),
-            beta1=float(np.sum(d1**4)),
-            beta2=float(np.sum(d2**4)),
-            n=d1.size,
-        )
-
-
 def apriori_relative_error(normA: float, normB: float, norm_dA: float,
-                           norm_dB: float, model: ErrorModel) -> float:
+                           norm_dB: float, n: int, case: str = "mean-zero",
+                           c: float | None = None) -> float:
     """Predicted relative error of the first-order product, before computing it.
 
     Numerator: residues are treated as mean-zero, so ||dA dB||_F is estimated
     by ||dA||_F ||dB||_F / sqrt(n). Denominator: ||AB||_F is estimated as
-    c_prod * ||A||_F ||B||_F with c_prod chosen by the model. Only the
-    dominant term is returned (no small-probability correction). For the
-    mean-zero model the two 1/sqrt(n) factors cancel and the estimate is the
-    product of the two relative residual norms.
+    c_prod * ||A||_F ||B||_F, with c_prod by the entry-distribution case:
+    "mean-zero" 1/sqrt(n), "unsigned" 3/4 (uniform-sign entries), "custom"
+    the given c in (0, 1] (bounded by 1 via Cauchy-Schwarz; only this case
+    takes c). Only the dominant term is returned (no small-probability
+    correction). For the mean-zero case the two 1/sqrt(n) factors cancel
+    and the estimate is the product of the two relative residual norms.
     """
+    if case not in _CASES:
+        raise ValueError(f"unknown case {case!r}")
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if case == "custom":
+        if c is None or not 0.0 < c <= 1.0:
+            raise ValueError("custom model needs c in (0, 1]")
+    elif c is not None:
+        raise ValueError(f"case {case!r} takes no c")
     if normA <= 0 or normB <= 0:
         raise ValueError("normA and normB must be > 0")
     if norm_dA < 0 or norm_dB < 0:
         raise ValueError("residual norms must be >= 0")
-    c_res = 1.0 / math.sqrt(model.n)
-    return (c_res * norm_dA * norm_dB) / (model.product_constant() * normA * normB)
+    c_res = 1.0 / math.sqrt(n)
+    c_prod = {"mean-zero": c_res, "unsigned": 0.75}.get(case, c)
+    return (c_res * norm_dA * norm_dB) / (float(c_prod) * normA * normB)
 
 
 def posterior_relative_error(norm_dA: float, norm_dB: float,
@@ -133,10 +71,21 @@ def posterior_relative_error(norm_dA: float, norm_dB: float,
     return norm_dA * norm_dB / (math.sqrt(n) * norm_M)
 
 
-def haar_product_moments(m: HaarMoments) -> tuple[float, float, float]:
+def _spectra(d1, d2) -> tuple[np.ndarray, np.ndarray]:
+    """The diagonals of D1 and D2 as float arrays, 1-D and of equal length."""
+    d1 = np.asarray(d1, dtype=float)
+    d2 = np.asarray(d2, dtype=float)
+    if d1.ndim != 1 or d2.ndim != 1 or d1.size != d2.size:
+        raise ValueError("spectra must be 1-D and of equal length")
+    return d1, d2
+
+
+def haar_product_moments(d1, d2) -> tuple[float, float, float]:
     """Closed-form moments of S = ||D1 Q D2||_F^2 over Haar real orthogonal Q.
 
-    Returns (mean_sq, variance, mean_norm):
+    d1 and d2 are the diagonals of D1 and D2, 1-D and of equal length n.
+    With the power sums alpha_i = sum D_i(j)^2 and beta_i = sum D_i(j)^4,
+    returns (mean_sq, variance, mean_norm):
       mean_sq   = E[S] = alpha1 * alpha2 / n
       variance  = 2 (beta1 - alpha1^2/n) (beta2 - alpha2^2/n) / ((n-1)(n+2))
       mean_norm = E[sqrt(S)] ~ sqrt(mean_sq) (1 - variance / (8 mean_sq^2)),
@@ -147,17 +96,20 @@ def haar_product_moments(m: HaarMoments) -> tuple[float, float, float]:
     E[Q_ij^2 Q_kl^2] = (n+1)/((n-1)n(n+2)) for i != k, j != l. Each factor
     beta - alpha^2/n is n times the variance of the squared spectrum, so the
     value is never negative and is 0 exactly when either spectrum is flat in
-    magnitude (then S is constant).
+    magnitude (then S is constant). All three are 0 when either spectrum is.
     """
-    if m.n < 2:
+    d1, d2 = _spectra(d1, d2)
+    if d1.size < 2:
         raise ValueError("n must be >= 2")
-    n = float(m.n)
-    if m.alpha1 * m.alpha2 == 0.0:
+    n = float(d1.size)
+    alpha1, alpha2 = float(np.sum(d1**2)), float(np.sum(d2**2))
+    beta1, beta2 = float(np.sum(d1**4)), float(np.sum(d2**4))
+    if alpha1 * alpha2 == 0.0:
         return 0.0, 0.0, 0.0
-    mean_sq = m.alpha1 * m.alpha2 / n
+    mean_sq = alpha1 * alpha2 / n
     # max() only absorbs roundoff when a factor is zero in exact arithmetic
-    spread1 = max(0.0, m.beta1 - m.alpha1**2 / n)
-    spread2 = max(0.0, m.beta2 - m.alpha2**2 / n)
+    spread1 = max(0.0, beta1 - alpha1**2 / n)
+    spread2 = max(0.0, beta2 - alpha2**2 / n)
     variance = 2.0 * spread1 * spread2 / ((n - 1.0) * (n + 2.0))
     mean_norm = math.sqrt(mean_sq) * (1.0 - variance / (8.0 * mean_sq**2))
     return float(mean_sq), float(variance), float(mean_norm)
@@ -208,17 +160,20 @@ def estimate_front_constant(sampler: str, n: int, trials: int, seed) -> tuple[fl
     return float(ratios.mean()), float(ratios.std(ddof=1))
 
 
-def concentration_tail_bound(m: HaarMoments, t: float, d2_spectral: float) -> float:
+def concentration_tail_bound(d1, d2, t: float) -> float:
     """Lower-tail bound P[||D1 Q D2||_F^2 <= E - t] <= exp(-(n-2) t^2 / (96 ||D1||_F^4 ||D2||_2^4)).
 
-    d2_spectral is the largest |D2(i)| (the spectral norm of D2), which the
-    moment record does not carry. The returned value is clamped to [0, 1].
+    d1 and d2 are the diagonals of D1 and D2 as for haar_product_moments;
+    ||D2||_2 is the largest |d2(i)|, so d2 must not be all zero. The
+    returned value is clamped to [0, 1].
     """
-    if m.n < 3:
+    d1, d2 = _spectra(d1, d2)
+    if d1.size < 3:
         raise ValueError("n must be >= 3")
     if t <= 0:
         raise ValueError("t must be > 0")
-    if d2_spectral <= 0:
-        raise ValueError("d2_spectral must be > 0")
-    denom = 96.0 * m.alpha1**2 * d2_spectral**4
-    return float(min(1.0, math.exp(-(m.n - 2) * t * t / denom)))
+    d2_norm = float(np.max(np.abs(d2)))
+    if d2_norm == 0.0:
+        raise ValueError("d2 must not be all zero")
+    denom = 96.0 * float(np.sum(d1**2))**2 * d2_norm**4
+    return float(min(1.0, math.exp(-(d1.size - 2) * t * t / denom)))

@@ -13,6 +13,7 @@ to one thread.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -166,6 +167,12 @@ def _zero_kept(X: np.ndarray, S: SparseRowMatrix) -> np.ndarray:
     return X
 
 
+def _kept_norm(S: SparseRowMatrix) -> float:
+    """||dense(S)||_F from the stored values, summed by numpy, not BLAS."""
+    parts = S.csr.data.view(np.float64)  # |z|^2 as the squares of its two parts
+    return math.sqrt(np.einsum("i,i->", parts, parts))
+
+
 def fft_sparse_first_order_multiply(A, B, k: int, order: int,
                                     sparsify_b: str = "rows"):
     """Approximate A @ B through top-k sparsified Fourier transforms.
@@ -181,17 +188,21 @@ def fft_sparse_first_order_multiply(A, B, k: int, order: int,
     first order holds dAt, M and the correction (three n x n complex
     arrays), not Btil as a fourth. The result is complex; residual norms in
     the report are those of the transformed factors, which equal the
-    untransformed ones by unitarity.
+    untransformed ones by unitarity. So do ||A|| and ||B|| of the a-priori
+    estimate: the kept entries and the residue split each transformed
+    factor, ||Atil||^2 = ||SA||^2 + ||dAt||^2, so neither operand is read
+    again for its norm.
 
     Every pass over n^2 >= core.GRAIN entries runs as contiguous blocks on
     every CPU: the two transforms, both top-k selections, SA @ Btil,
-    dAt @ SB and the norms (report._fro, which calls no BLAS there, so
-    dAt @ SB does not start beside a spinning BLAS worker). Both CSR
-    products take slabs of at most core.SUB_ROWS columns
-    of Btil or rows of dAt even on one thread, the rule cd's products
-    follow. The O(k n) scatter that zeroes the kept entries stays on the
-    calling thread. Each entry is computed as one call over the whole array
-    computes it, so M and the report are bit-identical at any thread count.
+    dAt @ SB and the norms of dBt, dAt and M (report._fro, which calls no
+    BLAS there, so dAt @ SB does not start beside a spinning BLAS worker).
+    Both CSR products take slabs of at most core.SUB_ROWS columns of Btil
+    or rows of dAt even on one thread, the rule cd's products follow. The
+    O(k n) scatter that zeroes the kept entries and the norms of the kept
+    entries stay on the calling thread. Each entry is computed as one call
+    over the whole array computes it, so M and the report are bit-identical
+    at any thread count.
     """
     A, B = as_pair(A, B)
     if sparsify_b not in ("rows", "cols"):
@@ -224,6 +235,8 @@ def fft_sparse_first_order_multiply(A, B, k: int, order: int,
     if order == 1:
         M += sparse_dense_multiply(SB, dAt, "right")
     norm_da = _fro(dAt)
+    norm_a = math.hypot(_kept_norm(SA), norm_da)
+    norm_b = math.hypot(_kept_norm(SB), norm_db)
     wall = time.perf_counter() - t0
-    return M, estimated_report("sfft", order, k, _fro(M), A.shape[1], _fro(A),
-                               _fro(B), norm_da, norm_db, wall)
+    return M, estimated_report("sfft", order, k, _fro(M), A.shape[1], norm_a,
+                               norm_b, norm_da, norm_db, wall)

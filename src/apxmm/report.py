@@ -8,7 +8,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import core
-from .errest import ErrorModel, apriori_relative_error, posterior_relative_error
+from .errest import apriori_relative_error, posterior_relative_error
 
 __all__ = ["ApproxReport", "estimated_report"]
 
@@ -80,8 +80,7 @@ def estimated_report(method: str, order: int, k: int, norm_m: float, n: int,
     ||B|| is 0. The posterior ||dA|| ||dB|| / (sqrt(n) ||M||) is None when
     norm_m is 0.
     """
-    apriori = (apriori_relative_error(norm_a, norm_b, norm_da, norm_db,
-                                      ErrorModel(case="mean-zero", n=n))
+    apriori = (apriori_relative_error(norm_a, norm_b, norm_da, norm_db, n)
                if norm_a > 0 and norm_b > 0 else None)
     posterior = (posterior_relative_error(norm_da, norm_db, norm_m, n)
                  if norm_m > 0 else None)

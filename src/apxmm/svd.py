@@ -77,8 +77,6 @@ def component_count(n: int, s: int) -> int:
         raise ValueError("n must be >= 1")
     if s < 1:
         raise ValueError("s must be >= 1")
-    if n == 1:
-        return 1
     return min(s * int(math.floor(math.log2(n))) + 1, n)
 
 

@@ -16,7 +16,7 @@ from apxmm.circulant import (
     circulant_materialize,
     circulant_select,
 )
-from apxmm.core import frobenius, matmul_naive, relative_error
+from apxmm.core import matmul_naive, relative_error
 
 
 def test_identity_decomposes_to_single_component():
@@ -192,7 +192,7 @@ def test_component_orthogonality():
         single = circulant_select(spec, 0)
         single.selected = [k]
         comp = circulant_materialize(single)
-        inner = frobenius(A.astype(complex), comp)
+        inner = np.vdot(A.astype(complex), comp)
         assert inner.real == pytest.approx(9 * spec.magnitudes[k] ** 2, rel=1e-9,
                                            abs=1e-12)
         assert abs(inner.imag) < 1e-9

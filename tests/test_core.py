@@ -14,7 +14,6 @@ from apxmm.core import (
     as_matrix,
     as_pair,
     cycle_reorder,
-    frobenius,
     matmul_naive,
     relative_error,
     unitary_dft,
@@ -78,18 +77,6 @@ def test_matmul_matches_blas():
 def test_matmul_dimension_mismatch():
     with pytest.raises(ValueError):
         matmul_naive(np.ones((2, 3)), np.ones((2, 3)))
-
-
-def test_frobenius_norm_and_inner():
-    A = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert_allclose(frobenius(A) ** 2, 30.0, rtol=1e-15)
-    assert_allclose(frobenius(A, A), 30.0, rtol=1e-15)
-    # complex inner product conjugates the first argument
-    Z = np.array([[1j]])
-    assert frobenius(Z, Z) == pytest.approx(1.0)
-    assert frobenius(np.array([[1.0]]), Z) == pytest.approx(1j)
-    with pytest.raises(ValueError):
-        frobenius(A, np.ones((3, 3)))
 
 
 def test_dft_length_two():

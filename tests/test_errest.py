@@ -7,8 +7,6 @@ import numpy as np
 import pytest
 
 from apxmm.errest import (
-    ErrorModel,
-    HaarMoments,
     apriori_relative_error,
     concentration_tail_bound,
     estimate_front_constant,
@@ -21,64 +19,47 @@ from apxmm.genmat import generate_haar_orthogonal
 
 # -------------------------------------------------------------- error model
 
-def test_model_constants():
-    assert ErrorModel("mean-zero", 16).product_constant() == 0.25
-    assert ErrorModel("unsigned", 16).product_constant() == 0.75
-    assert ErrorModel("custom", 16, c=0.5).product_constant() == 0.5
-
-
 def test_model_validation():
-    with pytest.raises(ValueError):
-        ErrorModel("gaussian", 16)
-    with pytest.raises(ValueError):
-        ErrorModel("mean-zero", 0)
-    with pytest.raises(ValueError):
-        ErrorModel("custom", 16)
-    with pytest.raises(ValueError):
-        ErrorModel("custom", 16, c=0.0)
-    with pytest.raises(ValueError):
-        ErrorModel("custom", 16, c=1.5)
-    with pytest.raises(ValueError):
-        ErrorModel("mean-zero", 16, c=0.5)
+    # the entry-distribution model is the settable (n, case, c)
+    for n, case, c in [(16, "gaussian", None), (0, "mean-zero", None),
+                       (16, "custom", None), (16, "custom", 0.0),
+                       (16, "custom", 1.5), (16, "mean-zero", 0.5)]:
+        with pytest.raises(ValueError):
+            apriori_relative_error(1.0, 1.0, 0.1, 0.1, n, case, c)
 
 
 # ------------------------------------------------------------------ apriori
 
 def test_apriori_mean_zero_is_product_of_relative_residues():
     # the 1/sqrt(n) factors cancel for this model
-    model = ErrorModel("mean-zero", 100)
-    est = apriori_relative_error(1.0, 1.0, 0.1, 0.1, model)
+    est = apriori_relative_error(1.0, 1.0, 0.1, 0.1, 100)
     assert abs(est - 0.01) < 1e-15
-    est2 = apriori_relative_error(2.0, 5.0, 0.2, 0.5, model)
+    est2 = apriori_relative_error(2.0, 5.0, 0.2, 0.5, 100, "mean-zero")
     assert abs(est2 - (0.2 / 2.0) * (0.5 / 5.0)) < 1e-15
 
 
 def test_apriori_unsigned_example():
     # (0.1 * 0.1 * 0.1) / (0.75 * 1 * 1) with n = 100
-    model = ErrorModel("unsigned", 100)
-    est = apriori_relative_error(1.0, 1.0, 0.1, 0.1, model)
+    est = apriori_relative_error(1.0, 1.0, 0.1, 0.1, 100, "unsigned")
     assert abs(est - 0.001 / 0.75) < 1e-15
 
 
 def test_apriori_custom_constant():
-    model = ErrorModel("custom", 100, c=1.0)
-    est = apriori_relative_error(1.0, 1.0, 0.1, 0.1, model)
+    est = apriori_relative_error(1.0, 1.0, 0.1, 0.1, 100, "custom", c=1.0)
     assert abs(est - 0.001) < 1e-15
 
 
 def test_apriori_zero_residue():
-    model = ErrorModel("mean-zero", 8)
-    assert apriori_relative_error(1.0, 1.0, 0.0, 0.3, model) == 0.0
+    assert apriori_relative_error(1.0, 1.0, 0.0, 0.3, 8) == 0.0
 
 
 def test_apriori_validation():
-    model = ErrorModel("mean-zero", 8)
     with pytest.raises(ValueError):
-        apriori_relative_error(0.0, 1.0, 0.1, 0.1, model)
+        apriori_relative_error(0.0, 1.0, 0.1, 0.1, 8)
     with pytest.raises(ValueError):
-        apriori_relative_error(1.0, -1.0, 0.1, 0.1, model)
+        apriori_relative_error(1.0, -1.0, 0.1, 0.1, 8)
     with pytest.raises(ValueError):
-        apriori_relative_error(1.0, 1.0, -0.1, 0.1, model)
+        apriori_relative_error(1.0, 1.0, -0.1, 0.1, 8)
 
 
 # ---------------------------------------------------------------- posterior
@@ -107,10 +88,9 @@ def test_posterior_validation():
 def test_haar_moments_identity_spectra():
     # D1 = D2 = I makes S = n exactly: mean n, variance 0, and no warning
     n = 10
-    m = HaarMoments.from_spectra(np.ones(n), np.ones(n))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        mean_sq, variance, mean_norm = haar_product_moments(m)
+        mean_sq, variance, mean_norm = haar_product_moments(np.ones(n), np.ones(n))
     assert abs(mean_sq - n) < 1e-12
     assert variance == 0.0
     # Taylor mean_norm should sit near sqrt(n)
@@ -124,8 +104,7 @@ def test_haar_moments_rank_one_spectra():
     n = 4
     d = np.zeros(n)
     d[0] = 1.0
-    m = HaarMoments.from_spectra(d, d)
-    mean_sq, variance, mean_norm = haar_product_moments(m)
+    mean_sq, variance, mean_norm = haar_product_moments(d, d)
     assert abs(mean_sq - 0.25) < 1e-15
     # 3/24 - 1/16
     assert abs(variance - 0.0625) < 1e-15
@@ -138,8 +117,7 @@ def test_haar_moments_mean_against_samples():
     n = 16
     d1 = rng.uniform(0.5, 2.0, n)
     d2 = rng.uniform(0.5, 2.0, n)
-    m = HaarMoments.from_spectra(d1, d2)
-    mean_sq, _, _ = haar_product_moments(m)
+    mean_sq, _, _ = haar_product_moments(d1, d2)
     samples = []
     for seed in range(300):
         Q = generate_haar_orthogonal(n, seed)
@@ -148,22 +126,25 @@ def test_haar_moments_mean_against_samples():
 
 
 def test_haar_moments_zero_spectrum():
-    m = HaarMoments.from_spectra(np.zeros(4), np.ones(4))
-    assert haar_product_moments(m) == (0.0, 0.0, 0.0)
+    assert haar_product_moments(np.zeros(4), np.ones(4)) == (0.0, 0.0, 0.0)
+    assert haar_product_moments(np.ones(4), np.zeros(4)) == (0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("d1, d2", [
+    (np.ones((2, 2)), np.ones(4)),
+    (np.ones(4), np.ones((2, 2))),
+    (np.ones(3), np.ones(4)),
+])
+def test_haar_spectra_must_be_1d_and_equal_length(d1, d2):
+    with pytest.raises(ValueError, match="1-D and of equal length"):
+        haar_product_moments(d1, d2)
+    with pytest.raises(ValueError, match="1-D and of equal length"):
+        concentration_tail_bound(d1, d2, 1.0)
 
 
 def test_haar_moments_validation():
     with pytest.raises(ValueError):
-        HaarMoments(alpha1=1.0, alpha2=1.0, beta1=2.0, beta2=1.0, n=4)
-    with pytest.raises(ValueError):
-        HaarMoments(alpha1=-1.0, alpha2=1.0, beta1=0.0, beta2=1.0, n=4)
-    with pytest.raises(ValueError):
-        HaarMoments.from_spectra(np.ones((2, 2)), np.ones(4))
-    with pytest.raises(ValueError):
-        HaarMoments.from_spectra(np.ones(3), np.ones(4))
-    m1 = HaarMoments.from_spectra(np.ones(1), np.ones(1))
-    with pytest.raises(ValueError):
-        haar_product_moments(m1)
+        haar_product_moments(np.ones(1), np.ones(1))
 
 
 # ----------------------------------------------------------- uniform moment
@@ -254,32 +235,37 @@ def test_front_constant_validation():
 # ----------------------------------------------------------------- tail bound
 
 def test_tail_bound_limits():
-    m = HaarMoments.from_spectra(np.ones(8), np.ones(8))
-    near_one = concentration_tail_bound(m, 1e-9, 1.0)
+    d = np.ones(8)
+    near_one = concentration_tail_bound(d, d, 1e-9)
     assert 0.999 <= near_one <= 1.0
-    tiny = concentration_tail_bound(m, 1e6, 1.0)
+    tiny = concentration_tail_bound(d, d, 1e6)
     assert tiny < 1e-10
 
 
 def test_tail_bound_monotone_in_t():
-    m = HaarMoments.from_spectra(np.ones(8), np.ones(8))
-    vals = [concentration_tail_bound(m, t, 1.0) for t in (0.5, 1.0, 2.0, 4.0)]
+    d = np.ones(8)
+    vals = [concentration_tail_bound(d, d, t) for t in (0.5, 1.0, 2.0, 4.0)]
     assert all(a >= b for a, b in zip(vals, vals[1:]))
 
 
 def test_tail_bound_frozen_value():
-    # n=8, alpha1=8, t=4, d2=1: exp(-6*16 / (96*64))
-    m = HaarMoments.from_spectra(np.ones(8), np.ones(8))
+    # n=8, alpha1=8, t=4, ||D2||_2=1: exp(-6*16 / (96*64))
     expect = math.exp(-6.0 * 16.0 / (96.0 * 64.0))
-    assert abs(concentration_tail_bound(m, 4.0, 1.0) - expect) < 1e-15
+    assert abs(concentration_tail_bound(np.ones(8), np.ones(8), 4.0) - expect) < 1e-15
+
+
+def test_tail_bound_reads_spectral_norm_off_d2():
+    # ||D2||_2 is the largest |d2(i)|, here that of the negative entry:
+    # n=8, alpha1=8, t=4, ||D2||_2=2: exp(-6*16 / (96*64*16)) = exp(-1/1024)
+    d2 = np.array([1.0, -2.0, 0.5, 1.0, 0.0, 1.5, -1.0, 1.0])
+    assert concentration_tail_bound(np.ones(8), d2, 4.0) == pytest.approx(
+        0.9990239141819757, rel=1e-15, abs=0.0)
 
 
 def test_tail_bound_validation():
-    m2 = HaarMoments.from_spectra(np.ones(2), np.ones(2))
     with pytest.raises(ValueError):
-        concentration_tail_bound(m2, 1.0, 1.0)
-    m = HaarMoments.from_spectra(np.ones(4), np.ones(4))
+        concentration_tail_bound(np.ones(2), np.ones(2), 1.0)
     with pytest.raises(ValueError):
-        concentration_tail_bound(m, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        concentration_tail_bound(m, 1.0, 0.0)
+        concentration_tail_bound(np.ones(4), np.ones(4), 0.0)
+    with pytest.raises(ValueError, match="all zero"):
+        concentration_tail_bound(np.ones(4), np.zeros(4), 1.0)

@@ -9,7 +9,7 @@ import pytest
 import scipy.sparse as sp
 
 from apxmm import core
-from apxmm.core import frobenius, matmul_naive, relative_error, unitary_dft
+from apxmm.core import matmul_naive, relative_error, unitary_dft
 from apxmm.fsparse import (
     SparseRowMatrix,
     fft_sparse_first_order_multiply,
@@ -121,7 +121,7 @@ def test_topk_is_optimal_exhaustively():
         k = int(rng.integers(1, 4))
         row = rng.standard_normal((1, n))
         S = topk_sparsify(row, k)
-        kept = frobenius(S.to_dense())
+        kept = np.linalg.norm(S.to_dense())
         best = max(
             np.linalg.norm(row[0, list(idx)])
             for idx in itertools.combinations(range(n), k)
@@ -185,8 +185,8 @@ def test_disjoint_support_energy_identity():
     A = rng.standard_normal((12, 16))
     S = topk_sparsify(A, 5)
     D = S.to_dense()
-    lhs = frobenius(A - D) ** 2
-    rhs = frobenius(A) ** 2 - frobenius(D) ** 2
+    lhs = np.linalg.norm(A - D) ** 2
+    rhs = np.linalg.norm(A) ** 2 - np.linalg.norm(D) ** 2
     assert abs(lhs - rhs) < 1e-10
 
 
@@ -294,8 +294,8 @@ def test_fft_multiply_first_order_identity():
     gap = exact - M
     expect = matmul_naive(dA, dB)
     assert relative_error(gap, expect) < 1e-8
-    assert abs(report.norm_da - frobenius(dA)) < 1e-10
-    assert abs(report.norm_db - frobenius(dB)) < 1e-10
+    assert abs(report.norm_da - np.linalg.norm(dA)) < 1e-10
+    assert abs(report.norm_db - np.linalg.norm(dB)) < 1e-10
 
 
 def test_fft_multiply_column_sparsified_b_identity():
@@ -314,7 +314,7 @@ def test_fft_multiply_column_sparsified_b_identity():
 
     M, report = fft_sparse_first_order_multiply(A, B, k, 1, sparsify_b="cols")
     assert relative_error(exact - M, matmul_naive(dA, dB)) < 1e-8
-    assert abs(report.norm_db - frobenius(dB)) < 1e-10
+    assert abs(report.norm_db - np.linalg.norm(dB)) < 1e-10
 
 
 def test_fft_multiply_first_order_beats_zeroth_on_average():
@@ -392,6 +392,26 @@ def test_fft_multiply_report_fields():
     assert report.wall_time >= 0.0
     assert report.apriori_estimate is not None and report.apriori_estimate > 0
     assert report.posterior_estimate is not None and report.posterior_estimate > 0
+
+
+@pytest.mark.parametrize("k", [0, 5, 24])
+@pytest.mark.parametrize("complex_input", [False, True])
+@pytest.mark.parametrize("sparsify_b", ["rows", "cols"])
+@pytest.mark.parametrize("order", [0, 1])
+def test_fft_multiply_apriori_takes_operand_norms_from_truncation(
+        k, complex_input, sparsify_b, order):
+    # ||A|| and ||B|| come from the kept entries and the residues, which
+    # split the transformed factors' energy; k = 0 keeps nothing and
+    # k = n keeps everything
+    n = 24
+    rng = np.random.default_rng([17, k, complex_input])
+    A = rng.standard_normal((n, n))
+    B = rng.standard_normal((n, n))
+    if complex_input:
+        A = A + 1j * rng.standard_normal((n, n))
+    _, report = fft_sparse_first_order_multiply(A, B, k, order, sparsify_b)
+    expect = report.norm_da * report.norm_db / (np.linalg.norm(A) * np.linalg.norm(B))
+    assert report.apriori_estimate == pytest.approx(expect, rel=1e-13, abs=0)
 
 
 @pytest.mark.parametrize("n, complex_input", [(32, False), (33, True)])

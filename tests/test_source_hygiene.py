@@ -9,9 +9,10 @@ the benchmark outside its own definition, unless UNUSED_PUBLIC says why not,
 and every private top-level name of a module is used somewhere in the
 package outside its own definition.
 No module refers to numpy.fft: scipy.fft is the one FFT backend. The
-products whose norms follow pooled passes (cd and sfft) call no BLAS norm,
-the products that end in BLAS (svd and lowrank) take neither the pooled
-operand gate nor the pooled norm, and the column roll and
+products whose norms follow pooled passes (cd and sfft) call no BLAS norm
+and take ||A|| and ||B|| from their truncations, not from a pass over the
+operands; the products that end in BLAS (svd and lowrank) take neither the
+pooled operand gate nor the pooled norm; and the column roll and
 circulant_materialize make no matrix product.
 """
 
@@ -32,7 +33,6 @@ CALLERS = SOURCES + sorted((ROOT / "perfbench").rglob("*.py"))
 # public names nothing in src/ or perfbench/ uses, each with its reason
 UNUSED_PUBLIC = {
     "circulant.circulant_component": "test oracle: R_k by cycle averaging, not by the FFT",
-    "core.frobenius": "norm and complex inner product the tests check products with",
     "core.matmul_naive": "the tests' bit-deterministic oracle; the CLI's exact product is BLAS",
     "genmat.generate_haar_orthogonal": "Haar orthogonal factor the acceptance tests sample",
 }
@@ -149,15 +149,15 @@ def test_private_names_have_callers():
 
 
 def _blas_norm_calls(tree: ast.Module) -> list[str]:
-    """Calls of a BLAS dot (dot, vdot, np.dot, x.dot), of core.frobenius, or
-    of linalg.norm without an axis (a BLAS dot underneath). A product
-    written as x @ x is not caught."""
+    """Calls of a BLAS dot (dot, vdot, np.dot, x.dot) or of linalg.norm
+    without an axis (a BLAS dot underneath). A product written as x @ x is
+    not caught."""
     calls = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Call):
             called = ast.unparse(node.func)
             axis = len(node.args) >= 3 or any(kw.arg == "axis" for kw in node.keywords)
-            if (called.endswith(("dot", "frobenius"))
+            if (called.endswith("dot")
                     or (called.endswith("linalg.norm") and not axis)):
                 calls.append(ast.unparse(node))
     return calls
@@ -169,6 +169,18 @@ def test_pooled_products_call_no_blas_norm(name):
     # pooled pass after it then shares a core with that worker; report._fro
     # makes no BLAS call at pool sizes
     assert _blas_norm_calls(_tree(ROOT / "src" / "apxmm" / name)) == []
+
+
+@pytest.mark.parametrize("name", ["circulant.py", "fsparse.py"])
+def test_pooled_products_read_no_operand_for_its_norm(name):
+    # ||A|| and ||B|| of the a-priori estimate come from the truncation:
+    # the kept part's norm and the residue's norm, which split the factor's
+    # energy, so no n^2 pass reads an operand again for its norm
+    calls = [ast.unparse(node) for node in ast.walk(_tree(ROOT / "src" / "apxmm" / name))
+             if isinstance(node, ast.Call) and ast.unparse(node.func) == "_fro"
+             and any(isinstance(sub, ast.Name) and sub.id in ("A", "B")
+                     for arg in node.args for sub in ast.walk(arg))]
+    assert calls == []
 
 
 @pytest.mark.parametrize("name", ["svd.py", "baseline.py"])
