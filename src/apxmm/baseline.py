@@ -98,5 +98,6 @@ def randomized_outer_product_multiply(A, B, c: int, seed):
     M = (A[:, idx] / (c * p[idx])) @ B[idx]
     wall = time.perf_counter() - t0
 
-    return M, ApproxReport(method="lowrank", order=0, k=c, norm_da=0.0,
-                           norm_db=0.0, wall_time=wall)
+    # a sampled product drops no decomposition residue: no norm to report
+    return M, ApproxReport(method="lowrank", order=0, k=c, norm_da=None,
+                           norm_db=None, wall_time=wall)

@@ -21,8 +21,9 @@ CPU (core.for_blocks).
 
 Sign conventions, with W(p,q) = exp(-2i*pi*p*q/n)/sqrt(n) and
 (C^t z)_i = z_{(i-t) mod n}: R_t = W* diag(fft(column(t))) W and
-W D^t = C^t W. The tests pin materialize against the cycle-averaging
-circulant_component, and the products, which apply P, against materialize.
+W D^t = C^t W. The tests pin materialize against R_t built by averaging
+the cycles of A D^{-t}, with no FFT and no column roll, and the products,
+which apply P, against materialize.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .core import (
     CHUNKS,
     SUM_ROWS,
     _roll_columns,
-    as_matrix,
     as_pair,
     cycle_reorder,
     for_blocks,
@@ -51,7 +51,6 @@ from .report import _fro, estimated_report
 __all__ = [
     "CirculantSpectrum",
     "circulant_decompose",
-    "circulant_component",
     "circulant_select",
     "circulant_materialize",
     "circulant_first_order_multiply",
@@ -132,23 +131,6 @@ def circulant_decompose(A) -> CirculantSpectrum:
         magnitudes = np.concatenate((magnitudes, magnitudes[n - T.shape[1]:0:-1]))
     return CirculantSpectrum(n=n, columns=T.T, magnitudes=magnitudes,
                              selected=list(range(n)), half=half)
-
-
-def circulant_component(A, k: int) -> np.ndarray:
-    """First column of R_k alone, by cycle averaging instead of the FFT.
-
-    Entry j is the mean over cycle j of A D^{-k}; the phase multiply is
-    entrywise on columns, never a matrix product. O(n^2) per component, and
-    an independent route to the same numbers circulant_decompose produces.
-    """
-    A = as_matrix(A)
-    n = A.shape[0]
-    if A.shape[1] != n:
-        raise ValueError(f"square matrix required, got {A.shape}")
-    if not 0 <= k < n:
-        raise ValueError(f"component index {k} out of range [0, {n})")
-    phase = np.exp(-2j * np.pi * k * np.arange(n) / n)
-    return cycle_reorder(A * phase[None, :]).mean(axis=1)
 
 
 def circulant_select(spectrum: CirculantSpectrum, k: int) -> CirculantSpectrum:

@@ -1,9 +1,9 @@
 """Dense-matrix primitives shared by every approximation method.
 
 Input validation for single matrices and product pairs, an arbitrary-length
-unitary DFT, cycle reordering of a square matrix, the exact multiplication
-oracle that all approximate products are tested against, and the one slab
-rule (for_sub_blocks) of every sparse-dense product in cd and sfft.
+unitary DFT, cycle reordering of a square matrix, the relative error of a
+product against a reference, and the one slab rule (for_sub_blocks) of every
+sparse-dense product in cd and sfft.
 
 Threading: a pass over GRAIN or more array entries is cut into contiguous
 index blocks that run on one private thread pool with one thread per CPU in
@@ -34,7 +34,6 @@ from numpy.lib.stride_tricks import as_strided
 __all__ = [
     "as_matrix",
     "as_pair",
-    "matmul_naive",
     "unitary_dft",
     "cycle_reorder",
     "relative_error",
@@ -175,26 +174,13 @@ def as_pair(A, B) -> tuple[np.ndarray, np.ndarray]:
     """Validate the two factors of a product A @ B and return them coerced.
 
     The inner dimensions must agree, and each factor passes as_matrix. cd,
-    sfft and the exact products gate their operands here. svd and lowrank
+    sfft and the CLI's exact product gate their operands here. svd and lowrank
     take _coerce_pair instead: the norms each of them computes first read
     every entry and are finite only when every entry is, so that pass is
     their finiteness check.
     """
     A, B = _coerce_pair(A, B)
     return as_matrix(A), as_matrix(B)
-
-
-def matmul_naive(A, B) -> np.ndarray:
-    """Exact product A @ B with a fixed per-entry summation order.
-
-    Single-threaded einsum reduction, ascending in the contraction index, so
-    the oracle is bit-deterministic regardless of BLAS threading. Use for
-    reference results only; the approximation code paths use optimized
-    products.
-    """
-    A, B = as_pair(A, B)
-    # optimize=False keeps einsum on the fixed-order nditer path
-    return np.einsum("ik,kj->ij", A, B, optimize=False)
 
 
 def unitary_dft(x, direction: str = "forward", axis: int = -1) -> np.ndarray:

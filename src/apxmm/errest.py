@@ -72,9 +72,11 @@ def posterior_relative_error(norm_dA: float, norm_dB: float,
 
 
 def _spectra(d1, d2) -> tuple[np.ndarray, np.ndarray]:
-    """The diagonals of D1 and D2 as float arrays, 1-D and of equal length."""
-    d1 = np.asarray(d1, dtype=float)
-    d2 = np.asarray(d2, dtype=float)
+    """The moduli of the diagonals of D1 and D2 as float arrays, 1-D and of
+    equal length. The moments of ||D1 Q D2||_F read only |d|, and a real
+    entry's even powers are its modulus's bit for bit."""
+    d1 = np.abs(np.asarray(d1)).astype(float, copy=False)
+    d2 = np.abs(np.asarray(d2)).astype(float, copy=False)
     if d1.ndim != 1 or d2.ndim != 1 or d1.size != d2.size:
         raise ValueError("spectra must be 1-D and of equal length")
     return d1, d2
@@ -83,8 +85,9 @@ def _spectra(d1, d2) -> tuple[np.ndarray, np.ndarray]:
 def haar_product_moments(d1, d2) -> tuple[float, float, float]:
     """Closed-form moments of S = ||D1 Q D2||_F^2 over Haar real orthogonal Q.
 
-    d1 and d2 are the diagonals of D1 and D2, 1-D and of equal length n.
-    With the power sums alpha_i = sum D_i(j)^2 and beta_i = sum D_i(j)^4,
+    d1 and d2 are the diagonals of D1 and D2, 1-D and of equal length n,
+    real or complex: only their moduli enter. With the power sums
+    alpha_i = sum |D_i(j)|^2 and beta_i = sum |D_i(j)|^4,
     returns (mean_sq, variance, mean_norm):
       mean_sq   = E[S] = alpha1 * alpha2 / n
       variance  = 2 (beta1 - alpha1^2/n) (beta2 - alpha2^2/n) / ((n-1)(n+2))
@@ -164,16 +167,22 @@ def concentration_tail_bound(d1, d2, t: float) -> float:
     """Lower-tail bound P[||D1 Q D2||_F^2 <= E - t] <= exp(-(n-2) t^2 / (96 ||D1||_F^4 ||D2||_2^4)).
 
     d1 and d2 are the diagonals of D1 and D2 as for haar_product_moments;
-    ||D2||_2 is the largest |d2(i)|, so d2 must not be all zero. The
-    returned value is clamped to [0, 1].
+    ||D2||_2 is the largest |d2(i)|. Neither spectrum may be all zero. A
+    denominator that underflows to 0 sends the exponent to -inf, so the
+    bound is 0. The returned value is clamped to [0, 1].
     """
     d1, d2 = _spectra(d1, d2)
     if d1.size < 3:
         raise ValueError("n must be >= 3")
     if t <= 0:
         raise ValueError("t must be > 0")
-    d2_norm = float(np.max(np.abs(d2)))
+    d2_norm = float(np.max(d2))
     if d2_norm == 0.0:
         raise ValueError("d2 must not be all zero")
-    denom = 96.0 * float(np.sum(d1**2))**2 * d2_norm**4
+    alpha1 = float(np.sum(d1**2))
+    if alpha1 == 0.0:
+        raise ValueError("d1 must not be all zero")
+    denom = 96.0 * alpha1**2 * d2_norm**4
+    if denom == 0.0:
+        return 0.0
     return float(min(1.0, math.exp(-(d1.size - 2) * t * t / denom)))

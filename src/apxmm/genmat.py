@@ -19,7 +19,6 @@ __all__ = [
     "MatrixSpec",
     "KINDS",
     "generate",
-    "generate_haar_orthogonal",
     "MatrixMarketError",
     "MalformedHeaderError",
     "UnsupportedQualifierError",
@@ -152,13 +151,6 @@ def generate(spec: MatrixSpec) -> np.ndarray:
     if kind == "haar-spectrum":
         return _haar_spectrum_matrix(rng, spec.spectrum)
     raise ValueError(f"unknown kind {kind!r}")
-
-
-def generate_haar_orthogonal(n: int, seed) -> np.ndarray:
-    """Orthogonal matrix drawn uniformly (Haar) via sign-corrected QR."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return _haar_from_rng(np.random.default_rng(seed), n)
 
 
 class MatrixMarketError(ValueError):

@@ -18,15 +18,17 @@ class ApproxReport:
     """What a single approximate product run measured and estimated.
 
     norm_da / norm_db are the Frobenius norms of the residues (the parts of A
-    and B the truncated decomposition dropped). wall_time covers the
-    decomposition plus the multiply, not input generation or checking.
+    and B the truncated decomposition dropped), or None for a product that
+    truncates no decomposition (lowrank samples the product instead).
+    wall_time covers the decomposition plus the multiply, not input
+    generation or checking.
     """
 
     method: str
     order: int
     k: int
-    norm_da: float
-    norm_db: float
+    norm_da: float | None
+    norm_db: float | None
     apriori_estimate: float | None = None
     posterior_estimate: float | None = None
     wall_time: float = 0.0
@@ -35,7 +37,8 @@ class ApproxReport:
         if self.k < 0:
             raise ValueError("k must be >= 0")
         for name in ("norm_da", "norm_db"):
-            if getattr(self, name) < 0:
+            value = getattr(self, name)
+            if value is not None and value < 0:
                 raise ValueError(f"{name} must be >= 0")
 
     def to_dict(self) -> dict:

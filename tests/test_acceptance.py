@@ -23,7 +23,7 @@ from apxmm.circulant import (
     circulant_materialize,
     circulant_select,
 )
-from apxmm.core import matmul_naive, relative_error, unitary_dft
+from apxmm.core import relative_error, unitary_dft
 from apxmm.errest import (
     estimate_front_constant,
     haar_product_moments,
@@ -31,7 +31,7 @@ from apxmm.errest import (
     uniform_product_moment,
 )
 from apxmm.fsparse import fft_sparse_first_order_multiply, topk_sparsify
-from apxmm.genmat import MatrixSpec, generate, generate_haar_orthogonal
+from apxmm.genmat import MatrixSpec, generate
 from apxmm.svd import (
     component_count,
     randomized_partial_svd,
@@ -40,6 +40,8 @@ from apxmm.svd import (
     svd_residual_norm,
 )
 from apxmm.cli import pair_seeds
+
+from oracles import haar_orthogonal, matmul_naive
 
 
 def _verdict(tag: str, ok: bool, detail: str = "") -> bool:
@@ -212,7 +214,7 @@ def _criterion5_samples():
     d = np.exp(-np.arange(n) / n)
     samples = np.empty(500)
     for t in range(500):
-        Q = generate_haar_orthogonal(n, [5, t])
+        Q = haar_orthogonal(n, [5, t])
         samples[t] = np.linalg.norm((d[:, None] * Q) * d[None, :]) ** 2
     return d, samples
 

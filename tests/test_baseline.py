@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from apxmm.baseline import _norms, randomized_outer_product_multiply
-from apxmm.core import NOT_FINITE, matmul_naive, relative_error
+from apxmm.core import NOT_FINITE, relative_error
+
+from oracles import matmul_naive
 
 
 def test_identity_single_sample_structure():
@@ -17,6 +19,8 @@ def test_identity_single_sample_structure():
     assert report.method == "lowrank"
     assert report.order == 0
     assert report.k == 1
+    # a sampled product drops no decomposition residue
+    assert report.norm_da is None and report.norm_db is None
     nonzero = np.argwhere(M != 0)
     assert nonzero.shape == (1, 2)
     i, j = nonzero[0]

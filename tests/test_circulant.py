@@ -7,16 +7,17 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
-from apxmm import circulant, core
+from apxmm import core
 from apxmm.circulant import (
     CirculantSpectrum,
-    circulant_component,
     circulant_decompose,
     circulant_first_order_multiply,
     circulant_materialize,
     circulant_select,
 )
-from apxmm.core import matmul_naive, relative_error
+from apxmm.core import relative_error
+
+from oracles import circulant_component, matmul_naive
 
 
 def test_identity_decomposes_to_single_component():
@@ -54,10 +55,6 @@ def test_decompose_rejects_rectangular():
 def test_component_identity_cases():
     assert_allclose(circulant_component(np.eye(4), 0), np.eye(4)[:, 0], atol=1e-14)
     assert np.max(np.abs(circulant_component(np.eye(4), 1))) < 1e-14
-    with pytest.raises(ValueError):
-        circulant_component(np.eye(4), 4)
-    with pytest.raises(ValueError):
-        circulant_component(np.eye(4), -1)
 
 
 def test_component_matches_decompose():
@@ -406,8 +403,7 @@ def test_multiply_validates_each_factor_once(monkeypatch):
     calls = []
     real = core.as_matrix
     counted = lambda a: calls.append(1) or real(a)  # noqa: E731
-    for module in (core, circulant):
-        monkeypatch.setattr(module, "as_matrix", counted)
+    monkeypatch.setattr(core, "as_matrix", counted)  # circulant calls it only via as_pair
     rng = np.random.default_rng(3)
     A, B = rng.standard_normal((16, 16)), rng.standard_normal((16, 16))
     for order in (0, 1):

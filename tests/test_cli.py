@@ -5,12 +5,15 @@ import math
 import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy
 
+import apxmm
 from apxmm import core
 from apxmm.baseline import randomized_outer_product_multiply
 from apxmm.cli import (
@@ -295,6 +298,7 @@ def test_multiply_lowrank_writes_the_baseline_product(tmp_path, capsys):
                               "--kind-b", "general", "--n", "32", "--out", str(out))
     assert code == 0
     assert last_json(stdout)["k"] == 20
+    assert last_json(stdout)["norm_da"] is None and last_json(stdout)["norm_db"] is None
     A = generate(MatrixSpec("general", 32, seed=0))
     B = generate(MatrixSpec("general", 32, seed=1))
     M, _ = randomized_outer_product_multiply(A, B, 20, 3)
@@ -753,6 +757,24 @@ def test_estimate_haar_moments(tmp_path, capsys):
     assert abs(payload["mean_sq"] - 4.0) < 1e-12
     assert payload["variance"] == 0.0
     assert 0 < payload["tail_bound"] <= 1
+
+
+def test_estimate_tail_bound_zero_d1_is_an_error(tmp_path):
+    # run as a command, so an exception main does not catch shows as a traceback
+    s1 = tmp_path / "d1.csv"
+    s2 = tmp_path / "d2.csv"
+    s1.write_text("0,0,0,0\n", encoding="ascii")
+    s2.write_text("1,1,1,1\n", encoding="ascii")
+    src = str(Path(apxmm.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    run = subprocess.run([sys.executable, "-m", "apxmm", "estimate", "--mode", "haar-moments",
+                          "--spectrum-1", str(s1), "--spectrum-2", str(s2), "--tail-t", "0.5"],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert "Traceback" not in run.stderr
+    assert run.returncode == 1
+    assert run.stdout == ""
+    assert run.stderr.startswith("error: ") and "d1 must not be all zero" in run.stderr
 
 
 def test_estimate_haar_moments_takes_no_d2_spectral(capsys):

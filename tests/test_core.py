@@ -14,10 +14,11 @@ from apxmm.core import (
     as_matrix,
     as_pair,
     cycle_reorder,
-    matmul_naive,
     relative_error,
     unitary_dft,
 )
+
+from oracles import matmul_naive
 
 
 def test_as_matrix_validation():

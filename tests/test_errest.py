@@ -14,7 +14,8 @@ from apxmm.errest import (
     posterior_relative_error,
     uniform_product_moment,
 )
-from apxmm.genmat import generate_haar_orthogonal
+
+from oracles import haar_orthogonal
 
 
 # -------------------------------------------------------------- error model
@@ -120,7 +121,7 @@ def test_haar_moments_mean_against_samples():
     mean_sq, _, _ = haar_product_moments(d1, d2)
     samples = []
     for seed in range(300):
-        Q = generate_haar_orthogonal(n, seed)
+        Q = haar_orthogonal(n, seed)
         samples.append(np.linalg.norm(np.diag(d1) @ Q @ np.diag(d2)) ** 2)
     assert abs(np.mean(samples) / mean_sq - 1.0) < 0.05
 
@@ -140,6 +141,23 @@ def test_haar_spectra_must_be_1d_and_equal_length(d1, d2):
         haar_product_moments(d1, d2)
     with pytest.raises(ValueError, match="1-D and of equal length"):
         concentration_tail_bound(d1, d2, 1.0)
+
+
+def test_complex_spectra_enter_by_modulus():
+    # the moments of ||D1 Q D2||_F^2 and the tail bound read only |d|: an
+    # imaginary spectrum gives those of its moduli, and no cast drops the
+    # imaginary part
+    d1 = np.array([1.0 + 1.0j, -2.0, 0.5j, 3.0 - 4.0j])
+    d2 = np.array([0.5, 1.0j, -1.0, 2.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = haar_product_moments(np.full(3, 1j), np.ones(3))
+        assert got == pytest.approx((3.0, 0.0, math.sqrt(3.0)), rel=1e-15, abs=0.0)
+        assert haar_product_moments(d1, d2) == haar_product_moments(np.abs(d1), np.abs(d2))
+        assert concentration_tail_bound(np.full(3, 1j), np.ones(3), 0.5) == \
+            concentration_tail_bound(np.ones(3), np.ones(3), 0.5)
+        assert concentration_tail_bound(d1, d2, 0.5) == \
+            concentration_tail_bound(np.abs(d1), np.abs(d2), 0.5)
 
 
 def test_haar_moments_validation():
@@ -240,6 +258,8 @@ def test_tail_bound_limits():
     assert 0.999 <= near_one <= 1.0
     tiny = concentration_tail_bound(d, d, 1e6)
     assert tiny < 1e-10
+    # 96 ||D1||_F^4 ||D2||_2^4 underflows to 0: the exponent is -inf
+    assert concentration_tail_bound(np.full(8, 1e-90), d, 0.5) == 0.0
 
 
 def test_tail_bound_monotone_in_t():
@@ -269,3 +289,5 @@ def test_tail_bound_validation():
         concentration_tail_bound(np.ones(4), np.ones(4), 0.0)
     with pytest.raises(ValueError, match="all zero"):
         concentration_tail_bound(np.ones(4), np.zeros(4), 1.0)
+    with pytest.raises(ValueError, match="d1 must not be all zero"):
+        concentration_tail_bound(np.zeros(4), np.ones(4), 1.0)

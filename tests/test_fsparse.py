@@ -9,13 +9,15 @@ import pytest
 import scipy.sparse as sp
 
 from apxmm import core
-from apxmm.core import matmul_naive, relative_error, unitary_dft
+from apxmm.core import relative_error, unitary_dft
 from apxmm.fsparse import (
     SparseRowMatrix,
     fft_sparse_first_order_multiply,
     sparse_dense_multiply,
     topk_sparsify,
 )
+
+from oracles import matmul_naive
 
 
 def _cols(S, i):

@@ -13,7 +13,6 @@ from apxmm.genmat import (
     MatrixSpec,
     UnsupportedQualifierError,
     generate,
-    generate_haar_orthogonal,
     read_csv,
     read_matrix_market,
     write_csv,
@@ -164,24 +163,28 @@ def test_spec_validation():
 
 
 # ------------------------------------------------------------ haar sampling
+# haar-spectrum with a flat spectrum is Q1 Q2^T, the product of the two Haar
+# draws type1, type3 and haar-spectrum are built from: itself Haar orthogonal
+
+def _haar(n, seed):
+    return generate(MatrixSpec("haar-spectrum", n, seed, spectrum=np.ones(n)))
+
 
 def test_haar_orthogonal_is_orthogonal():
-    Q = generate_haar_orthogonal(64, 0)
+    Q = _haar(64, 0)
     assert np.max(np.abs(Q.T @ Q - np.eye(64))) < 1e-10
 
 
 def test_haar_orthogonal_n1():
     # 1x1 orthogonal group is {+1, -1}; the draw is always unit modulus
     for seed in range(8):
-        Q = generate_haar_orthogonal(1, seed)
+        Q = _haar(1, seed)
         assert abs(abs(Q[0, 0]) - 1.0) < 1e-15
 
 
 def test_haar_orthogonal_deterministic():
-    assert np.array_equal(generate_haar_orthogonal(8, 3),
-                          generate_haar_orthogonal(8, 3))
-    assert not np.array_equal(generate_haar_orthogonal(8, 3),
-                              generate_haar_orthogonal(8, 4))
+    assert np.array_equal(_haar(8, 3), _haar(8, 3))
+    assert not np.array_equal(_haar(8, 3), _haar(8, 4))
 
 
 def test_haar_orthogonal_mean_zero():
@@ -189,13 +192,8 @@ def test_haar_orthogonal_mean_zero():
     n = 8
     acc = np.zeros((n, n))
     for seed in range(2000):
-        acc += generate_haar_orthogonal(n, seed)
+        acc += _haar(n, seed)
     assert np.max(np.abs(acc / 2000)) < 0.05
-
-
-def test_haar_orthogonal_validation():
-    with pytest.raises(ValueError):
-        generate_haar_orthogonal(0, 0)
 
 
 # ------------------------------------------------------------- matrixmarket

@@ -26,6 +26,11 @@ def test_report_validation():
         ApproxReport(method="cd", order=0, k=0, norm_da=-1.0, norm_db=0.0)
     with pytest.raises(ValueError):
         ApproxReport(method="cd", order=0, k=0, norm_da=0.0, norm_db=-0.5)
+    with pytest.raises(ValueError):
+        ApproxReport(method="cd", order=0, k=0, norm_da=None, norm_db=-0.5)
+    # a product that drops no residue (lowrank) reports None, not 0
+    rep = ApproxReport(method="lowrank", order=0, k=3, norm_da=None, norm_db=None)
+    assert rep.to_dict()["norm_da"] is None and rep.to_dict()["norm_db"] is None
 
 
 K = 5

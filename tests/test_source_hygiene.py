@@ -5,9 +5,10 @@ in a module's ``__all__`` is bound at its top level. ``__init__.py`` is
 exempt from the first check: its imports are the modules it exports, and the
 package root exports modules only, so each public name has one import path.
 Every public name of a numeric module is used somewhere in the package or
-the benchmark outside its own definition, unless UNUSED_PUBLIC says why not,
-and every private top-level name of a module is used somewhere in the
-package outside its own definition.
+the benchmark outside its own definition, and every private top-level name
+of a module is used somewhere in the package outside its own definition.
+The tests' oracles (tests/oracles.py) import nothing from the package, so
+no oracle runs the code it checks.
 No module refers to numpy.fft: scipy.fft is the one FFT backend. The
 products whose norms follow pooled passes (cd and sfft) call no BLAS norm
 and take ||A|| and ||B|| from their truncations, not from a pass over the
@@ -29,13 +30,6 @@ ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "apxmm").glob("*.py"))
 NUMERIC = [p for p in SOURCES if p.name not in ("__init__.py", "__main__.py", "cli.py")]
 CALLERS = SOURCES + sorted((ROOT / "perfbench").rglob("*.py"))
-
-# public names nothing in src/ or perfbench/ uses, each with its reason
-UNUSED_PUBLIC = {
-    "circulant.circulant_component": "test oracle: R_k by cycle averaging, not by the FFT",
-    "core.matmul_naive": "the tests' bit-deterministic oracle; the CLI's exact product is BLAS",
-    "genmat.generate_haar_orthogonal": "Haar orthogonal factor the acceptance tests sample",
-}
 
 
 def _tree(path: Path) -> ast.Module:
@@ -133,7 +127,19 @@ def test_public_names_have_callers():
             if not any(name in _references(tree, name if caller == path else None)
                        for caller, tree in trees.items()):
                 unused.append(f"{path.stem}.{name}")
-    assert sorted(unused) == sorted(UNUSED_PUBLIC)
+    assert sorted(unused) == []
+
+
+def test_oracles_import_nothing_from_the_package():
+    tree = _tree(ROOT / "tests" / "oracles.py")
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            modules.add("." * node.level + (node.module or ""))
+    assert modules
+    assert sorted(m for m in modules if m.startswith((".", "apxmm"))) == []
 
 
 def test_private_names_have_callers():
