@@ -39,14 +39,15 @@ import scipy.sparse
 from .core import (
     CHUNKS,
     SUM_ROWS,
+    _coerce_pair,
     _roll_columns,
-    as_pair,
+    as_matrix,
     cycle_reorder,
     for_blocks,
     for_sub_blocks,
     pass_workers,
 )
-from .report import _fro, estimated_report
+from .report import _fro, _square_sum, estimated_report
 
 __all__ = [
     "CirculantSpectrum",
@@ -218,10 +219,15 @@ def circulant_first_order_multiply(A, B, k: int, order: int):
     """Approximate A @ B keeping the k largest circulant components of each.
 
     order 0 computes Ahat @ B = W* P_a W B with the sparse P_a of
-    _fourier_operator (the left factor is the only one truncated), one slab
-    of at most core.SUB_ROWS columns of B at a time; order 1 adds the
-    correction dA @ Bhat = dA W* P_b W from the dense Ahat, one slab of rows
-    of dA = A - Ahat at a time. Both cost O(k n^2 + n^2 log n). For real A and
+    _fourier_operator, one slab of at most core.SUB_ROWS columns of B at a
+    time. Only A is decomposed: B is read once before its column FFTs, by
+    one pooled sum of its squares that is both its finiteness check and
+    ||B||. The error is exactly dA B, so the report's norm_db is 0.0 and its
+    estimates read ||B|| in place of ||dB||: posterior ||dA|| ||B|| /
+    (sqrt(n) ||M||), a-priori ||dA|| / ||A||. order 1 decomposes B too and
+    adds the correction dA @ Bhat = dA W* P_b W from the dense Ahat, one
+    slab of rows of dA = A - Ahat at a time, and reports the first-order
+    estimates. Both cost O(k n^2 + n^2 log n). For real A and
     B every kept sum is real (whole conjugate pairs, see circulant_select)
     and so are M and dA: the product forms only the rows i <= n/2 of
     P_a W B and ends in irfft, the correction only the columns j <= n/2 of
@@ -232,7 +238,7 @@ def circulant_first_order_multiply(A, B, k: int, order: int):
     count kept. Deterministic, no randomness involved, and bit-identical
     however many threads the n^2 passes run on.
     """
-    A, B = as_pair(A, B)
+    A, B = _coerce_pair(A, B)
     n = A.shape[0]
     if A.shape[1] != n or B.shape != (n, n):
         raise ValueError(f"two square n x n matrices required, got {A.shape} x {B.shape}")
@@ -240,16 +246,28 @@ def circulant_first_order_multiply(A, B, k: int, order: int):
         raise ValueError(f"k={k} out of range [0, {n}]")
     if order not in (0, 1):
         raise ValueError("order must be 0 or 1")
+    A = as_matrix(A)
+    if order == 1:
+        B = as_matrix(B)
+    else:
+        # B's one pass before its column FFTs: a finite sum of squares means
+        # finite entries, and only a non-finite one needs as_matrix, which
+        # raises for a NaN or an inf and passes squares that overflow
+        square_sum = _square_sum(B)
+        if not math.isfinite(square_sum):
+            as_matrix(B)
+        norm_b = math.sqrt(square_sum)
 
     t0 = time.perf_counter()
     spec_a = circulant_select(circulant_decompose(A), k)
-    spec_b = circulant_select(circulant_decompose(B), k)
     norm_a, norm_da = _norms(spec_a)
-    norm_b, norm_db = _norms(spec_b)
+    if order == 1:
+        spec_b = circulant_select(circulant_decompose(B), k)
+        norm_b, norm_db = _norms(spec_b)
 
     # Ahat B = W* (P_a (W B)) and dA Bhat = ((dA W*) P_b) W; scipy's transforms
     # take real input at about half cost and may overwrite the intermediates
-    real = spec_a.half and spec_b.half
+    real = spec_a.half and not np.iscomplexobj(B)
     half = n // 2 + 1 if real else n
     P_a = _fourier_operator(spec_a, half, n)
     inverse = scipy.fft.irfft if real else scipy.fft.ifft
@@ -278,5 +296,8 @@ def circulant_first_order_multiply(A, B, k: int, order: int):
 
         for_sub_blocks(correct, n, n * n, CHUNKS)
     wall = time.perf_counter() - t0
-    return M, estimated_report("cd", order, k, _fro(M), n, norm_a, norm_b,
-                               norm_da, norm_db, wall)
+    # at order 0, AB - M = dA B exactly: B is not truncated, so its residue
+    # is 0 and the estimates read ||B|| where the first order's read ||dB||
+    report = estimated_report("cd", order, k, _fro(M), n, norm_a, norm_b,
+                              norm_da, norm_db if order else norm_b, wall)
+    return M, report if order else replace(report, norm_db=0.0)

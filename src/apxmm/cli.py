@@ -184,7 +184,9 @@ def _matrix_from_args(args, which: str, parser) -> tuple[np.ndarray, str]:
 
 
 def _json_line(payload: dict) -> str:
-    return json.dumps(payload, default=float)
+    """payload as one line of strict JSON: NaN and Infinity are not JSON, so
+    a non-finite value raises ValueError, which main reports as an error."""
+    return json.dumps(payload, default=float, allow_nan=False)
 
 
 def _environment() -> dict:

@@ -100,21 +100,31 @@ def haar_product_moments(d1, d2) -> tuple[float, float, float]:
     beta - alpha^2/n is n times the variance of the squared spectrum, so the
     value is never negative and is 0 exactly when either spectrum is flat in
     magnitude (then S is constant). All three are 0 when either spectrum is.
+    Raises ValueError when a power sum, mean_sq or the variance is not
+    finite in float64; no intermediate square of a finite value overflows
+    before those checks.
     """
     d1, d2 = _spectra(d1, d2)
     if d1.size < 2:
         raise ValueError("n must be >= 2")
     n = float(d1.size)
-    alpha1, alpha2 = float(np.sum(d1**2)), float(np.sum(d2**2))
-    beta1, beta2 = float(np.sum(d1**4)), float(np.sum(d2**4))
+    with np.errstate(over="ignore"):  # an overflow is a non-finite sum, refused below
+        alpha1, alpha2 = float(np.sum(d1**2)), float(np.sum(d2**2))
+        beta1, beta2 = float(np.sum(d1**4)), float(np.sum(d2**4))
+    if not all(map(math.isfinite, (alpha1, alpha2, beta1, beta2))):
+        raise ValueError("a power sum of the spectra overflows float64")
     if alpha1 * alpha2 == 0.0:
         return 0.0, 0.0, 0.0
     mean_sq = alpha1 * alpha2 / n
-    # max() only absorbs roundoff when a factor is zero in exact arithmetic
-    spread1 = max(0.0, beta1 - alpha1**2 / n)
-    spread2 = max(0.0, beta2 - alpha2**2 / n)
+    # alpha^2 / n <= beta, so alpha * (alpha / n) stays finite where alpha**2
+    # may not; max() only absorbs roundoff when a factor is zero in exact
+    # arithmetic
+    spread1 = max(0.0, beta1 - alpha1 * (alpha1 / n))
+    spread2 = max(0.0, beta2 - alpha2 * (alpha2 / n))
     variance = 2.0 * spread1 * spread2 / ((n - 1.0) * (n + 2.0))
-    mean_norm = math.sqrt(mean_sq) * (1.0 - variance / (8.0 * mean_sq**2))
+    if not (math.isfinite(mean_sq) and math.isfinite(variance)):
+        raise ValueError("the moments of the spectra overflow float64")
+    mean_norm = math.sqrt(mean_sq) * (1.0 - variance / mean_sq / (8.0 * mean_sq))
     return float(mean_sq), float(variance), float(mean_norm)
 
 
@@ -122,13 +132,18 @@ def uniform_product_moment(m: int, n: int, p: int, a: float) -> float:
     """Exact E||AB||_F^2 for A (m x n) and B (n x p) with U(0, a) entries.
 
     E||AB||_F^2 = m*p*n * a^4/9 + m*p*n*(n-1) * a^4/16. The ratio against
-    E||A||_F^2 E||B||_F^2 tends to 9/16 as n grows.
+    E||A||_F^2 E||B||_F^2 tends to 9/16 as n grows. Raises ValueError when
+    the moment is not finite in float64.
     """
     if min(m, n, p) < 1:
         raise ValueError("dimensions must be >= 1")
     if a <= 0:
         raise ValueError("a must be > 0")
-    return m * p * n * a**4 / 9.0 + m * p * n * (n - 1) * a**4 / 16.0
+    a4 = (a * a) * (a * a)  # products overflow to inf where a**4 would raise
+    value = m * p * n * a4 / 9.0 + m * p * n * (n - 1) * a4 / 16.0
+    if not math.isfinite(value):
+        raise ValueError("E||AB||_F^2 overflows float64")
+    return value
 
 
 # each distribution tag's draw of one n x n matrix
@@ -169,7 +184,8 @@ def concentration_tail_bound(d1, d2, t: float) -> float:
     d1 and d2 are the diagonals of D1 and D2 as for haar_product_moments;
     ||D2||_2 is the largest |d2(i)|. Neither spectrum may be all zero. A
     denominator that underflows to 0 sends the exponent to -inf, so the
-    bound is 0. The returned value is clamped to [0, 1].
+    bound is 0; one that overflows sends it to 0, so the bound is its limit
+    1. The returned value is clamped to [0, 1].
     """
     d1, d2 = _spectra(d1, d2)
     if d1.size < 3:
@@ -179,10 +195,15 @@ def concentration_tail_bound(d1, d2, t: float) -> float:
     d2_norm = float(np.max(d2))
     if d2_norm == 0.0:
         raise ValueError("d2 must not be all zero")
-    alpha1 = float(np.sum(d1**2))
+    with np.errstate(over="ignore"):  # an overflow is an infinite denominator
+        alpha1 = float(np.sum(d1**2))
     if alpha1 == 0.0:
         raise ValueError("d1 must not be all zero")
-    denom = 96.0 * alpha1**2 * d2_norm**4
+    # products, not Python powers, so that an overflow gives inf, not an error
+    d2_sq = d2_norm * d2_norm
+    denom = 96.0 * alpha1 * alpha1 * d2_sq * d2_sq
     if denom == 0.0:
         return 0.0
+    if denom == math.inf:
+        return 1.0
     return float(min(1.0, math.exp(-(d1.size - 2) * t * t / denom)))

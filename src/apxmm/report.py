@@ -19,7 +19,10 @@ class ApproxReport:
 
     norm_da / norm_db are the Frobenius norms of the residues (the parts of A
     and B the truncated decomposition dropped), or None for a product that
-    truncates no decomposition (lowrank samples the product instead).
+    truncates no decomposition (lowrank samples the product instead). cd's
+    zeroth order Ahat B truncates A only: its norm_db is 0.0, and its
+    estimates describe the error dA B it drops, with ||B|| in place of
+    ||dB||.
     wall_time covers the decomposition plus the multiply, not input
     generation or checking.
     """
@@ -45,19 +48,14 @@ class ApproxReport:
         return asdict(self)
 
 
-def _fro(X: np.ndarray) -> float:
-    """Frobenius norm of a 2-D array, the one norm helper of the products.
+def _square_sum(X: np.ndarray) -> float:
+    """sum |x|^2 over the entries of the 2-D X, with no BLAS call.
 
-    Below core.GRAIN entries it is one dot (np.linalg.norm takes two strided
-    passes over a complex array). From GRAIN on it makes no BLAS call: each
-    block of core.SUM_ROWS rows sums its squares with numpy on apxmm's pool,
-    and the partial sums add in one fixed order, so the norm is
-    bit-identical at any worker count. A threaded BLAS call leaves its
-    worker spinning for a while after it returns, and a pooled pass that
-    follows it then shares a core with that worker.
+    Each block of core.SUM_ROWS rows sums its squares with numpy, on apxmm's
+    pool from core.GRAIN entries on, and the partial sums add in one fixed
+    order, so the sum is bit-identical at any worker count. It is finite
+    exactly when every entry is finite and no square overflows.
     """
-    if X.size < core.GRAIN:
-        return math.sqrt(np.vdot(X, X).real)
     partial = np.empty(-(-X.shape[0] // core.SUM_ROWS))
 
     def measure(lo, hi):
@@ -68,7 +66,22 @@ def _fro(X: np.ndarray) -> float:
             partial[b] = np.einsum("ij,ij->", rows, rows)
 
     core.for_blocks(measure, partial.size, X.size)
-    return math.sqrt(partial.sum())
+    return float(partial.sum())
+
+
+def _fro(X: np.ndarray) -> float:
+    """Frobenius norm of a 2-D array, the one norm helper of the products.
+
+    Below core.GRAIN entries it is one dot (np.linalg.norm takes two strided
+    passes over a complex array). From GRAIN on it is the square root of
+    _square_sum, which makes no BLAS call and is bit-identical at any
+    worker count. A threaded BLAS call leaves its worker spinning for a
+    while after it returns, and a pooled pass that follows it then shares a
+    core with that worker.
+    """
+    if X.size < core.GRAIN:
+        return math.sqrt(np.vdot(X, X).real)
+    return math.sqrt(_square_sum(X))
 
 
 def estimated_report(method: str, order: int, k: int, norm_m: float, n: int,
@@ -81,7 +94,8 @@ def estimated_report(method: str, order: int, k: int, norm_m: float, n: int,
     factors of M. The a-priori estimate takes the mean-zero model, which
     reduces it to ||dA|| ||dB|| / (||A|| ||B||); it is None when ||A|| or
     ||B|| is 0. The posterior ||dA|| ||dB|| / (sqrt(n) ||M||) is None when
-    norm_m is 0.
+    norm_m is 0. norm_db is the norm both pair with ||dA||: cd's zeroth
+    order, whose error is dA B, passes ||B|| and reports norm_db 0.0.
     """
     apriori = (apriori_relative_error(norm_a, norm_b, norm_da, norm_db, n)
                if norm_a > 0 and norm_b > 0 else None)

@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
-from apxmm import core
+from apxmm import circulant, core
 from apxmm.circulant import (
     CirculantSpectrum,
     circulant_decompose,
@@ -16,6 +16,7 @@ from apxmm.circulant import (
     circulant_select,
 )
 from apxmm.core import relative_error
+from apxmm.genmat import MatrixSpec, generate
 
 from oracles import circulant_component, matmul_naive
 
@@ -377,12 +378,14 @@ def _split_peak_arrays(monkeypatch, order, dtype):
 
 
 def test_split_zeroth_order_peak_memory(monkeypatch):
-    # each column slab of B goes through W, P_a and W* into M, so no n x n
-    # transform of B is held, and the cycle gather holds no copy of a factor
-    # beside its output; a complex pair peaks at 3.05 arrays in the
-    # decompositions, a real pair at 1.54 (half spectra and a float64 M)
-    assert _split_peak_arrays(monkeypatch, 0, complex) <= 3.10
-    assert _split_peak_arrays(monkeypatch, 0, float) <= 1.59
+    # only A is decomposed, and each column slab of B goes through W, P_a
+    # and W* into M, so no spectrum or n x n transform of B is held; the
+    # peak sits in the left apply, A's spectrum beside M and the slabs'
+    # transforms: 2.05 arrays for a complex pair (A's decomposition alone
+    # reaches 2.00, its cycle reordering beside its spectrum), 1.04 for a
+    # real pair (a half spectrum and a float64 M)
+    assert _split_peak_arrays(monkeypatch, 0, complex) <= 2.10
+    assert _split_peak_arrays(monkeypatch, 0, float) <= 1.09
 
 
 def test_split_first_order_peak_memory(monkeypatch):
@@ -397,19 +400,86 @@ def test_split_first_order_peak_memory(monkeypatch):
 
 
 def test_multiply_validates_each_factor_once(monkeypatch):
-    # the operand gate checks each factor; the cycle reordering of each
-    # decomposition checks finiteness in its own gather, and materialize
-    # takes a spectrum, no matrix
+    # the operand gate checks A, and B at order 1; at order 0 one pooled sum
+    # of B's squares is B's check, and as_matrix reads B only when that sum
+    # is not finite; the cycle reordering of each decomposition checks
+    # finiteness in its own gather, and materialize takes a spectrum, no
+    # matrix
     calls = []
     real = core.as_matrix
-    counted = lambda a: calls.append(1) or real(a)  # noqa: E731
-    monkeypatch.setattr(core, "as_matrix", counted)  # circulant calls it only via as_pair
+    monkeypatch.setattr(circulant, "as_matrix", lambda a: calls.append(a) or real(a))
     rng = np.random.default_rng(3)
     A, B = rng.standard_normal((16, 16)), rng.standard_normal((16, 16))
-    for order in (0, 1):
+    for order, checked in ((0, [A]), (1, [A, B])):
         calls.clear()
         circulant_first_order_multiply(A, B, 3, order)
-        assert len(calls) == 2
+        assert len(calls) == len(checked)
+        assert all(a is b for a, b in zip(calls, checked))
+
+
+def test_zeroth_order_decomposes_a_only(monkeypatch):
+    # Ahat B needs no spectrum of B: order 0 decomposes A once, order 1
+    # decomposes A and then B
+    calls = []
+    real = circulant.circulant_decompose
+    monkeypatch.setattr(circulant, "circulant_decompose",
+                        lambda a: calls.append(a) or real(a))
+    rng = np.random.default_rng(4)
+    A, B = rng.standard_normal((16, 16)), rng.standard_normal((16, 16))
+    for order, decomposed in ((0, [A]), (1, [A, B])):
+        calls.clear()
+        circulant_first_order_multiply(A, B, 3, order)
+        assert len(calls) == len(decomposed)
+        assert all(a is b for a, b in zip(calls, decomposed))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_zeroth_order_rejects_non_finite_b(bad, one_and_split):
+    # B's gate at order 0 is its sum of squares: a NaN or an inf at either
+    # end of B, real or complex, fails it on one thread and split
+    n = 130
+    rng = np.random.default_rng(17)
+    A = rng.standard_normal((n, n))
+    Bs = []
+    for where in ((0, 0), (n - 1, n - 1)):
+        for dtype in (float, complex):
+            B = rng.standard_normal((n, n)).astype(dtype)
+            B[where] = bad
+            Bs.append(B)
+
+    def check():
+        for B in Bs:
+            with pytest.raises(ValueError, match=re.escape(core.NOT_FINITE)):
+                circulant_first_order_multiply(A, B, 5, 0)
+
+    one_and_split(check)
+
+
+def test_zeroth_order_accepts_b_whose_squares_overflow():
+    # finite entries near 1e200 overflow B's sum of squares; as_matrix then
+    # finds them finite, and M scales exactly with a power-of-two B
+    rng = np.random.default_rng(19)
+    A, B = rng.standard_normal((32, 32)), rng.standard_normal((32, 32))
+    scale = 2.0**664  # about 1.2e200
+    M, rep = circulant_first_order_multiply(A, B, 5, 0)
+    M_big, rep_big = circulant_first_order_multiply(A, B * scale, 5, 0)
+    assert np.isfinite(M_big).all()
+    assert M_big.tobytes() == (M * scale).tobytes()
+    assert (rep_big.norm_da, rep_big.norm_db) == (rep.norm_da, 0.0)
+
+
+def test_zeroth_order_posterior_calibration():
+    # cd0's error is exactly dA B, and its posterior ||dA|| ||B|| /
+    # (sqrt(n) ||M||) must read within x2 of the measured error on every
+    # general x toeplitz pair at n = 512, k = 9 (the band was set before
+    # measuring)
+    n, k = 512, 9
+    for seed in range(5):
+        A = generate(MatrixSpec("general", n, seed=2 * seed))
+        B = generate(MatrixSpec("toeplitz", n, seed=2 * seed + 1))
+        M, rep = circulant_first_order_multiply(A, B, k, 0)
+        measured = relative_error(M, matmul_naive(A, B))
+        assert 0.5 <= rep.posterior_estimate / measured <= 2.0, (seed, measured)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -777,6 +777,39 @@ def test_estimate_tail_bound_zero_d1_is_an_error(tmp_path):
     assert run.stderr.startswith("error: ") and "d1 must not be all zero" in run.stderr
 
 
+@pytest.mark.parametrize("tail", [[], ["--tail-t", "0.5"]], ids=["moments", "tail"])
+@pytest.mark.parametrize("big", ["1e150", "1e160"])
+def test_estimate_haar_moments_past_float64_is_an_error(tmp_path, big, tail):
+    # four entries of 1e150 overflow the spectrum's fourth powers and 1e160
+    # its squares too: an error line and exit 1, never a traceback or a
+    # bare Infinity
+    s1 = tmp_path / "d1.csv"
+    s2 = tmp_path / "d2.csv"
+    s1.write_text(",".join([big] * 4) + "\n", encoding="ascii")
+    s2.write_text("1,1,1,1\n", encoding="ascii")
+    src = str(Path(apxmm.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    run = subprocess.run([sys.executable, "-m", "apxmm", "estimate", "--mode", "haar-moments",
+                          "--spectrum-1", str(s1), "--spectrum-2", str(s2), *tail],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert "Traceback" not in run.stderr
+    assert run.returncode == 1
+    assert run.stdout == ""
+    assert run.stderr.startswith("error: ") and "overflows float64" in run.stderr
+
+
+def test_json_output_refuses_non_finite_values(capsys):
+    # an a-priori estimate past float64 is inf, and bare Infinity is not JSON
+    code, out, err = run_cli(capsys, "estimate", "--mode", "apriori",
+                             "--case", "mean-zero", "--n", "4",
+                             "--norm-a", "1", "--norm-b", "1",
+                             "--norm-da", "1e300", "--norm-db", "1e300")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "JSON" in err
+
+
 def test_estimate_haar_moments_takes_no_d2_spectral(capsys):
     # the tail bound is that of the given D2 only at its own spectral norm
     with pytest.raises(SystemExit) as exc:

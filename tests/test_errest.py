@@ -165,6 +165,33 @@ def test_haar_moments_validation():
         haar_product_moments(np.ones(1), np.ones(1))
 
 
+@pytest.mark.parametrize("big", [1e150, 1e160])
+def test_haar_moments_refuse_power_sums_past_float64(big):
+    # four entries of 1e150 overflow beta (sum |d|^4) and 1e160 alpha too:
+    # either spectrum raises ValueError, not OverflowError, and returns no inf
+    d = np.full(4, big)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for d1, d2 in ((d, np.ones(4)), (np.ones(4), d)):
+            with pytest.raises(ValueError, match="overflows float64"):
+                haar_product_moments(d1, d2)
+
+
+def test_haar_moments_square_no_finite_power_sum_past_float64():
+    # alpha = 1.44e154 and beta = 5.2e307 are finite, alpha**2 is not: a flat
+    # spectrum still gives mean_sq = alpha, variance 0 and mean_norm sqrt(alpha)
+    d = np.full(4, 6e76)
+    alpha = float(np.sum(d**2))
+    mean_sq, variance, mean_norm = haar_product_moments(d, np.ones(4))
+    assert mean_sq == pytest.approx(alpha, rel=1e-15, abs=0.0)
+    assert variance == 0.0
+    assert mean_norm == pytest.approx(math.sqrt(alpha), rel=1e-15, abs=0.0)
+    # two spiked spectra: each spread is finite, their product is not
+    spike = np.array([1e50, 0.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="overflow float64"):
+        haar_product_moments(spike, spike)
+
+
 # ----------------------------------------------------------- uniform moment
 
 def test_uniform_moment_scalar_case():
@@ -203,6 +230,9 @@ def test_uniform_moment_validation():
         uniform_product_moment(0, 1, 1, 1.0)
     with pytest.raises(ValueError):
         uniform_product_moment(1, 1, 1, 0.0)
+    # a^4 past float64 is an error, not an OverflowError or an inf
+    with pytest.raises(ValueError, match="overflows float64"):
+        uniform_product_moment(2, 2, 2, 1e80)
 
 
 # ---------------------------------------------------------- front constants
@@ -260,6 +290,13 @@ def test_tail_bound_limits():
     assert tiny < 1e-10
     # 96 ||D1||_F^4 ||D2||_2^4 underflows to 0: the exponent is -inf
     assert concentration_tail_bound(np.full(8, 1e-90), d, 0.5) == 0.0
+    # and overflows past float64: the exponent is 0, the bound its limit 1,
+    # for a large D1 or a large D2 and whether ||D1||_F^2 is finite or not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for big in (1e150, 1e160):
+            assert concentration_tail_bound(np.full(8, big), d, 0.5) == 1.0
+            assert concentration_tail_bound(d, np.full(8, big), 0.5) == 1.0
 
 
 def test_tail_bound_monotone_in_t():
