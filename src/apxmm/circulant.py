@@ -39,9 +39,9 @@ import scipy.sparse
 from .core import (
     CHUNKS,
     SUM_ROWS,
+    _checked_total,
     _coerce_pair,
     _roll_columns,
-    as_matrix,
     cycle_reorder,
     for_blocks,
     for_sub_blocks,
@@ -221,13 +221,13 @@ def circulant_first_order_multiply(A, B, k: int, order: int):
     order 0 computes Ahat @ B = W* P_a W B with the sparse P_a of
     _fourier_operator, one slab of at most core.SUB_ROWS columns of B at a
     time. Only A is decomposed: B is read once before its column FFTs, by
-    one pooled sum of its squares that is both its finiteness check and
-    ||B||. The error is exactly dA B, so the report's norm_db is 0.0 and its
-    estimates read ||B|| in place of ||dB||: posterior ||dA|| ||B|| /
-    (sqrt(n) ||M||), a-priori ||dA|| / ||A||. order 1 decomposes B too and
-    adds the correction dA @ Bhat = dA W* P_b W from the dense Ahat, one
-    slab of rows of dA = A - Ahat at a time, and reports the first-order
-    estimates. Both cost O(k n^2 + n^2 log n). For real A and
+    one pooled sum of its squares that gives ||B||. The error is exactly
+    dA B, so the report's norm_db is 0.0 and its estimates read ||B|| in
+    place of ||dB||: posterior ||dA|| ||B|| / (sqrt(n) ||M||), a-priori
+    ||dA|| / ||A||. order 1 decomposes B too and adds the correction
+    dA @ Bhat = dA W* P_b W from the dense Ahat, one slab of rows of
+    dA = A - Ahat at a time, and reports the first-order estimates. Both
+    cost O(k n^2 + n^2 log n). For real A and
     B every kept sum is real (whole conjugate pairs, see circulant_select)
     and so are M and dA: the product forms only the rows i <= n/2 of
     P_a W B and ends in irfft, the correction only the columns j <= n/2 of
@@ -236,7 +236,9 @@ def circulant_first_order_multiply(A, B, k: int, order: int):
     cut falls inside a pair, and
     len(circulant_select(circulant_decompose(A), k).selected) gives the
     count kept. Deterministic, no randomness involved, and bit-identical
-    however many threads the n^2 passes run on.
+    however many threads the n^2 passes run on. Each factor's NaN/inf check
+    is the first pass that reads it: the cycle gather of its decomposition
+    (core.cycle_reorder), or at order 0 B's sum of squares.
     """
     A, B = _coerce_pair(A, B)
     n = A.shape[0]
@@ -246,17 +248,9 @@ def circulant_first_order_multiply(A, B, k: int, order: int):
         raise ValueError(f"k={k} out of range [0, {n}]")
     if order not in (0, 1):
         raise ValueError("order must be 0 or 1")
-    A = as_matrix(A)
-    if order == 1:
-        B = as_matrix(B)
-    else:
-        # B's one pass before its column FFTs: a finite sum of squares means
-        # finite entries, and only a non-finite one needs as_matrix, which
-        # raises for a NaN or an inf and passes squares that overflow
-        square_sum = _square_sum(B)
-        if not math.isfinite(square_sum):
-            as_matrix(B)
-        norm_b = math.sqrt(square_sum)
+    if order == 0:
+        # B's one pass before its column FFTs, and its finiteness check
+        norm_b = math.sqrt(_checked_total(B, _square_sum(B)))
 
     t0 = time.perf_counter()
     spec_a = circulant_select(circulant_decompose(A), k)

@@ -6,8 +6,9 @@ circulant magnitudes to CSV), bench (batch runs to a fixed-schema CSV), and
 estimate (error-model numbers without running a product).
 
 One table, _METHODS, states and runs each method of multiply, sweep and
-bench. Its naive row, a timed BLAS A @ B behind core.as_pair, is also the
-exact product that --check, sweep and bench compare against.
+bench. Its naive row, a timed BLAS A @ B of operands that core.as_matrix
+checks first (BLAS makes no pass that could), is also the exact product
+that --check, sweep and bench compare against.
 
 Matrix arguments come either from files (.mtx MatrixMarket, anything else
 CSV) or from a generator kind plus size and seed. All randomness is seeded;
@@ -31,7 +32,7 @@ import scipy
 
 from .baseline import randomized_outer_product_multiply
 from .circulant import circulant_decompose, circulant_first_order_multiply
-from .core import WORKERS, as_pair, relative_error
+from .core import WORKERS, _coerce_pair, as_matrix, relative_error
 from .errest import (
     _CASES,
     apriori_relative_error,
@@ -101,7 +102,7 @@ def operation_count(method: str, n: int, k: int = 0) -> float:
 
 def _blas(A, B):
     """The exact product: one timed BLAS A @ B of the gated operands."""
-    A, B = as_pair(A, B)
+    A, B = map(as_matrix, _coerce_pair(A, B))
     t0 = time.perf_counter()
     M = A @ B
     wall = time.perf_counter() - t0

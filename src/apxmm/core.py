@@ -1,9 +1,13 @@
 """Dense-matrix primitives shared by every approximation method.
 
-Input validation for single matrices and product pairs, an arbitrary-length
-unitary DFT, cycle reordering of a square matrix, the relative error of a
-product against a reference, and the one slab rule (for_sub_blocks) of every
-sparse-dense product in cd and sfft.
+Input validation, an arbitrary-length unitary DFT, cycle reordering of a
+square matrix, the relative error of a product against a reference, and the
+one slab rule (for_sub_blocks) of every sparse-dense product in cd and sfft.
+
+Validation: the first pass that reads every entry of a factor is its NaN/inf
+check. A norm or a sum of squares is finite only when every entry is
+(_checked_total), and the cycle gather and sfft's top-k selection check the
+slabs they read. Only code that makes no such pass calls as_matrix up front.
 
 Threading: a pass over GRAIN or more array entries is cut into contiguous
 index blocks that run on one private thread pool with one thread per CPU in
@@ -23,6 +27,7 @@ matrix it is given.
 from __future__ import annotations
 
 import functools
+import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -33,7 +38,6 @@ from numpy.lib.stride_tricks import as_strided
 
 __all__ = [
     "as_matrix",
-    "as_pair",
     "unitary_dft",
     "cycle_reorder",
     "relative_error",
@@ -170,17 +174,18 @@ def _coerce_pair(A, B) -> tuple[np.ndarray, np.ndarray]:
     return A, B
 
 
-def as_pair(A, B) -> tuple[np.ndarray, np.ndarray]:
-    """Validate the two factors of a product A @ B and return them coerced.
+def _checked_total(X: np.ndarray, total: float) -> float:
+    """``total``, the result of a pass that read every entry of X (a norm or
+    a sum of squares), once X's entries are known finite.
 
-    The inner dimensions must agree, and each factor passes as_matrix. cd,
-    sfft and the CLI's exact product gate their operands here. svd and lowrank
-    take _coerce_pair instead: the norms each of them computes first read
-    every entry and are finite only when every entry is, so that pass is
-    their finiteness check.
+    A finite total means finite entries, so X then takes no isfinite pass.
+    Only a total that is not finite runs as_matrix(X), which raises for a
+    NaN or an inf and passes finite entries whose total overflowed. It calls
+    a public function, so it runs on the calling thread, never in a block.
     """
-    A, B = _coerce_pair(A, B)
-    return as_matrix(A), as_matrix(B)
+    if not math.isfinite(total):
+        as_matrix(X)
+    return total
 
 
 def unitary_dft(x, direction: str = "forward", axis: int = -1) -> np.ndarray:
@@ -267,12 +272,15 @@ def cycle_reorder(A) -> np.ndarray:
 
 
 def relative_error(M, C_ref) -> float:
-    """||C_ref - M||_F / ||C_ref||_F; complex M against a real reference is fine."""
-    M = as_matrix(M)
-    C_ref = as_matrix(C_ref)
+    """||C_ref - M||_F / ||C_ref||_F; complex M against a real reference is fine.
+
+    The two norms are the finiteness checks of C_ref and M (_checked_total).
+    """
+    M, C_ref = _coerce(M), _coerce(C_ref)
     if M.shape != C_ref.shape:
         raise ValueError(f"shape mismatch: {M.shape} vs {C_ref.shape}")
-    denom = np.linalg.norm(C_ref)
+    denom = _checked_total(C_ref, np.linalg.norm(C_ref))
+    diff = _checked_total(M, np.linalg.norm(C_ref - M))
     if denom == 0.0:
         raise ValueError("zero-norm reference")
-    return float(np.linalg.norm(C_ref - M) / denom)
+    return float(diff / denom)

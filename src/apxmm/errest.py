@@ -163,6 +163,8 @@ def estimate_front_constant(sampler: str, n: int, trials: int, seed) -> tuple[fl
     distribution and returns (mean, sample stddev) of the ratio. Supported
     tags: uniform01, rademacher, normal, lognormal, student-t3.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if trials < 2:
         raise ValueError("trials must be >= 2")
     if sampler not in _SAMPLERS:

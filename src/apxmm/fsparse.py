@@ -23,8 +23,8 @@ import scipy.sparse as sp
 from .core import (
     NOT_FINITE,
     _coerce,
+    _coerce_pair,
     as_matrix,
-    as_pair,
     for_sub_blocks,
     unitary_dft,
 )
@@ -203,8 +203,13 @@ def fft_sparse_first_order_multiply(A, B, k: int, order: int,
     entries stay on the calling thread. Each entry is computed as one call
     over the whole array computes it, so M and the report are bit-identical
     at any thread count.
+
+    The operands take no up-front finiteness pass: a NaN or an inf in A
+    makes its whole row of Atil non-finite, and one in B its whole column
+    of Btil, so the top-k selection of either transform raises
+    core.NOT_FINITE, with rows or cols truncation and at k = 0 alike.
     """
-    A, B = as_pair(A, B)
+    A, B = _coerce_pair(A, B)
     if sparsify_b not in ("rows", "cols"):
         raise ValueError(f"unknown sparsify_b {sparsify_b!r}")
     # k entries of each row of Atil and of each row (or column) of Btil

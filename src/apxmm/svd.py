@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _coerce_pair, as_matrix
+from .core import _checked_total, _coerce, _coerce_pair
 from .report import estimated_report
 
 __all__ = [
@@ -80,26 +80,6 @@ def component_count(n: int, s: int) -> int:
     return min(s * int(math.floor(math.log2(n))) + 1, n)
 
 
-def _real_matrix(A) -> tuple[np.ndarray, float]:
-    """A as a validated real float64 matrix, and its Frobenius norm.
-
-    The norm reads every entry and is finite only when every entry is, so a
-    float64 matrix with a finite norm needs no separate isfinite pass: this
-    is the one finiteness check of svd_first_order_multiply's factors.
-    Anything else goes through as_matrix, which raises for a NaN or an inf
-    and accepts a finite matrix whose norm overflows.
-    """
-    A = np.asarray(A)
-    if A.dtype == np.float64 and A.ndim == 2 and A.size:
-        norm = np.linalg.norm(A)
-        if math.isfinite(norm):
-            return A, norm
-    A = as_matrix(A)
-    if np.iscomplexobj(A):
-        raise ValueError("randomized_partial_svd expects a real matrix")
-    return A, np.linalg.norm(A)
-
-
 def randomized_partial_svd(A, s: int, seed,
                            components: int | None = None) -> TruncatedSVD:
     """Rank-k randomized SVD of A with k set by `s` (or by `components` directly).
@@ -108,7 +88,11 @@ def randomized_partial_svd(A, s: int, seed,
     orthonormalizes Y, takes the exact SVD of Q^T A and keeps its leading k
     triplets.
     """
-    A, norm = _real_matrix(A)
+    A = _coerce(A)
+    if np.iscomplexobj(A):
+        raise ValueError("randomized_partial_svd expects a real matrix")
+    # the norm reads every entry: it is A's finiteness check
+    norm = _checked_total(A, np.linalg.norm(A))
     m, n = A.shape
     if components is not None:
         if components < 1:

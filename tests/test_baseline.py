@@ -147,18 +147,3 @@ def test_finite_factors_whose_norms_overflow():
     assert np.isfinite(M).all()
     assert np.array_equal(M, randomized_outer_product_multiply(np.ones((4, 4)), np.eye(4),
                                                                2, 0)[0] * 1e160)
-
-
-def test_finite_weights_call_no_as_matrix(monkeypatch):
-    # the weights read every entry, so finite weights need no isfinite pass
-    from apxmm import baseline, core
-
-    calls = []
-    real = core.as_matrix
-    counted = lambda a: calls.append(1) or real(a)  # noqa: E731
-    for module in (core, baseline):
-        monkeypatch.setattr(module, "as_matrix", counted)
-    rng = np.random.default_rng(7)
-    baseline.randomized_outer_product_multiply(rng.standard_normal((16, 16)),
-                                               rng.standard_normal((16, 16)), 4, 0)
-    assert calls == []

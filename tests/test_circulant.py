@@ -399,24 +399,6 @@ def test_split_first_order_peak_memory(monkeypatch):
     assert _split_peak_arrays(monkeypatch, 1, float) <= 1.64
 
 
-def test_multiply_validates_each_factor_once(monkeypatch):
-    # the operand gate checks A, and B at order 1; at order 0 one pooled sum
-    # of B's squares is B's check, and as_matrix reads B only when that sum
-    # is not finite; the cycle reordering of each decomposition checks
-    # finiteness in its own gather, and materialize takes a spectrum, no
-    # matrix
-    calls = []
-    real = core.as_matrix
-    monkeypatch.setattr(circulant, "as_matrix", lambda a: calls.append(a) or real(a))
-    rng = np.random.default_rng(3)
-    A, B = rng.standard_normal((16, 16)), rng.standard_normal((16, 16))
-    for order, checked in ((0, [A]), (1, [A, B])):
-        calls.clear()
-        circulant_first_order_multiply(A, B, 3, order)
-        assert len(calls) == len(checked)
-        assert all(a is b for a, b in zip(calls, checked))
-
-
 def test_zeroth_order_decomposes_a_only(monkeypatch):
     # Ahat B needs no spectrum of B: order 0 decomposes A once, order 1
     # decomposes A and then B

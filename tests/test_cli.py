@@ -799,6 +799,20 @@ def test_estimate_haar_moments_past_float64_is_an_error(tmp_path, big, tail):
     assert run.stderr.startswith("error: ") and "overflows float64" in run.stderr
 
 
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_estimate_front_constant_refuses_n_below_1(n):
+    # an error line and exit 1, with no warning before it
+    src = str(Path(apxmm.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    run = subprocess.run([sys.executable, "-m", "apxmm", "estimate", "--mode", "front-constant",
+                          "--distribution", "normal", "--n", n],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert run.returncode == 1
+    assert run.stdout == ""
+    assert run.stderr == "error: n must be >= 1\n"
+
+
 def test_json_output_refuses_non_finite_values(capsys):
     # an a-priori estimate past float64 is inf, and bare Infinity is not JSON
     code, out, err = run_cli(capsys, "estimate", "--mode", "apriori",

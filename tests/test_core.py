@@ -1,5 +1,6 @@
 import multiprocessing
 import os
+import re
 import sys
 import threading
 import tracemalloc
@@ -9,10 +10,9 @@ import pytest
 import scipy.fft
 from numpy.testing import assert_allclose
 
-from apxmm import core
+from apxmm import baseline, circulant, core, fsparse, svd
 from apxmm.core import (
     as_matrix,
-    as_pair,
     cycle_reorder,
     relative_error,
     unitary_dft,
@@ -51,16 +51,93 @@ def test_split_as_matrix_finite_check(bad, one_and_split):
             assert one == split
 
 
-def test_as_pair_validation():
+def test_coerce_pair_validation():
+    # the operands' shapes and dtypes; their entries are each product's to
+    # check, by the first pass that reads them (the tests below)
     with pytest.raises(ValueError, match="2-D"):
-        as_pair([1.0, 2.0], np.eye(2))
-    with pytest.raises(ValueError, match="finite"):
-        as_pair(np.eye(2), [[1.0, np.nan], [0.0, 1.0]])
+        core._coerce_pair([1.0, 2.0], np.eye(2))
     with pytest.raises(ValueError, match="dimension mismatch"):
-        as_pair(np.ones((2, 3)), np.ones((2, 3)))
-    A, B = as_pair([[1, 2]], [[1j], [2]])
+        core._coerce_pair(np.ones((2, 3)), np.ones((2, 3)))
+    A, B = core._coerce_pair([[1, 2]], [[1j], [2]])
     assert A.dtype == np.float64 and B.dtype == np.complex128
     assert A.shape == (1, 2) and B.shape == (2, 1)
+
+
+# every product of the package on a square pair, k = 5 where it takes one
+PRODUCTS = {
+    **{f"svd{o}": lambda A, B, o=o: svd.svd_first_order_multiply(A, B, 1, o, seed=0)
+       for o in (0, 1)},
+    **{f"cd{o}": lambda A, B, o=o: circulant.circulant_first_order_multiply(A, B, 5, o)
+       for o in (0, 1)},
+    **{f"sfft{o}-{b}": lambda A, B, o=o, b=b: fsparse.fft_sparse_first_order_multiply(
+        A, B, 5, o, sparsify_b=b) for o in (0, 1) for b in ("rows", "cols")},
+    "lowrank": lambda A, B: baseline.randomized_outer_product_multiply(A, B, 5, seed=0),
+}
+
+
+@pytest.mark.parametrize("label, dtype", [
+    *((label, float) for label in PRODUCTS),
+    *((label, complex) for label in PRODUCTS if label.startswith(("cd", "sfft"))),
+])
+def test_finite_operands_reach_no_as_matrix(label, dtype, monkeypatch):
+    # the first pass that reads every entry of a factor is its NaN/inf
+    # check, so no module hands a finite operand to as_matrix; sfft1's
+    # sparse_dense_multiply checks its own Btil and dAt, which are not
+    # operands
+    calls = []
+    real = core.as_matrix
+
+    def counted(a):
+        calls.append(a)
+        return real(a)
+
+    # every module that imported as_matrix, as the benchmark's tracer patches
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "apxmm" and vars(module).get("as_matrix") is real:
+            monkeypatch.setattr(module, "as_matrix", counted)
+    assert fsparse.as_matrix is counted
+    rng = np.random.default_rng(3)
+    A, B = (rng.standard_normal((16, 16)).astype(dtype) for _ in range(2))
+    if dtype is complex:
+        A.imag, B.imag = rng.standard_normal((2, 16, 16))
+    PRODUCTS[label](A, B)
+    assert [a for a in calls if np.may_share_memory(a, A) or np.may_share_memory(a, B)] == []
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_pooled_products_reject_non_finite_operands(bad, one_and_split):
+    # cd and sfft make no up-front pass over their operands: a NaN or an inf
+    # at the first or the last entry of either factor, real or complex,
+    # fails the first pass that reads it (cd's cycle gather, or the sum of
+    # B's squares at order 0; sfft's top-k selection of the transformed row
+    # or column it spreads over, or as_matrix of the transform at k = 0), at
+    # n = 37, a Bluestein length, on one thread and split
+    n = 37
+    rng = np.random.default_rng(23)
+    pairs = []
+    for dtype in (float, complex):
+        good = [rng.standard_normal((n, n)).astype(dtype) for _ in range(2)]
+        if dtype is complex:
+            for X in good:
+                X.imag = rng.standard_normal((n, n))
+        for side in (0, 1):
+            for where in ((0, 0), (n - 1, n - 1)):
+                pair = list(good)
+                pair[side] = good[side].copy()
+                pair[side][where] = bad
+                pairs.append(pair)
+    runs = [lambda A, B, o=o: circulant.circulant_first_order_multiply(A, B, 5, o)
+            for o in (0, 1)]
+    runs += [lambda A, B, o=o, k=k, b=b: fsparse.fft_sparse_first_order_multiply(
+        A, B, k, o, sparsify_b=b) for o in (0, 1) for k in (0, 5) for b in ("rows", "cols")]
+
+    def check():
+        for run in runs:
+            for A, B in pairs:
+                with pytest.raises(ValueError, match=re.escape(core.NOT_FINITE)):
+                    run(A, B)
+
+    one_and_split(check)
 
 
 def test_matmul_2x2_oracle():
@@ -301,3 +378,16 @@ def test_relative_error():
         relative_error(ref, np.zeros((2, 2)))
     with pytest.raises(ValueError):
         relative_error(ref, np.zeros((3, 3)))
+    # its two norms are the finiteness checks of both matrices
+    for bad in (np.nan, np.inf, -np.inf):
+        X = ref.copy()
+        X[1, 1] = bad
+        for args in ((X, ref), (ref, X), (X, np.zeros((2, 2)))):
+            with pytest.raises(ValueError, match=re.escape(core.NOT_FINITE)):
+                relative_error(*args)
+    # finite entries whose norms overflow pass: ||C_ref|| and then
+    # ||C_ref - M|| overflow to inf
+    big = np.array([[1e200, 1.0], [0.0, 0.0]])
+    with np.errstate(over="ignore"):
+        assert relative_error(big - [[0.0, 1.0], [0.0, 0.0]], big) == 0.0
+        assert relative_error(big, np.eye(2)) == np.inf

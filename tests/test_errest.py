@@ -237,6 +237,15 @@ def test_uniform_moment_validation():
 
 # ---------------------------------------------------------- front constants
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_front_constant_refuses_n_below_1(n):
+    # n = 0 divided 0 by 0 and n = -1 reached numpy's negative dimensions
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            estimate_front_constant("normal", n, 5, 0)
+
+
 def test_front_constant_normal_scaling():
     # mean-zero entries: c is about 1/sqrt(n)
     n = 40

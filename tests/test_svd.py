@@ -283,24 +283,6 @@ def test_decompose_accepts_finite_input_whose_norm_overflows():
     assert ints.source_frobenius_sq == pytest.approx(3.0, rel=1e-15)
 
 
-def test_multiply_calls_no_as_matrix_on_finite_factors(monkeypatch):
-    # each decomposition's Frobenius norm reads every entry and is finite
-    # only when every entry is, so finite float64 factors pass no isfinite
-    # pass of as_matrix
-    from apxmm import core, svd
-
-    calls = []
-    real = core.as_matrix
-    counted = lambda a, *args: calls.append(1) or real(a, *args)  # noqa: E731
-    for module in (core, svd):
-        monkeypatch.setattr(module, "as_matrix", counted)
-    rng = np.random.default_rng(3)
-    A, B = rng.standard_normal((16, 16)), rng.standard_normal((16, 16))
-    for order in (0, 1):
-        svd.svd_first_order_multiply(A, B, 1, order, seed=0)
-    assert calls == []
-
-
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_multiply_rejects_non_finite_factors(bad, one_and_split):
     # a NaN or an inf at the first or the last entry of either factor makes
