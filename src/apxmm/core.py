@@ -275,12 +275,29 @@ def relative_error(M, C_ref) -> float:
     """||C_ref - M||_F / ||C_ref||_F; complex M against a real reference is fine.
 
     The two norms are the finiteness checks of C_ref and M (_checked_total).
+    Norms that neither overflow nor underflow are used as they are. When a
+    norm of finite entries overflows, or ||C_ref|| underflows to 0 although
+    an entry is not 0, C_ref - M is formed over the largest real or
+    imaginary part s of either matrix, and each norm is taken over the
+    largest part of the matrix it sums.
     """
     M, C_ref = _coerce(M), _coerce(C_ref)
     if M.shape != C_ref.shape:
         raise ValueError(f"shape mismatch: {M.shape} vs {C_ref.shape}")
     denom = _checked_total(C_ref, np.linalg.norm(C_ref))
     diff = _checked_total(M, np.linalg.norm(C_ref - M))
-    if denom == 0.0:
+    if 0.0 < denom < math.inf and diff < math.inf:
+        return float(diff / denom)
+
+    def largest(*Xs):
+        return max(np.abs(part).max() for X in Xs for part in (X.real, X.imag))
+
+    c = largest(C_ref)
+    if c == 0.0:
         raise ValueError("zero-norm reference")
-    return float(diff / denom)
+    s = largest(C_ref, M)
+    D = C_ref / s - M / s
+    t = largest(D)
+    if t == 0.0:
+        return 0.0
+    return float(np.linalg.norm(D / t) / np.linalg.norm(C_ref / c) * (t * (s / c)))

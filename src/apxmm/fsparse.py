@@ -8,7 +8,8 @@ first-order form corrects with the exact Btil against the truncation error
 of Atil. The selections run in pieces of at most core.SUB_ROWS rows, and
 the CSR products in slabs of the dense operand (core.for_sub_blocks, the one
 rule cd follows too), on every CPU above core.GRAIN entries, bit-identical
-to one thread.
+to one thread. The first order holds two n x n complex arrays: it writes
+SA @ Btil into Btil one block of columns at a time.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from . import core
 from .core import (
     NOT_FINITE,
     _coerce,
@@ -167,6 +169,15 @@ def _zero_kept(X: np.ndarray, S: SparseRowMatrix) -> np.ndarray:
     return X
 
 
+def _block_width(other: int) -> int:
+    """Columns of M per block of sfft's SA @ Btil (other = M's rows), or
+    rows per block of its dAt @ SB (other = M's columns): the fewest whose
+    result reaches core.GRAIN entries, so each block's product runs on the
+    pool as the whole product would, and at least core.SUB_ROWS. Read when
+    called, like every pass size."""
+    return max(core.SUB_ROWS, -(-core.GRAIN // other))
+
+
 def _kept_norm(S: SparseRowMatrix) -> float:
     """||dense(S)||_F from the stored values, summed by numpy, not BLAS."""
     parts = S.csr.data.view(np.float64)  # |z|^2 as the squares of its two parts
@@ -184,25 +195,31 @@ def fft_sparse_first_order_multiply(A, B, k: int, order: int,
       order 1: SA @ Btil + dAt @ SB       (dAt = Atil - dense(SA))
 
     The residues are Atil and Btil with the kept entries zeroed in place.
-    dBt is measured and dropped as soon as SA @ Btil is formed, so the
-    first order holds dAt, M and the correction (three n x n complex
-    arrays), not Btil as a fourth. The result is complex; residual norms in
-    the report are those of the transformed factors, which equal the
-    untransformed ones by unitarity. So do ||A|| and ||B|| of the a-priori
-    estimate: the kept entries and the residue split each transformed
-    factor, ||Atil||^2 = ||SA||^2 + ||dAt||^2, so neither operand is read
-    again for its norm.
+    ||dBt|| is taken first; order 1 then writes SB's entries back into
+    Btil and forms SA @ Btil one block of columns at a time, each copied
+    into the columns of Btil it was read from, so M is Btil itself when
+    m = n (otherwise one fresh M). dAt @ SB is added into M one block of
+    rows at a time. Each block is one sparse_dense_multiply call of
+    _block_width columns or rows, so the first order holds two n x n
+    complex arrays (Atil turning into dAt, Btil into M) and one block;
+    order 0 drops Btil before its product. The result is complex;
+    residual norms in the report are those of the transformed factors,
+    which equal the untransformed ones by unitarity. So do ||A|| and ||B||
+    of the a-priori estimate: the kept entries and the residue split each
+    transformed factor, ||Atil||^2 = ||SA||^2 + ||dAt||^2, so neither
+    operand is read again for its norm.
 
     Every pass over n^2 >= core.GRAIN entries runs as contiguous blocks on
     every CPU: the two transforms, both top-k selections, SA @ Btil,
     dAt @ SB and the norms of dBt, dAt and M (report._fro, which calls no
     BLAS there, so dAt @ SB does not start beside a spinning BLAS worker).
-    Both CSR products take slabs of at most core.SUB_ROWS columns of Btil
-    or rows of dAt even on one thread, the rule cd's products follow. The
-    O(k n) scatter that zeroes the kept entries and the norms of the kept
-    entries stay on the calling thread. Each entry is computed as one call
-    over the whole array computes it, so M and the report are bit-identical
-    at any thread count.
+    Within a block, both CSR products take slabs of at most core.SUB_ROWS
+    columns of Btil or rows of dAt even on one thread, the rule cd's
+    products follow. The block loops, the O(k n) scatters that zero and
+    restore the kept entries and the norms of the kept entries stay on the
+    calling thread. Each entry is computed as one call over the whole array
+    computes it, so M and the report are bit-identical at any thread count
+    and block width.
 
     The operands take no up-front finiteness pass: a NaN or an inf in A
     makes its whole row of Atil non-finite, and one in B its whole column
@@ -227,18 +244,27 @@ def fft_sparse_first_order_multiply(A, B, k: int, order: int,
         SB = topk_sparsify(Btil, k)
     else:
         SB = SparseRowMatrix(topk_sparsify(Btil.T, k).csr.T.tocsr())
+    norm_db = _fro(_zero_kept(Btil, SB))
 
+    rows, cols = A.shape[0], B.shape[1]
     if order == 0:
+        del Btil
         prod = SA.csr @ SB.csr
         prod.sort_indices()
         M = SparseRowMatrix(prod).to_dense()
     else:
-        M = sparse_dense_multiply(SA, Btil, "left")
-    norm_db = _fro(_zero_kept(Btil, SB))
-    del Btil  # before dAt @ SB allocates its result
+        Btil[SB.positions()] = SB.csr.data  # Btil again
+        # column block j of M = SA @ Btil reads column block j of Btil only
+        M = Btil if Btil.shape[0] == rows else np.empty((rows, cols), np.complex128)
+        width = _block_width(rows)
+        for lo in range(0, cols, width):
+            M[:, lo:lo + width] = sparse_dense_multiply(SA, Btil[:, lo:lo + width])
+        del Btil
     dAt = _zero_kept(Atil, SA)
     if order == 1:
-        M += sparse_dense_multiply(SB, dAt, "right")
+        width = _block_width(cols)
+        for lo in range(0, rows, width):
+            M[lo:lo + width] += sparse_dense_multiply(SB, dAt[lo:lo + width], "right")
     norm_da = _fro(dAt)
     norm_a = math.hypot(_kept_norm(SA), norm_da)
     norm_b = math.hypot(_kept_norm(SB), norm_db)

@@ -385,9 +385,17 @@ def test_relative_error():
         for args in ((X, ref), (ref, X), (X, np.zeros((2, 2)))):
             with pytest.raises(ValueError, match=re.escape(core.NOT_FINITE)):
                 relative_error(*args)
-    # finite entries whose norms overflow pass: ||C_ref|| and then
-    # ||C_ref - M|| overflow to inf
+    # finite entries whose norms overflow or underflow pass, and their
+    # ratio is taken over their largest parts: ||C_ref||, ||C_ref - M||,
+    # both, or ||C_ref|| underflowing to 0
     big = np.array([[1e200, 1.0], [0.0, 0.0]])
-    with np.errstate(over="ignore"):
-        assert relative_error(big - [[0.0, 1.0], [0.0, 0.0]], big) == 0.0
-        assert relative_error(big, np.eye(2)) == np.inf
+    full = np.full((4, 4), 1e200)
+    with np.errstate(over="ignore", under="ignore"):
+        assert relative_error(big - [[0.0, 1.0], [0.0, 0.0]], big) == pytest.approx(1e-200, abs=0)
+        assert relative_error(big, np.eye(2)) == pytest.approx(1e200 / np.sqrt(2), abs=0)
+        assert relative_error(0.5 * full, full) == pytest.approx(0.5, abs=0)
+        assert relative_error(full, full) == 0.0
+        assert relative_error(-1e308 - 1e308j + 0 * full, 1e308 + 0 * full) == pytest.approx(
+            np.sqrt(5), abs=0)
+        tiny = np.full((4, 4), 1e-200)
+        assert relative_error(0.5 * tiny, tiny) == pytest.approx(0.5, abs=0)

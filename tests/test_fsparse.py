@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from apxmm import core
+from apxmm import core, fsparse
 from apxmm.core import relative_error, unitary_dft
 from apxmm.fsparse import (
     SparseRowMatrix,
@@ -520,29 +520,73 @@ def test_split_sparse_dense_bit_identical(side, layout, one_and_split):
     assert one.tobytes() == split.tobytes() == np.ascontiguousarray(whole).tobytes()
 
 
-@pytest.mark.parametrize("n, complex_input", [(32, False), (33, True)])
+def _shape_id(value):
+    return "x".join(map(str, value)) if isinstance(value, tuple) else None
+
+
+# square pairs run one block of each first-order product; the rectangular
+# ones (m < n, m > n, and p != n with M written into Btil) run at least three
+@pytest.mark.parametrize("shape, complex_input",
+                         [(32, False), (33, True), ((140, 200, 150), False),
+                          ((200, 140, 150), True), ((160, 160, 300), True)],
+                         ids=_shape_id)
 @pytest.mark.parametrize("sparsify_b", ["rows", "cols"])
 @pytest.mark.parametrize("order", [0, 1])
-def test_split_fft_multiply_bit_identical(n, complex_input, sparsify_b, order, one_and_split):
-    rng = np.random.default_rng([20, n])
-    A = rng.standard_normal((n, n))
-    B = rng.standard_normal((n, n))
+def test_split_fft_multiply_bit_identical(shape, complex_input, sparsify_b, order,
+                                          one_and_split, monkeypatch):
+    m, n, p = (shape,) * 3 if isinstance(shape, int) else shape
+    rng = np.random.default_rng([20, *np.atleast_1d(shape)])
+    A = rng.standard_normal((m, n))
+    B = rng.standard_normal((n, p))
     if complex_input:
-        A = A + 1j * rng.standard_normal((n, n))
-        B = B + 1j * rng.standard_normal((n, n))
-    (M1, rep1), (M2, rep2) = one_and_split(
-        lambda: fft_sparse_first_order_multiply(A, B, 5, order, sparsify_b=sparsify_b))
-    assert M1.tobytes() == M2.tobytes()
+        A = A + 1j * rng.standard_normal((m, n))
+        B = B + 1j * rng.standard_normal((n, p))
+    spmm = fsparse.sparse_dense_multiply
+
+    def run():
+        # order 1 makes one public CSR product per block: blocks of
+        # max(SUB_ROWS, ceil(GRAIN / m)) columns of M on the left and of
+        # max(SUB_ROWS, ceil(GRAIN / p)) rows on the right, the last one short
+        blocks = {"left": [], "right": []}
+
+        def counted(S, D, side="left"):
+            out = spmm(S, D, side)
+            blocks[side].append(out.shape[1] if side == "left" else out.shape[0])
+            return out
+
+        monkeypatch.setattr(fsparse, "sparse_dense_multiply", counted)
+        result = fft_sparse_first_order_multiply(A, B, 5, order, sparsify_b=sparsify_b)
+        for side, length, other in (("left", p, m), ("right", m, p)):
+            width = max(core.SUB_ROWS, -(-core.GRAIN // other))
+            expected = [width] * (length // width) + [length % width] * (length % width > 0)
+            assert blocks[side] == (expected if order == 1 else [])
+        return result
+
+    # every pass split (GRAIN = 1): 64-wide blocks; then blocks wider than
+    # SUB_ROWS, set by GRAIN
+    (M1, rep1), (M2, rep2) = one_and_split(run)
+    monkeypatch.setattr(core, "GRAIN", 65 * max(m, p))
+    # (the norms' summation order follows GRAIN, so only M is compared)
+    M3 = run()[0]
+    assert M1.tobytes() == M2.tobytes() == M3.tobytes()
     assert dataclasses.replace(rep1, wall_time=0.0) == dataclasses.replace(rep2, wall_time=0.0)
+    if order == 1:
+        # the whole-array form of the first order
+        Atil = unitary_dft(A, "inverse", axis=1)
+        Btil = unitary_dft(B, "forward", axis=0)
+        SA = topk_sparsify(Atil, 5)
+        SB = (topk_sparsify(Btil, 5) if sparsify_b == "rows"
+              else SparseRowMatrix(topk_sparsify(Btil.T, 5).csr.T.tocsr()))
+        whole = spmm(SA, Btil) + spmm(SB, Atil - SA.to_dense(), "right")
+        assert M1.tobytes() == whole.tobytes()
 
 
 def test_split_first_order_peak_memory(monkeypatch):
-    # Btil is zeroed, measured and dropped before dAt @ SB allocates, so at
-    # most three n x n complex arrays are live: Atil, Btil and M during
-    # SA @ Btil, then dAt, M and the correction. dAt @ SB fills one C-order
-    # result from 64-row slabs of dAt, with no transposed copy, and the
-    # selections allocate per 64-row piece; the slabs' copies bring the
-    # peak to 3.16 arrays here
+    # two n x n complex arrays and one block are live: Atil (then dAt in
+    # place) and Btil, which turns into M one 64-column block of SA @ Btil
+    # at a time; then each 64-row block of dAt @ SB is added into M. The
+    # selections allocate per 64-row piece; the blocks and their slabs'
+    # copies bring the peak to 2.105 arrays here
     monkeypatch.setattr(core, "GRAIN", 1)
     monkeypatch.setattr(core, "WORKERS", 2)
     n = 1024
@@ -557,4 +601,4 @@ def test_split_first_order_peak_memory(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= 3.25 * n * n * 16
+    assert peak <= 2.2 * n * n * 16

@@ -9,7 +9,9 @@ the benchmark outside its own definition, and every private top-level name
 of a module is used somewhere in the package outside its own definition.
 The tests' oracles (tests/oracles.py) import nothing from the package, so
 no oracle runs the code it checks.
-No module refers to numpy.fft: scipy.fft is the one FFT backend. The
+No module refers to numpy.fft: scipy.fft is the one FFT backend. No
+numeric module imports core.GRAIN or core.WORKERS by name, since the tests
+patch them on core. The
 products whose norms follow pooled passes (cd and sfft) call no BLAS norm
 and take ||A|| and ||B|| from their truncations, not from a pass over the
 operands; the products that end in BLAS (svd and lowrank) take no pooled
@@ -101,6 +103,19 @@ def test_scipy_fft_is_the_one_fft_backend(path):
     text = path.read_text(encoding="utf-8")
     numpy_fft = re.compile(r"\b(?:np|numpy)\.fft\b|from\s+numpy\s+import[^\n]*\bfft\b")
     assert numpy_fft.findall(text) == []
+
+
+def test_patched_settings_are_read_from_core():
+    # the tests force split passes by patching core.GRAIN and core.WORKERS;
+    # a copy bound by `from .core import GRAIN` escapes the patch, and a
+    # test of the split code then runs the unsplit one
+    copies = []
+    for path in NUMERIC:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.ImportFrom) and node.module in ("core", "apxmm.core"):
+                copies += [f"{path.stem}.{a.name}" for a in node.names
+                           if a.name in ("GRAIN", "WORKERS")]
+    assert copies == []
 
 
 def _references(tree: ast.AST, skip: str | None = None) -> set[str]:
