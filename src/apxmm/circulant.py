@@ -41,7 +41,10 @@ from .core import (
     SUM_ROWS,
     _checked_total,
     _coerce_pair,
+    _largest_part,
+    _norm,
     _roll_columns,
+    _square_fits,
     cycle_reorder,
     for_blocks,
     for_sub_blocks,
@@ -109,7 +112,9 @@ def circulant_decompose(A) -> CirculantSpectrum:
     view T.T). A real A takes scipy's rfft, which computes and stores only
     the n//2 + 1 components t <= n/2 (a half spectrum); the rest are their
     conjugates. The magnitudes sum fixed row blocks in a fixed order at any
-    thread count.
+    thread count; where the largest one's square overflows or underflows,
+    they are summed again over the spectrum's largest part, so the
+    selection ranks the components of a finite A at any scale.
     """
     C = cycle_reorder(A)
     n = C.shape[0]
@@ -119,15 +124,25 @@ def circulant_decompose(A) -> CirculantSpectrum:
     del C
     blocks = -(-n // SUM_ROWS)
     partial = np.empty((blocks, T.shape[1]))
+    scale = 1.0
 
     def measure(lo, hi):
-        # sum |T|^2 down the columns, one cached block of rows at a time
-        for b in range(lo, hi):
-            rows = T[b * SUM_ROWS:(b + 1) * SUM_ROWS]
-            partial[b] = (rows.real**2 + rows.imag**2).sum(axis=0)
+        # sum |T / scale|^2 down the columns, one cached block of rows at a time
+        with np.errstate(over="ignore"):
+            for b in range(lo, hi):
+                rows = T[b * SUM_ROWS:(b + 1) * SUM_ROWS]
+                if scale != 1.0:
+                    rows = rows / scale
+                partial[b] = (rows.real**2 + rows.imag**2).sum(axis=0)
 
     for_blocks(measure, blocks, n * n)
     magnitudes = np.sqrt(partial.sum(axis=0))
+    if not _square_fits(magnitudes.max()):
+        # the squares overflowed or underflowed: sum them over T's largest part
+        scale = _largest_part(T)
+        if 0.0 < scale < math.inf:
+            for_blocks(measure, blocks, n * n)
+            magnitudes = scale * np.sqrt(partial.sum(axis=0))
     if half:  # component n - t mirrors t
         magnitudes = np.concatenate((magnitudes, magnitudes[n - T.shape[1]:0:-1]))
     return CirculantSpectrum(n=n, columns=T.T, magnitudes=magnitudes,
@@ -190,11 +205,23 @@ def _norms(spectrum: CirculantSpectrum) -> tuple[float, float]:
     The components are orthogonal with weights n * magnitudes[t]^2, so
     ||A||^2 sums every weight and the residue's squared norm those of the
     components the selection drops: a complete selection reports exactly 0.
+    Where ||A||^2 overflows or underflows, the weights are taken relative
+    to the largest magnitude.
     """
-    weights = spectrum.n * spectrum.magnitudes**2
     dropped = np.ones(spectrum.n, dtype=bool)
     dropped[spectrum.selected] = False
-    return math.sqrt(weights.sum()), math.sqrt(weights[dropped].sum())
+
+    def norms(magnitudes):
+        with np.errstate(over="ignore"):
+            weights = spectrum.n * magnitudes**2
+        return math.sqrt(weights.sum()), math.sqrt(weights[dropped].sum())
+
+    norm_a, norm_da = norms(spectrum.magnitudes)
+    top = spectrum.magnitudes.max()
+    if _square_fits(norm_a) or not 0.0 < top < math.inf:
+        return norm_a, norm_da
+    norm_a, norm_da = norms(spectrum.magnitudes / top)
+    return top * norm_a, top * norm_da
 
 
 def _fourier_operator(spectrum: CirculantSpectrum, rows: int,
@@ -250,7 +277,7 @@ def circulant_first_order_multiply(A, B, k: int, order: int):
         raise ValueError("order must be 0 or 1")
     if order == 0:
         # B's one pass before its column FFTs, and its finiteness check
-        norm_b = math.sqrt(_checked_total(B, _square_sum(B)))
+        norm_b = _norm(B, math.sqrt(_checked_total(B, _square_sum(B))))
 
     t0 = time.perf_counter()
     spec_a = circulant_select(circulant_decompose(A), k)

@@ -8,6 +8,10 @@ Validation: the first pass that reads every entry of a factor is its NaN/inf
 check. A norm or a sum of squares is finite only when every entry is
 (_checked_total), and the cycle gather and sfft's top-k selection check the
 slabs they read. Only code that makes no such pass calls as_matrix up front.
+A norm summed from unscaled squares overflows past about 1e154 and loses
+entries to underflow below about 1e-154; _norm then takes it again over
+the matrix's largest part, so the products report finite factors right at
+any scale.
 
 Threading: a pass over GRAIN or more array entries is cut into contiguous
 index blocks that run on one private thread pool with one thread per CPU in
@@ -29,6 +33,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 
@@ -271,6 +276,44 @@ def cycle_reorder(A) -> np.ndarray:
     return _roll_columns(A, 1)
 
 
+def _largest_part(X: np.ndarray) -> float:
+    """The largest |real part| or |imaginary part| of an entry of X."""
+    parts = (X.real, X.imag) if np.iscomplexobj(X) else (X,)
+    return max(float(np.abs(part).max(initial=0.0)) for part in parts)
+
+
+def _square_fits(norm: float) -> bool:
+    """Whether norm**2 is a normal float, so that a norm summed from
+    unscaled squares (a dot, a sum of |x|^2) is exact to rounding: outside
+    that range its sum overflowed or lost entries to underflow."""
+    return math.sqrt(sys.float_info.min) <= norm < math.sqrt(sys.float_info.max)
+
+
+def _scaled_norm(X: np.ndarray) -> tuple[float, float]:
+    """(s, r) with ||X||_F = s * r for any finite X, whatever its scale:
+    s is X's largest real or imaginary part and r = ||X / s||_F, which lies
+    in [1, sqrt(2 X.size)]. One pass for s and one over a scaled copy of X.
+    r is 1.0 when s is 0, inf or NaN."""
+    s = _largest_part(X)
+    if not 0.0 < s < math.inf:
+        return s, 1.0
+    return s, float(np.linalg.norm(X / s))
+
+
+def _norm(X: np.ndarray, plain: float) -> float:
+    """||X||_F, given ``plain``, X's norm summed from unscaled squares.
+
+    plain is returned as it is when its square fits (_square_fits), so a
+    normal-range norm keeps its bits and costs no further pass. Otherwise
+    the norm is taken again over X's largest part (_scaled_norm): finite
+    for finite entries however large, and not 0 for tiny nonzero ones.
+    """
+    if _square_fits(plain):
+        return plain
+    s, r = _scaled_norm(X)
+    return s * r
+
+
 def relative_error(M, C_ref) -> float:
     """||C_ref - M||_F / ||C_ref||_F; complex M against a real reference is fine.
 
@@ -279,7 +322,7 @@ def relative_error(M, C_ref) -> float:
     norm of finite entries overflows, or ||C_ref|| underflows to 0 although
     an entry is not 0, C_ref - M is formed over the largest real or
     imaginary part s of either matrix, and each norm is taken over the
-    largest part of the matrix it sums.
+    largest part of the matrix it sums (_scaled_norm).
     """
     M, C_ref = _coerce(M), _coerce(C_ref)
     if M.shape != C_ref.shape:
@@ -288,16 +331,11 @@ def relative_error(M, C_ref) -> float:
     diff = _checked_total(M, np.linalg.norm(C_ref - M))
     if 0.0 < denom < math.inf and diff < math.inf:
         return float(diff / denom)
-
-    def largest(*Xs):
-        return max(np.abs(part).max() for X in Xs for part in (X.real, X.imag))
-
-    c = largest(C_ref)
+    c, ref = _scaled_norm(C_ref)
     if c == 0.0:
         raise ValueError("zero-norm reference")
-    s = largest(C_ref, M)
-    D = C_ref / s - M / s
-    t = largest(D)
+    s = max(c, _largest_part(M))
+    t, d = _scaled_norm(C_ref / s - M / s)
     if t == 0.0:
         return 0.0
-    return float(np.linalg.norm(D / t) / np.linalg.norm(C_ref / c) * (t * (s / c)))
+    return float(d / ref * (t * (s / c)))

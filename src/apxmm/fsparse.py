@@ -8,8 +8,10 @@ first-order form corrects with the exact Btil against the truncation error
 of Atil. The selections run in pieces of at most core.SUB_ROWS rows, and
 the CSR products in slabs of the dense operand (core.for_sub_blocks, the one
 rule cd follows too), on every CPU above core.GRAIN entries, bit-identical
-to one thread. The first order holds two n x n complex arrays: it writes
-SA @ Btil into Btil one block of columns at a time.
+to one thread. The first order holds two n x n complex arrays and one
+block: it writes SA @ Btil into Btil one block of columns at a time, 64
+columns wide where the product runs on one thread and as wide as the pool
+needs where it does not.
 """
 
 from __future__ import annotations
@@ -169,19 +171,29 @@ def _zero_kept(X: np.ndarray, S: SparseRowMatrix) -> np.ndarray:
     return X
 
 
-def _block_width(other: int) -> int:
-    """Columns of M per block of sfft's SA @ Btil (other = M's rows), or
-    rows per block of its dAt @ SB (other = M's columns): the fewest whose
-    result reaches core.GRAIN entries, so each block's product runs on the
-    pool as the whole product would, and at least core.SUB_ROWS. Read when
-    called, like every pass size."""
+def _block_width(other: int, length: int) -> int:
+    """Width of the blocks an M of other x length entries is formed in:
+    columns of sfft's SA @ Btil (other = M's rows, length = its columns) or
+    rows of its dAt @ SB (the reverse). Where the whole product runs on the
+    calling thread (core.pass_workers of M's entries is 1), a block is
+    core.SUB_ROWS wide, the slab sparse_dense_multiply cuts anyway, so no
+    block is as large as M. Otherwise it is the fewest whose result reaches
+    core.GRAIN entries, so each block's product runs on the pool as the
+    whole product would, and at least core.SUB_ROWS. Read when called, like
+    every pass size."""
+    if core.pass_workers(other * length) == 1:
+        return core.SUB_ROWS
     return max(core.SUB_ROWS, -(-core.GRAIN // other))
 
 
 def _kept_norm(S: SparseRowMatrix) -> float:
-    """||dense(S)||_F from the stored values, summed by numpy, not BLAS."""
+    """||dense(S)||_F from the stored values, summed by numpy, not BLAS, and
+    taken again over their largest part if that sum overflowed or
+    underflowed (core._norm)."""
     parts = S.csr.data.view(np.float64)  # |z|^2 as the squares of its two parts
-    return math.sqrt(np.einsum("i,i->", parts, parts))
+    with np.errstate(over="ignore"):
+        total = np.einsum("i,i->", parts, parts)
+    return core._norm(S.csr.data, math.sqrt(total))
 
 
 def fft_sparse_first_order_multiply(A, B, k: int, order: int,
@@ -200,9 +212,11 @@ def fft_sparse_first_order_multiply(A, B, k: int, order: int,
     into the columns of Btil it was read from, so M is Btil itself when
     m = n (otherwise one fresh M). dAt @ SB is added into M one block of
     rows at a time. Each block is one sparse_dense_multiply call of
-    _block_width columns or rows, so the first order holds two n x n
-    complex arrays (Atil turning into dAt, Btil into M) and one block;
-    order 0 drops Btil before its product. The result is complex;
+    _block_width columns or rows: core.SUB_ROWS where M's product runs on
+    the calling thread, else the fewest that run on the pool. So the first
+    order holds two n x n complex arrays (Atil turning into dAt, Btil into
+    M) and one block, a 64-wide one below core.GRAIN entries; order 0
+    drops Btil before its product. The result is complex;
     residual norms in the report are those of the transformed factors,
     which equal the untransformed ones by unitarity. So do ||A|| and ||B||
     of the a-priori estimate: the kept entries and the residue split each
@@ -256,13 +270,13 @@ def fft_sparse_first_order_multiply(A, B, k: int, order: int,
         Btil[SB.positions()] = SB.csr.data  # Btil again
         # column block j of M = SA @ Btil reads column block j of Btil only
         M = Btil if Btil.shape[0] == rows else np.empty((rows, cols), np.complex128)
-        width = _block_width(rows)
+        width = _block_width(rows, cols)
         for lo in range(0, cols, width):
             M[:, lo:lo + width] = sparse_dense_multiply(SA, Btil[:, lo:lo + width])
         del Btil
     dAt = _zero_kept(Atil, SA)
     if order == 1:
-        width = _block_width(cols)
+        width = _block_width(cols, rows)
         for lo in range(0, rows, width):
             M[lo:lo + width] += sparse_dense_multiply(SB, dAt[lo:lo + width], "right")
     norm_da = _fro(dAt)

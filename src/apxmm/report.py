@@ -59,11 +59,12 @@ def _square_sum(X: np.ndarray) -> float:
     partial = np.empty(-(-X.shape[0] // core.SUM_ROWS))
 
     def measure(lo, hi):
-        for b in range(lo, hi):
-            rows = X[b * core.SUM_ROWS:(b + 1) * core.SUM_ROWS]
-            if np.iscomplexobj(rows):  # |z|^2 as the squares of its two parts
-                rows = np.ascontiguousarray(rows).view(np.float64)
-            partial[b] = np.einsum("ij,ij->", rows, rows)
+        with np.errstate(over="ignore"):  # an overflow is the caller's to handle
+            for b in range(lo, hi):
+                rows = X[b * core.SUM_ROWS:(b + 1) * core.SUM_ROWS]
+                if np.iscomplexobj(rows):  # |z|^2 as the squares of its two parts
+                    rows = np.ascontiguousarray(rows).view(np.float64)
+                partial[b] = np.einsum("ij,ij->", rows, rows)
 
     core.for_blocks(measure, partial.size, X.size)
     return float(partial.sum())
@@ -77,11 +78,16 @@ def _fro(X: np.ndarray) -> float:
     _square_sum, which makes no BLAS call and is bit-identical at any
     worker count. A threaded BLAS call leaves its worker spinning for a
     while after it returns, and a pooled pass that follows it then shares a
-    core with that worker.
+    core with that worker. A sum that overflowed or underflowed is taken
+    again over X's largest part (core._norm), so the norm of finite entries
+    is right at any scale.
     """
     if X.size < core.GRAIN:
-        return math.sqrt(np.vdot(X, X).real)
-    return math.sqrt(_square_sum(X))
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = np.vdot(X, X).real
+    else:
+        total = _square_sum(X)
+    return core._norm(X, math.sqrt(total))
 
 
 def estimated_report(method: str, order: int, k: int, norm_m: float, n: int,

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _checked_total, _coerce, _coerce_pair
+from .core import _checked_total, _coerce, _coerce_pair, _largest_part, _norm, _square_fits
 from .report import estimated_report
 
 __all__ = [
@@ -47,15 +47,16 @@ class TruncatedSVD:
     """Rank-k factorization A ~ U diag(sigma) V^T.
 
     U is m x k and V is n x k, both with orthonormal columns; sigma holds the
-    k retained singular values in descending order. source_frobenius_sq
-    stores ||A||_F^2 of the decomposed matrix so the residual norm can be
-    recovered without A.
+    k retained singular values in descending order. source_frobenius
+    stores ||A||_F of the decomposed matrix so the residual norm can be
+    recovered without A; it is the norm, not its square, so that it stays
+    finite and nonzero for any finite, nonzero A.
     """
 
     U: np.ndarray
     sigma: np.ndarray
     V: np.ndarray
-    source_frobenius_sq: float
+    source_frobenius: float
 
     def __post_init__(self):
         if self.U.ndim != 2 or self.V.ndim != 2 or self.sigma.ndim != 1:
@@ -63,8 +64,8 @@ class TruncatedSVD:
         k = self.sigma.size
         if self.U.shape[1] != k or self.V.shape[1] != k:
             raise ValueError("U, sigma, V have inconsistent component counts")
-        if self.source_frobenius_sq < 0:
-            raise ValueError("source_frobenius_sq must be >= 0")
+        if self.source_frobenius < 0:
+            raise ValueError("source_frobenius must be >= 0")
 
     @property
     def k(self) -> int:
@@ -92,7 +93,8 @@ def randomized_partial_svd(A, s: int, seed,
     if np.iscomplexobj(A):
         raise ValueError("randomized_partial_svd expects a real matrix")
     # the norm reads every entry: it is A's finiteness check
-    norm = _checked_total(A, np.linalg.norm(A))
+    with np.errstate(over="ignore"):
+        norm = _norm(A, _checked_total(A, np.linalg.norm(A)))
     m, n = A.shape
     if components is not None:
         if components < 1:
@@ -113,7 +115,7 @@ def randomized_partial_svd(A, s: int, seed,
         U=Q @ Zt[:k].T,
         sigma=sigma[:k],
         V=W[:, :k],
-        source_frobenius_sq=float(norm ** 2),
+        source_frobenius=float(norm),
     )
 
 
@@ -122,10 +124,17 @@ def svd_residual_norm(decomp: TruncatedSVD) -> float:
 
     Because U and V are orthonormal the retained energy is sum(sigma^2), so
     the residual energy is ||A||_F^2 - sum(sigma^2); tiny negative values
-    from roundoff are clamped to zero.
+    from roundoff are clamped to zero. Where ||A||^2 overflows or
+    underflows, the energies are taken relative to ||A||_F^2.
     """
-    retained = float(np.sum(decomp.sigma**2))
-    return math.sqrt(max(0.0, decomp.source_frobenius_sq - retained))
+    norm = decomp.source_frobenius
+    if _square_fits(norm):
+        retained = float(np.sum(decomp.sigma**2))
+        return math.sqrt(max(0.0, norm**2 - retained))
+    if norm == 0.0:
+        return 0.0
+    retained = float(np.sum((decomp.sigma / norm) ** 2))
+    return norm * math.sqrt(max(0.0, 1.0 - retained))
 
 
 def svd_reconstruct(decomp: TruncatedSVD) -> np.ndarray:
@@ -137,9 +146,20 @@ def _product_norm(L: np.ndarray, R: np.ndarray) -> float:
     """||L @ R||_F from the thin factors: ||L R||^2 = sum((L^T L) * (R R^T)).
 
     Two GEMMs of O(n k^2) and no pass over the n x n product; a sum that
-    rounding leaves below 0 is clamped to 0.
+    rounding leaves below 0 is clamped to 0. A sum that overflowed or
+    underflowed is taken again over L and R divided by their largest parts.
     """
-    return math.sqrt(max(0.0, float(np.sum((L.T @ L) * (R @ R.T)))))
+    def norm(L, R):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return math.sqrt(max(0.0, float(np.sum((L.T @ L) * (R @ R.T)))))
+
+    plain = norm(L, R)
+    if _square_fits(plain):
+        return plain
+    sl, sr = _largest_part(L), _largest_part(R)
+    if sl == 0.0 or sr == 0.0:
+        return 0.0
+    return norm(L / sl, R / sr) * sl * sr
 
 
 def svd_first_order_multiply(A, B, s: int, order: int, seed):
@@ -185,6 +205,6 @@ def svd_first_order_multiply(A, B, s: int, order: int, seed):
     M = left @ right
     wall = time.perf_counter() - t0
     return M, estimated_report("svd", order, da.k, _product_norm(left, right),
-                               A.shape[1], math.sqrt(da.source_frobenius_sq),
-                               math.sqrt(db.source_frobenius_sq),
+                               A.shape[1], da.source_frobenius,
+                               db.source_frobenius,
                                norm_da, norm_db, wall)

@@ -182,6 +182,25 @@ def test_complex_input_selection_is_top_indices():
             assert circulant_select(spec, k).selected == sorted(top.tolist())
 
 
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_selection_at_any_scale(one_and_split, dtype):
+    # the squared magnitudes overflow at 1e160 and underflow to 0 at
+    # 1e-170, where every component would tie and the lowest indices win;
+    # summed over the spectrum's largest part they rank as unscaled
+    rng = np.random.default_rng(0)
+    i, j = np.indices((64, 64))
+    A = rng.standard_normal((64, 64)) + 0.3 * ((i - j) % 64)
+    if dtype is complex:
+        A = A + 1j * rng.standard_normal((64, 64))
+    spec = circulant_decompose(A)
+    kept = circulant_select(spec, 5).selected
+    for scale in (1e160, 1e-170):
+        for scaled in (circulant_decompose(A * scale),
+                       *one_and_split(lambda: circulant_decompose(A * scale))):
+            assert_allclose(scaled.magnitudes, scale * spec.magnitudes, rtol=1e-13, atol=0)
+            assert circulant_select(scaled, 5).selected == kept
+
+
 def test_component_orthogonality():
     rng = np.random.default_rng(3)
     A = rng.standard_normal((9, 9))

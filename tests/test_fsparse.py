@@ -542,11 +542,14 @@ def test_split_fft_multiply_bit_identical(shape, complex_input, sparsify_b, orde
         A = A + 1j * rng.standard_normal((m, n))
         B = B + 1j * rng.standard_normal((n, p))
     spmm = fsparse.sparse_dense_multiply
+    default_grain = core.GRAIN
 
     def run():
-        # order 1 makes one public CSR product per block: blocks of
-        # max(SUB_ROWS, ceil(GRAIN / m)) columns of M on the left and of
-        # max(SUB_ROWS, ceil(GRAIN / p)) rows on the right, the last one short
+        # order 1 makes one public CSR product per block, the last one
+        # short: blocks of SUB_ROWS columns of M on the left and rows on
+        # the right where M's product runs on one thread, else of
+        # max(SUB_ROWS, ceil(GRAIN / m)) columns and
+        # max(SUB_ROWS, ceil(GRAIN / p)) rows
         blocks = {"left": [], "right": []}
 
         def counted(S, D, side="left"):
@@ -557,18 +560,25 @@ def test_split_fft_multiply_bit_identical(shape, complex_input, sparsify_b, orde
         monkeypatch.setattr(fsparse, "sparse_dense_multiply", counted)
         result = fft_sparse_first_order_multiply(A, B, 5, order, sparsify_b=sparsify_b)
         for side, length, other in (("left", p, m), ("right", m, p)):
-            width = max(core.SUB_ROWS, -(-core.GRAIN // other))
+            width = (core.SUB_ROWS if core.pass_workers(m * p) == 1
+                     else max(core.SUB_ROWS, -(-core.GRAIN // other)))
             expected = [width] * (length // width) + [length % width] * (length % width > 0)
             assert blocks[side] == (expected if order == 1 else [])
         return result
 
     # every pass split (GRAIN = 1): 64-wide blocks; then blocks wider than
-    # SUB_ROWS, set by GRAIN
+    # SUB_ROWS, set by GRAIN where M's product is pooled, 64-wide where it
+    # runs on one thread (the squares here); then the default GRAIN, under
+    # which every M here runs on one thread: ceil(p / 64) calls of at most
+    # 64 columns on the left and ceil(m / 64) of at most 64 rows on the right
     (M1, rep1), (M2, rep2) = one_and_split(run)
     monkeypatch.setattr(core, "GRAIN", 65 * max(m, p))
     # (the norms' summation order follows GRAIN, so only M is compared)
     M3 = run()[0]
-    assert M1.tobytes() == M2.tobytes() == M3.tobytes()
+    monkeypatch.setattr(core, "GRAIN", default_grain)
+    assert core.pass_workers(m * p) == 1 < core.WORKERS
+    M4 = run()[0]
+    assert M1.tobytes() == M2.tobytes() == M3.tobytes() == M4.tobytes()
     assert dataclasses.replace(rep1, wall_time=0.0) == dataclasses.replace(rep2, wall_time=0.0)
     if order == 1:
         # the whole-array form of the first order
@@ -585,20 +595,23 @@ def test_split_first_order_peak_memory(monkeypatch):
     # two n x n complex arrays and one block are live: Atil (then dAt in
     # place) and Btil, which turns into M one 64-column block of SA @ Btil
     # at a time; then each 64-row block of dAt @ SB is added into M. The
-    # selections allocate per 64-row piece; the blocks and their slabs'
-    # copies bring the peak to 2.105 arrays here
-    monkeypatch.setattr(core, "GRAIN", 1)
+    # selections allocate per 64-row piece. Every pass split (GRAIN = 1) at
+    # n = 1024 gives 64-wide blocks, and the blocks and their slabs' copies
+    # bring the peak to 2.105 arrays. At n = 512 and the default GRAIN the
+    # product runs on one thread, which also takes 64-wide blocks: 2.437
+    # arrays, where a block as wide as M read 3.31
     monkeypatch.setattr(core, "WORKERS", 2)
-    n = 1024
-    rng = np.random.default_rng(12)
-    A = rng.standard_normal((n, n))
-    B = rng.standard_normal((n, n))
-    fft_sparse_first_order_multiply(A, B, 10, 1)  # warm caches outside the trace
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        fft_sparse_first_order_multiply(A, B, 10, 1)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2.2 * n * n * 16
+    for grain, n, bound in ((1, 1024, 2.2), (core.GRAIN, 512, 2.5)):
+        monkeypatch.setattr(core, "GRAIN", grain)
+        rng = np.random.default_rng(12)
+        A = rng.standard_normal((n, n))
+        B = rng.standard_normal((n, n))
+        fft_sparse_first_order_multiply(A, B, 10, 1)  # warm caches outside the trace
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            fft_sparse_first_order_multiply(A, B, 10, 1)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * n * n * 16, (n, peak / (n * n * 16))

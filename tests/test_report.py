@@ -105,3 +105,42 @@ def test_fro_matches_linalg_norm_at_any_worker_count(one_and_split, dtype, layou
     one, split = one_and_split(lambda: _fro(X))  # the blocked sum from GRAIN = 1
     assert one == split
     assert one == pytest.approx(ref, rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_fro_at_any_scale(one_and_split, dtype):
+    # a sum of squares that overflows (or, for complex entries, turns NaN)
+    # or underflows to 0 is taken again over the largest part, below GRAIN
+    # and in the blocked sum alike; the zero matrix has norm 0
+    rng = np.random.default_rng(8)
+    X = rng.standard_normal((40, 30))
+    if dtype is complex:
+        X = X + 1j * rng.standard_normal((40, 30))
+    ref = np.linalg.norm(X)
+    for scale in (1e160, 1e-170, 1e300):
+        assert _fro(X * scale) == pytest.approx(scale * ref, rel=1e-13, abs=0)
+        one, split = one_and_split(lambda: _fro(X * scale))
+        assert one == split == pytest.approx(scale * ref, rel=1e-13, abs=0)
+    assert _fro(np.zeros((40, 30), dtype)) == 0.0
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e-170])
+@pytest.mark.parametrize("order", [0, 1])
+@pytest.mark.parametrize("method", ["svd", "cd", "sfft"])
+def test_reports_scale_with_the_factor(method, order, scale):
+    # squares of these factors' entries overflow (1e160) or underflow to 0
+    # (1e-170); the norms are then taken over scaled entries, so the report
+    # scales with A as the product does
+    rng = np.random.default_rng(0)
+    A = rng.standard_normal((64, 64))
+    B = rng.standard_normal((64, 64))
+    if method == "cd":
+        i, j = np.indices(A.shape)
+        A = A + 0.3 * ((i - j) % 64)
+    M0, rep0, _ = _product(method, A, B, order)
+    M, rep, _ = _product(method, A * scale, B, order)
+    assert np.linalg.norm(M / scale) == pytest.approx(np.linalg.norm(M0), rel=1e-12, abs=0)
+    assert rep.norm_da == pytest.approx(scale * rep0.norm_da, rel=1e-12, abs=0)
+    assert rep.norm_db == pytest.approx(rep0.norm_db, rel=1e-12, abs=0)
+    for field in ("apriori_estimate", "posterior_estimate"):
+        assert getattr(rep, field) == pytest.approx(getattr(rep0, field), rel=1e-12, abs=0)

@@ -63,7 +63,7 @@ def test_factor_invariants():
     assert_allclose(d.V.T @ d.V, np.eye(k), atol=1e-10)
     assert np.all(np.diff(d.sigma) <= 0)
     assert np.all(d.sigma >= 0)
-    assert np.sum(d.sigma**2) <= d.source_frobenius_sq * (1 + 1e-8)
+    assert np.sum(d.sigma**2) <= d.source_frobenius**2 * (1 + 1e-8)
     assert svd_residual_norm(d) <= np.linalg.norm(A)
 
 
@@ -83,7 +83,7 @@ def test_residual_norm_arithmetic():
         U=np.array([[0.0], [1.0]]),
         sigma=np.array([4.0]),
         V=np.array([[0.0], [1.0]]),
-        source_frobenius_sq=25.0,
+        source_frobenius=5.0,
     )
     assert svd_residual_norm(d) == pytest.approx(3.0)
 
@@ -93,7 +93,7 @@ def test_residual_clamped_at_zero():
         U=np.eye(2),
         sigma=np.array([1.0, 1.0]),
         V=np.eye(2),
-        source_frobenius_sq=2.0 - 1e-14,
+        source_frobenius=math.sqrt(2.0 - 1e-14),
     )
     assert svd_residual_norm(d) == 0.0
 
@@ -162,8 +162,7 @@ def test_products_match_two_term_form(kinds, seed):
     M1, rep1 = svd_first_order_multiply(A, B, 1, 1, seed)
     assert np.linalg.norm(M1 - two_term) <= 1e-12 * np.linalg.norm(two_term)
     ref = estimated_report("svd", 1, da.k, np.linalg.norm(two_term), n,
-                           math.sqrt(da.source_frobenius_sq),
-                           math.sqrt(db.source_frobenius_sq),
+                           da.source_frobenius, db.source_frobenius,
                            svd_residual_norm(da), svd_residual_norm(db), 0.0)
     got, want = rep1.to_dict(), ref.to_dict()
     del got["wall_time"], want["wall_time"]
@@ -275,12 +274,13 @@ def test_decompose_validates_direct_input(bad):
 
 
 def test_decompose_accepts_finite_input_whose_norm_overflows():
-    # every entry is finite, so the gate passes even though ||A||^2 is inf
+    # every entry is finite, so the gate passes even though ||A||^2 is inf,
+    # and ||A|| is taken again over the scaled entries
     with np.errstate(over="ignore"):
         big = randomized_partial_svd(np.full((3, 3), 1e300), 1, seed=0)
-    assert big.source_frobenius_sq == np.inf
+    assert big.source_frobenius == pytest.approx(3e300, rel=1e-15)
     ints = randomized_partial_svd(np.eye(3, dtype=int), 1, seed=0)
-    assert ints.source_frobenius_sq == pytest.approx(3.0, rel=1e-15)
+    assert ints.source_frobenius == pytest.approx(math.sqrt(3.0), rel=1e-15)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
