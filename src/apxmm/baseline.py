@@ -5,18 +5,17 @@ the n outer products with probability proportional to the norm product
 ||A^(k)|| ||B_(k)||, rescaling each accepted term by 1/(c p_k) so the sum is
 unbiased. Indices are drawn by rejection sampling and with replacement.
 The column and row norms are the one pass numpy makes over the factors
-before the GEMM, and the finiteness check: their sum is finite only when
-every entry is (and no norm overflows).
+before the GEMM. They give ||A|| and ||B||, which are the finiteness check
+and the scale check (core._band_exponents).
 """
 
 from __future__ import annotations
 
-import math
 import time
 
 import numpy as np
 
-from .core import _coerce_pair, as_matrix
+from .core import _band_exponents, _checked_total, _coerce_pair, _rescaled
 from .report import ApproxReport
 
 __all__ = ["randomized_outer_product_multiply"]
@@ -47,12 +46,6 @@ def _norms(X: np.ndarray, axis: int) -> np.ndarray:
     return np.sqrt(out)
 
 
-def _scaled(X: np.ndarray) -> np.ndarray:
-    """A validated X divided by its largest |entry|, if that is nonzero."""
-    X = as_matrix(X)
-    return X / (np.abs(X).max() or 1.0)
-
-
 def randomized_outer_product_multiply(A, B, c: int, seed):
     """Unbiased c-sample outer-product estimate of A @ B.
 
@@ -64,11 +57,10 @@ def randomized_outer_product_multiply(A, B, c: int, seed):
     product is identically zero and there is nothing to sample, so that
     degenerate input is rejected.
 
-    The weights are np.linalg.norm's bit for bit (_norms). Only when their
-    sum is not finite are the factors checked (as_matrix raises for a NaN or
-    an inf) and the weights recomputed from each factor over its largest
-    |entry|, which leaves p unchanged and keeps finite factors whose norms
-    overflow from stalling the sampler.
+    The weights are np.linalg.norm's bit for bit (_norms). ||A|| and ||B||,
+    the norms of the column and row norms, are the finiteness check
+    (core._checked_total), and one out of core._BAND reruns the product
+    scaled (core._rescaled), which leaves p unchanged.
     """
     A, B = _coerce_pair(A, B)
     if c < 1:
@@ -77,11 +69,13 @@ def randomized_outer_product_multiply(A, B, c: int, seed):
 
     t0 = time.perf_counter()
     with np.errstate(over="ignore", invalid="ignore"):  # handled below
-        weights = _norms(A, axis=0) * _norms(B, axis=1)
+        cols, rows = _norms(A, axis=0), _norms(B, axis=1)
+        norm_a, norm_b = np.linalg.norm(cols), np.linalg.norm(rows)
+    exponents = _band_exponents(A, B, _checked_total(A, norm_a), _checked_total(B, norm_b))
+    if exponents:
+        return _rescaled(randomized_outer_product_multiply, exponents, A, B, t0, c, seed)
+    weights = cols * rows
     total = float(weights.sum())
-    if not math.isfinite(total):
-        weights = _norms(_scaled(A), axis=0) * _norms(_scaled(B), axis=1)
-        total = float(weights.sum())
     if total == 0.0:
         raise ValueError("all column/row norm products are zero; nothing to sample")
     p = weights / total

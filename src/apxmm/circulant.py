@@ -39,12 +39,11 @@ import scipy.sparse
 from .core import (
     CHUNKS,
     SUM_ROWS,
+    _band_exponents,
     _checked_total,
     _coerce_pair,
-    _largest_part,
-    _norm,
+    _rescaled,
     _roll_columns,
-    _square_fits,
     cycle_reorder,
     for_blocks,
     for_sub_blocks,
@@ -112,9 +111,8 @@ def circulant_decompose(A) -> CirculantSpectrum:
     view T.T). A real A takes scipy's rfft, which computes and stores only
     the n//2 + 1 components t <= n/2 (a half spectrum); the rest are their
     conjugates. The magnitudes sum fixed row blocks in a fixed order at any
-    thread count; where the largest one's square overflows or underflows,
-    they are summed again over the spectrum's largest part, so the
-    selection ranks the components of a finite A at any scale.
+    thread count. An in-band building block: the magnitudes sum unscaled
+    squares, and the product reruns when ||A|| leaves core._BAND.
     """
     C = cycle_reorder(A)
     n = C.shape[0]
@@ -124,25 +122,16 @@ def circulant_decompose(A) -> CirculantSpectrum:
     del C
     blocks = -(-n // SUM_ROWS)
     partial = np.empty((blocks, T.shape[1]))
-    scale = 1.0
 
     def measure(lo, hi):
-        # sum |T / scale|^2 down the columns, one cached block of rows at a time
-        with np.errstate(over="ignore"):
+        # sum |T|^2 down the columns, one cached block of rows at a time
+        with np.errstate(over="ignore"):  # out of band: the product reruns
             for b in range(lo, hi):
                 rows = T[b * SUM_ROWS:(b + 1) * SUM_ROWS]
-                if scale != 1.0:
-                    rows = rows / scale
                 partial[b] = (rows.real**2 + rows.imag**2).sum(axis=0)
 
     for_blocks(measure, blocks, n * n)
     magnitudes = np.sqrt(partial.sum(axis=0))
-    if not _square_fits(magnitudes.max()):
-        # the squares overflowed or underflowed: sum them over T's largest part
-        scale = _largest_part(T)
-        if 0.0 < scale < math.inf:
-            for_blocks(measure, blocks, n * n)
-            magnitudes = scale * np.sqrt(partial.sum(axis=0))
     if half:  # component n - t mirrors t
         magnitudes = np.concatenate((magnitudes, magnitudes[n - T.shape[1]:0:-1]))
     return CirculantSpectrum(n=n, columns=T.T, magnitudes=magnitudes,
@@ -205,23 +194,12 @@ def _norms(spectrum: CirculantSpectrum) -> tuple[float, float]:
     The components are orthogonal with weights n * magnitudes[t]^2, so
     ||A||^2 sums every weight and the residue's squared norm those of the
     components the selection drops: a complete selection reports exactly 0.
-    Where ||A||^2 overflows or underflows, the weights are taken relative
-    to the largest magnitude.
     """
     dropped = np.ones(spectrum.n, dtype=bool)
     dropped[spectrum.selected] = False
-
-    def norms(magnitudes):
-        with np.errstate(over="ignore"):
-            weights = spectrum.n * magnitudes**2
-        return math.sqrt(weights.sum()), math.sqrt(weights[dropped].sum())
-
-    norm_a, norm_da = norms(spectrum.magnitudes)
-    top = spectrum.magnitudes.max()
-    if _square_fits(norm_a) or not 0.0 < top < math.inf:
-        return norm_a, norm_da
-    norm_a, norm_da = norms(spectrum.magnitudes / top)
-    return top * norm_a, top * norm_da
+    with np.errstate(over="ignore"):  # out of band: the product reruns
+        weights = spectrum.n * spectrum.magnitudes**2
+    return math.sqrt(weights.sum()), math.sqrt(weights[dropped].sum())
 
 
 def _fourier_operator(spectrum: CirculantSpectrum, rows: int,
@@ -265,7 +243,8 @@ def circulant_first_order_multiply(A, B, k: int, order: int):
     count kept. Deterministic, no randomness involved, and bit-identical
     however many threads the n^2 passes run on. Each factor's NaN/inf check
     is the first pass that reads it: the cycle gather of its decomposition
-    (core.cycle_reorder), or at order 0 B's sum of squares.
+    (core.cycle_reorder), or at order 0 B's sum of squares; a norm out of
+    core._BAND reruns the product scaled (core._rescaled).
     """
     A, B = _coerce_pair(A, B)
     n = A.shape[0]
@@ -277,7 +256,7 @@ def circulant_first_order_multiply(A, B, k: int, order: int):
         raise ValueError("order must be 0 or 1")
     if order == 0:
         # B's one pass before its column FFTs, and its finiteness check
-        norm_b = _norm(B, math.sqrt(_checked_total(B, _square_sum(B))))
+        norm_b = math.sqrt(_checked_total(B, _square_sum(B)))
 
     t0 = time.perf_counter()
     spec_a = circulant_select(circulant_decompose(A), k)
@@ -285,6 +264,9 @@ def circulant_first_order_multiply(A, B, k: int, order: int):
     if order == 1:
         spec_b = circulant_select(circulant_decompose(B), k)
         norm_b, norm_db = _norms(spec_b)
+    exponents = _band_exponents(A, B, norm_a, norm_b)
+    if exponents:
+        return _rescaled(circulant_first_order_multiply, exponents, A, B, t0, k, order)
 
     # Ahat B = W* (P_a (W B)) and dA Bhat = ((dA W*) P_b) W; scipy's transforms
     # take real input at about half cost and may overwrite the intermediates

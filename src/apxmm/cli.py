@@ -32,7 +32,7 @@ import scipy
 
 from .baseline import randomized_outer_product_multiply
 from .circulant import circulant_decompose, circulant_first_order_multiply
-from .core import WORKERS, _coerce_pair, as_matrix, relative_error
+from .core import WORKERS, _coerce_pair, _exponent, _ldexp, as_matrix, relative_error
 from .errest import (
     _CASES,
     apriori_relative_error,
@@ -299,7 +299,10 @@ def cmd_spectra(args, parser) -> int:
         path = args.out if args.which == "svd" else f"{stem}_svd.csv"
         write_two_col(path, np.linalg.svd(A, compute_uv=False))
     if args.which in ("cd", "both"):
-        mags = circulant_decompose(A).magnitudes
+        # the decomposition sums unscaled squares: run it on A scaled to a
+        # largest part in [0.5, 1) and scale the magnitudes back, exactly
+        e = _exponent(A)
+        mags = _ldexp(circulant_decompose(_ldexp(A, -e)).magnitudes, e)
         path = args.out if args.which == "cd" else f"{stem}_cd.csv"
         write_two_col(path, mags)
     print(_json_line({"files": outputs, "n": n}))

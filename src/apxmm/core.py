@@ -8,10 +8,10 @@ Validation: the first pass that reads every entry of a factor is its NaN/inf
 check. A norm or a sum of squares is finite only when every entry is
 (_checked_total), and the cycle gather and sfft's top-k selection check the
 slabs they read. Only code that makes no such pass calls as_matrix up front.
-A norm summed from unscaled squares overflows past about 1e154 and loses
-entries to underflow below about 1e-154; _norm then takes it again over
-the matrix's largest part, so the products report finite factors right at
-any scale.
+Norms are summed from unscaled squares. A product whose factor norms leave
+_BAND, where such sums may overflow or underflow, runs once more on factors
+scaled exactly by powers of two and scales M and its norms back
+(_band_exponents, _rescaled): this module alone decides scale.
 
 Threading: a pass over GRAIN or more array entries is cut into contiguous
 index blocks that run on one private thread pool with one thread per CPU in
@@ -33,9 +33,10 @@ from __future__ import annotations
 import functools
 import math
 import os
-import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor, wait
+from dataclasses import replace
 
 import numpy as np
 import scipy.fft
@@ -282,13 +283,6 @@ def _largest_part(X: np.ndarray) -> float:
     return max(float(np.abs(part).max(initial=0.0)) for part in parts)
 
 
-def _square_fits(norm: float) -> bool:
-    """Whether norm**2 is a normal float, so that a norm summed from
-    unscaled squares (a dot, a sum of |x|^2) is exact to rounding: outside
-    that range its sum overflowed or lost entries to underflow."""
-    return math.sqrt(sys.float_info.min) <= norm < math.sqrt(sys.float_info.max)
-
-
 def _scaled_norm(X: np.ndarray) -> tuple[float, float]:
     """(s, r) with ||X||_F = s * r for any finite X, whatever its scale:
     s is X's largest real or imaginary part and r = ||X / s||_F, which lies
@@ -300,18 +294,48 @@ def _scaled_norm(X: np.ndarray) -> tuple[float, float]:
     return s, float(np.linalg.norm(X / s))
 
 
-def _norm(X: np.ndarray, plain: float) -> float:
-    """||X||_F, given ``plain``, X's norm summed from unscaled squares.
+# factor norms a product's plain run stands on: for ||A|| and ||B|| in this
+# band no sum of squares it forms leaves the normal range, since
+# ||M|| <= 2 ||A|| ||B|| for every first-order form
+_BAND = (2.0**-250, 2.0**250)
 
-    plain is returned as it is when its square fits (_square_fits), so a
-    normal-range norm keeps its bits and costs no further pass. Otherwise
-    the norm is taken again over X's largest part (_scaled_norm): finite
-    for finite entries however large, and not 0 for tiny nonzero ones.
-    """
-    if _square_fits(plain):
-        return plain
-    s, r = _scaled_norm(X)
-    return s * r
+
+def _exponent(X: np.ndarray) -> int:
+    """e with X * 2^-e's largest real or imaginary part in [0.5, 1); 0 for X = 0."""
+    return math.frexp(_largest_part(X))[1]
+
+
+def _ldexp(X: np.ndarray, e: int) -> np.ndarray:
+    """X * 2^e for a float64 or complex128 X (part by part), exact in the
+    normal range."""
+    return np.ldexp(np.ascontiguousarray(X).view(np.float64), e).view(X.dtype)
+
+
+def _band_exponents(A: np.ndarray, B: np.ndarray, norm_a: float,
+                    norm_b: float) -> tuple[int, int] | None:
+    """None when a product's plain run, which found these factor norms,
+    stands; else the exponents (ea, eb) it reruns at (_rescaled). A norm in
+    _BAND takes 0 at no cost, any other its factor's _exponent, which is 0
+    for a zero factor too: both 0 means the plain run's sums are exact, so
+    a rerun never reruns."""
+    exponents = tuple(0 if _BAND[0] <= norm <= _BAND[1] else _exponent(X)
+                      for X, norm in ((A, norm_a), (B, norm_b)))
+    return exponents if any(exponents) else None
+
+
+def _rescaled(product, exponents: tuple[int, int], A: np.ndarray,
+              B: np.ndarray, t0: float, *args):
+    """product(A * 2^-ea, B * 2^-eb, *args) with M scaled back by
+    2^(ea + eb), norm_da by 2^ea and norm_db by 2^eb; the estimates are
+    ratios. wall_time counts from t0, the start of the plain run."""
+    ea, eb = exponents
+    M, report = product(_ldexp(A, -ea), _ldexp(B, -eb), *args)
+    np.ldexp(M.view(np.float64), ea + eb, out=M.view(np.float64))
+    norms = {name: float(np.ldexp(value, e))
+             for name, value, e in (("norm_da", report.norm_da, ea),
+                                    ("norm_db", report.norm_db, eb))
+             if value is not None}
+    return M, replace(report, **norms, wall_time=time.perf_counter() - t0)
 
 
 def relative_error(M, C_ref) -> float:

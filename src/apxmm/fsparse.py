@@ -26,8 +26,10 @@ import scipy.sparse as sp
 from . import core
 from .core import (
     NOT_FINITE,
+    _band_exponents,
     _coerce,
     _coerce_pair,
+    _rescaled,
     as_matrix,
     for_sub_blocks,
     unitary_dft,
@@ -187,13 +189,10 @@ def _block_width(other: int, length: int) -> int:
 
 
 def _kept_norm(S: SparseRowMatrix) -> float:
-    """||dense(S)||_F from the stored values, summed by numpy, not BLAS, and
-    taken again over their largest part if that sum overflowed or
-    underflowed (core._norm)."""
+    """||dense(S)||_F from the stored values, summed by numpy, not BLAS."""
     parts = S.csr.data.view(np.float64)  # |z|^2 as the squares of its two parts
-    with np.errstate(over="ignore"):
-        total = np.einsum("i,i->", parts, parts)
-    return core._norm(S.csr.data, math.sqrt(total))
+    with np.errstate(over="ignore"):  # out of band: the product reruns
+        return math.sqrt(np.einsum("i,i->", parts, parts))
 
 
 def fft_sparse_first_order_multiply(A, B, k: int, order: int,
@@ -207,7 +206,9 @@ def fft_sparse_first_order_multiply(A, B, k: int, order: int,
       order 1: SA @ Btil + dAt @ SB       (dAt = Atil - dense(SA))
 
     The residues are Atil and Btil with the kept entries zeroed in place.
-    ||dBt|| is taken first; order 1 then writes SB's entries back into
+    Their norms come first, and with the kept entries' they give ||A|| and
+    ||B||: a norm out of core._BAND reruns the product scaled
+    (core._rescaled). Order 1 then writes SB's entries back into
     Btil and forms SA @ Btil one block of columns at a time, each copied
     into the columns of Btil it was read from, so M is Btil itself when
     m = n (otherwise one fresh M). dAt @ SB is added into M one block of
@@ -259,6 +260,14 @@ def fft_sparse_first_order_multiply(A, B, k: int, order: int,
     else:
         SB = SparseRowMatrix(topk_sparsify(Btil.T, k).csr.T.tocsr())
     norm_db = _fro(_zero_kept(Btil, SB))
+    dAt = _zero_kept(Atil, SA)
+    norm_da = _fro(dAt)
+    norm_a = math.hypot(_kept_norm(SA), norm_da)
+    norm_b = math.hypot(_kept_norm(SB), norm_db)
+    exponents = _band_exponents(A, B, norm_a, norm_b)
+    if exponents:
+        return _rescaled(fft_sparse_first_order_multiply, exponents, A, B, t0, k,
+                         order, sparsify_b)
 
     rows, cols = A.shape[0], B.shape[1]
     if order == 0:
@@ -274,14 +283,9 @@ def fft_sparse_first_order_multiply(A, B, k: int, order: int,
         for lo in range(0, cols, width):
             M[:, lo:lo + width] = sparse_dense_multiply(SA, Btil[:, lo:lo + width])
         del Btil
-    dAt = _zero_kept(Atil, SA)
-    if order == 1:
         width = _block_width(cols, rows)
         for lo in range(0, rows, width):
             M[lo:lo + width] += sparse_dense_multiply(SB, dAt[lo:lo + width], "right")
-    norm_da = _fro(dAt)
-    norm_a = math.hypot(_kept_norm(SA), norm_da)
-    norm_b = math.hypot(_kept_norm(SB), norm_db)
     wall = time.perf_counter() - t0
     return M, estimated_report("sfft", order, k, _fro(M), A.shape[1], norm_a,
                                norm_b, norm_da, norm_db, wall)

@@ -78,16 +78,15 @@ def _fro(X: np.ndarray) -> float:
     _square_sum, which makes no BLAS call and is bit-identical at any
     worker count. A threaded BLAS call leaves its worker spinning for a
     while after it returns, and a pooled pass that follows it then shares a
-    core with that worker. A sum that overflowed or underflowed is taken
-    again over X's largest part (core._norm), so the norm of finite entries
-    is right at any scale.
+    core with that worker. An in-band building block: the squares are
+    unscaled, right when the factor norms lie in core._BAND.
     """
     if X.size < core.GRAIN:
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):  # out of band: the product reruns
             total = np.vdot(X, X).real
     else:
         total = _square_sum(X)
-    return core._norm(X, math.sqrt(total))
+    return math.sqrt(total)
 
 
 def estimated_report(method: str, order: int, k: int, norm_m: float, n: int,

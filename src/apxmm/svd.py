@@ -13,9 +13,10 @@ one GEMM of inner dimension 2k, [Ua Sa | dA Ub Sb] @ [Va^T B ; Vb^T]. Its
 one dense intermediate is the residual dA, formed in place of Ahat.
 
 Each factor is read by numpy once before BLAS takes over: the Frobenius
-norm the decomposition needs anyway is the finiteness check, and ||M||,
-which the posterior estimate divides by, comes from the thin factors of M,
-so no pooled pass runs beside a spinning BLAS worker.
+norm the decomposition needs anyway is the finiteness check and the scale
+check (core._band_exponents), and ||M||, which the posterior estimate
+divides by, comes from the thin factors of M, so no pooled pass runs
+beside a spinning BLAS worker.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _checked_total, _coerce, _coerce_pair, _largest_part, _norm, _square_fits
+from .core import _band_exponents, _checked_total, _coerce, _coerce_pair, _rescaled
 from .report import estimated_report
 
 __all__ = [
@@ -49,8 +50,7 @@ class TruncatedSVD:
     U is m x k and V is n x k, both with orthonormal columns; sigma holds the
     k retained singular values in descending order. source_frobenius
     stores ||A||_F of the decomposed matrix so the residual norm can be
-    recovered without A; it is the norm, not its square, so that it stays
-    finite and nonzero for any finite, nonzero A.
+    recovered without A.
     """
 
     U: np.ndarray
@@ -87,14 +87,15 @@ def randomized_partial_svd(A, s: int, seed,
 
     Sketches Y = A phi with a Gaussian phi of min(k + 5, m, n) columns,
     orthonormalizes Y, takes the exact SVD of Q^T A and keeps its leading k
-    triplets.
+    triplets. An in-band building block: source_frobenius sums unscaled
+    squares, and the product reruns when it leaves core._BAND.
     """
     A = _coerce(A)
     if np.iscomplexobj(A):
         raise ValueError("randomized_partial_svd expects a real matrix")
     # the norm reads every entry: it is A's finiteness check
     with np.errstate(over="ignore"):
-        norm = _norm(A, _checked_total(A, np.linalg.norm(A)))
+        norm = _checked_total(A, np.linalg.norm(A))
     m, n = A.shape
     if components is not None:
         if components < 1:
@@ -124,17 +125,10 @@ def svd_residual_norm(decomp: TruncatedSVD) -> float:
 
     Because U and V are orthonormal the retained energy is sum(sigma^2), so
     the residual energy is ||A||_F^2 - sum(sigma^2); tiny negative values
-    from roundoff are clamped to zero. Where ||A||^2 overflows or
-    underflows, the energies are taken relative to ||A||_F^2.
+    from roundoff are clamped to zero. An in-band building block.
     """
-    norm = decomp.source_frobenius
-    if _square_fits(norm):
-        retained = float(np.sum(decomp.sigma**2))
-        return math.sqrt(max(0.0, norm**2 - retained))
-    if norm == 0.0:
-        return 0.0
-    retained = float(np.sum((decomp.sigma / norm) ** 2))
-    return norm * math.sqrt(max(0.0, 1.0 - retained))
+    retained = float(np.sum(decomp.sigma**2))
+    return math.sqrt(max(0.0, decomp.source_frobenius**2 - retained))
 
 
 def svd_reconstruct(decomp: TruncatedSVD) -> np.ndarray:
@@ -146,20 +140,9 @@ def _product_norm(L: np.ndarray, R: np.ndarray) -> float:
     """||L @ R||_F from the thin factors: ||L R||^2 = sum((L^T L) * (R R^T)).
 
     Two GEMMs of O(n k^2) and no pass over the n x n product; a sum that
-    rounding leaves below 0 is clamped to 0. A sum that overflowed or
-    underflowed is taken again over L and R divided by their largest parts.
+    rounding leaves below 0 is clamped to 0.
     """
-    def norm(L, R):
-        with np.errstate(over="ignore", invalid="ignore"):
-            return math.sqrt(max(0.0, float(np.sum((L.T @ L) * (R @ R.T)))))
-
-    plain = norm(L, R)
-    if _square_fits(plain):
-        return plain
-    sl, sr = _largest_part(L), _largest_part(R)
-    if sl == 0.0 or sr == 0.0:
-        return 0.0
-    return norm(L / sl, R / sr) * sl * sr
+    return math.sqrt(max(0.0, float(np.sum((L.T @ L) * (R @ R.T)))))
 
 
 def svd_first_order_multiply(A, B, s: int, order: int, seed):
@@ -174,7 +157,8 @@ def svd_first_order_multiply(A, B, s: int, order: int, seed):
 
     The two decompositions draw from independent streams derived from `seed`.
     Each decomposition's norm pass checks its factor for NaN and inf, and
-    the posterior's ||M|| comes from the factors of M (_product_norm).
+    the posterior's ||M|| comes from the factors of M (_product_norm); a
+    norm out of core._BAND reruns the product scaled (core._rescaled).
     Returns (M, ApproxReport) with a-priori and posterior error estimates
     filled in.
     """
@@ -187,6 +171,9 @@ def svd_first_order_multiply(A, B, s: int, order: int, seed):
     seed_b = np.random.default_rng([seed, 1])
     da = randomized_partial_svd(A, s, seed_a)
     db = randomized_partial_svd(B, s, seed_b)
+    exponents = _band_exponents(A, B, da.source_frobenius, db.source_frobenius)
+    if exponents:
+        return _rescaled(svd_first_order_multiply, exponents, A, B, t0, s, order, seed)
     norm_da = svd_residual_norm(da)
     norm_db = svd_residual_norm(db)
 

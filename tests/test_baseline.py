@@ -147,3 +147,13 @@ def test_finite_factors_whose_norms_overflow():
     assert np.isfinite(M).all()
     assert np.array_equal(M, randomized_outer_product_multiply(np.ones((4, 4)), np.eye(4),
                                                                2, 0)[0] * 1e160)
+
+
+def test_factor_whose_norms_underflow():
+    # every square of A's entries underflows to 0, so its column norms do;
+    # the product reruns on A scaled by a power of two and samples as unscaled
+    rng = np.random.default_rng(0)
+    A, B = rng.standard_normal((64, 64)), rng.standard_normal((64, 64))
+    M0, _ = randomized_outer_product_multiply(A, B, 5, 0)
+    M, _ = randomized_outer_product_multiply(A * 1e-170, B, 5, 0)
+    assert np.linalg.norm(M / 1e-170 - M0) <= 1e-12 * np.linalg.norm(M0)

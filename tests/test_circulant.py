@@ -186,19 +186,22 @@ def test_complex_input_selection_is_top_indices():
 def test_selection_at_any_scale(one_and_split, dtype):
     # the squared magnitudes overflow at 1e160 and underflow to 0 at
     # 1e-170, where every component would tie and the lowest indices win;
-    # summed over the spectrum's largest part they rank as unscaled
+    # the product reruns on factors scaled back into band, so it keeps the
+    # components it keeps unscaled and M scales with A
     rng = np.random.default_rng(0)
     i, j = np.indices((64, 64))
     A = rng.standard_normal((64, 64)) + 0.3 * ((i - j) % 64)
     if dtype is complex:
         A = A + 1j * rng.standard_normal((64, 64))
-    spec = circulant_decompose(A)
-    kept = circulant_select(spec, 5).selected
-    for scale in (1e160, 1e-170):
-        for scaled in (circulant_decompose(A * scale),
-                       *one_and_split(lambda: circulant_decompose(A * scale))):
-            assert_allclose(scaled.magnitudes, scale * spec.magnitudes, rtol=1e-13, atol=0)
-            assert circulant_select(scaled, 5).selected == kept
+    B = rng.standard_normal((64, 64))
+    for order in (0, 1):
+        M0, _ = circulant_first_order_multiply(A, B, 5, order)
+        for scale in (1e160, 1e-170):
+            def run():
+                return circulant_first_order_multiply(A * scale, B, 5, order)[0]
+
+            for M in (run(), *one_and_split(run)):
+                assert np.linalg.norm(M / scale - M0) <= 1e-12 * np.linalg.norm(M0)
 
 
 def test_component_orthogonality():

@@ -457,6 +457,27 @@ def test_spectra_svd_is_exact_above_1024(tmp_path, capsys, dtype):
     assert np.max(np.abs(table[:, 1] - expect)) <= 1e-12 * expect[0]
 
 
+def test_spectra_cd_at_any_scale(tmp_path, capsys):
+    # the decomposition sums unscaled squares: the command runs it on A
+    # scaled by a power of two and scales the magnitudes back, so they scale
+    # exactly with A and stay finite where their squares overflow
+    A = np.random.default_rng(6).standard_normal((16, 16))
+
+    def magnitudes(X, name):
+        a, out = tmp_path / f"{name}.csv", tmp_path / f"{name}_cd.csv"
+        write_csv(X, a)
+        code, _, _ = run_cli(capsys, "spectra", "--which", "cd", "--a", str(a),
+                             "--out", str(out))
+        assert code == 0
+        return np.loadtxt(out, delimiter=",", skiprows=1)[:, 1]
+
+    plain = magnitudes(A, "plain")
+    assert np.array_equal(magnitudes(A * 2.0**600, "up"), plain * 2.0**600)
+    big = magnitudes(A * 1e160, "big")
+    assert np.isfinite(big).all()
+    np.testing.assert_allclose(big, 1e160 * plain, rtol=1e-13, atol=0)
+
+
 @pytest.mark.parametrize("flag", ["--s", "--seed"])
 def test_spectra_takes_no_sketch_flags(tmp_path, capsys, flag):
     with pytest.raises(SystemExit) as exc:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from apxmm.baseline import randomized_outer_product_multiply
 from apxmm.circulant import circulant_first_order_multiply
 from apxmm.fsparse import fft_sparse_first_order_multiply
 from apxmm.report import ApproxReport, _fro
@@ -43,6 +44,8 @@ def _product(method, A, B, order):
         return M, rep, component_count(A.shape[1], 1)
     if method == "cd":
         return (*circulant_first_order_multiply(A, B, K, order), K)
+    if method == "lowrank":
+        return (*randomized_outer_product_multiply(A, B, K, 0), K)
     return (*fft_sparse_first_order_multiply(A, B, K, order), K)
 
 
@@ -107,23 +110,6 @@ def test_fro_matches_linalg_norm_at_any_worker_count(one_and_split, dtype, layou
     assert one == pytest.approx(ref, rel=1e-13, abs=0)
 
 
-@pytest.mark.parametrize("dtype", [float, complex])
-def test_fro_at_any_scale(one_and_split, dtype):
-    # a sum of squares that overflows (or, for complex entries, turns NaN)
-    # or underflows to 0 is taken again over the largest part, below GRAIN
-    # and in the blocked sum alike; the zero matrix has norm 0
-    rng = np.random.default_rng(8)
-    X = rng.standard_normal((40, 30))
-    if dtype is complex:
-        X = X + 1j * rng.standard_normal((40, 30))
-    ref = np.linalg.norm(X)
-    for scale in (1e160, 1e-170, 1e300):
-        assert _fro(X * scale) == pytest.approx(scale * ref, rel=1e-13, abs=0)
-        one, split = one_and_split(lambda: _fro(X * scale))
-        assert one == split == pytest.approx(scale * ref, rel=1e-13, abs=0)
-    assert _fro(np.zeros((40, 30), dtype)) == 0.0
-
-
 @pytest.mark.parametrize("scale", [1e160, 1e-170])
 @pytest.mark.parametrize("order", [0, 1])
 @pytest.mark.parametrize("method", ["svd", "cd", "sfft"])
@@ -142,5 +128,46 @@ def test_reports_scale_with_the_factor(method, order, scale):
     assert np.linalg.norm(M / scale) == pytest.approx(np.linalg.norm(M0), rel=1e-12, abs=0)
     assert rep.norm_da == pytest.approx(scale * rep0.norm_da, rel=1e-12, abs=0)
     assert rep.norm_db == pytest.approx(rep0.norm_db, rel=1e-12, abs=0)
+    for field in ("apriori_estimate", "posterior_estimate"):
+        assert getattr(rep, field) == pytest.approx(getattr(rep0, field), rel=1e-12, abs=0)
+
+
+def _normal_pair():
+    rng = np.random.default_rng(1)
+    return rng.standard_normal((64, 64)), rng.standard_normal((64, 64))
+
+
+@pytest.mark.parametrize("side,power", [("A", 600), ("A", -600), ("B", -600)])
+@pytest.mark.parametrize("method,order", [("svd", 0), ("svd", 1), ("cd", 0), ("cd", 1),
+                                          ("sfft", 0), ("sfft", 1), ("lowrank", 0)])
+def test_products_scale_exactly_at_powers_of_two(method, order, side, power):
+    # a factor norm out of band reruns the product on factors scaled by
+    # powers of two, which is exact: M and the residue norms scale bit for
+    # bit and the estimates, ratios, do not move
+    A, B = _normal_pair()
+    M0, rep0, _ = _product(method, A, B, order)
+    scale = 2.0**power
+    pair = (A * scale, B) if side == "A" else (A, B * scale)
+    M, rep, _ = _product(method, *pair, order)
+    assert np.array_equal(M, M0 * scale)
+    for name, factor in (("norm_da", "A"), ("norm_db", "B")):
+        plain = getattr(rep0, name)
+        assert getattr(rep, name) == (plain if plain is None or side != factor
+                                      else plain * scale)
+    assert rep.apriori_estimate == rep0.apriori_estimate
+    assert rep.posterior_estimate == rep0.posterior_estimate
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("order", [0, 1])
+@pytest.mark.parametrize("method", ["svd", "cd", "sfft"])
+def test_products_of_factors_whose_product_underflows(method, order):
+    # both factors out of band: the first run ends without a warning, the
+    # rerun's M underflows to 0 when scaled back, and the estimates are
+    # those of the unscaled pair
+    A, B = _normal_pair()
+    _, rep0, _ = _product(method, A, B, order)
+    M, rep, _ = _product(method, A * 1e-300, B * 1e-300, order)
+    assert not M.any()
     for field in ("apriori_estimate", "posterior_estimate"):
         assert getattr(rep, field) == pytest.approx(getattr(rep0, field), rel=1e-12, abs=0)

@@ -11,7 +11,8 @@ The tests' oracles (tests/oracles.py) import nothing from the package, so
 no oracle runs the code it checks.
 No module refers to numpy.fft: scipy.fft is the one FFT backend. No
 numeric module imports core.GRAIN or core.WORKERS by name, since the tests
-patch them on core. The
+patch them on core. No numeric module but core takes a largest part or
+scales by a power of two: core alone decides scale. The
 products whose norms follow pooled passes (cd and sfft) call no BLAS norm
 and take ||A|| and ||B|| from their truncations, not from a pass over the
 operands; the products that end in BLAS (svd and lowrank) take no pooled
@@ -116,6 +117,16 @@ def test_patched_settings_are_read_from_core():
                 copies += [f"{path.stem}.{a.name}" for a in node.names
                            if a.name in ("GRAIN", "WORKERS")]
     assert copies == []
+
+
+def test_scale_is_decided_in_core():
+    # a product checks its factor norms against core's band and reruns on
+    # factors scaled by powers of two (core._band_exponents, core._rescaled);
+    # a norm that rescued its own scale would bring the per-norm fallbacks back
+    scaling = {"_largest_part", "_exponent", "_ldexp", "_scaled_norm", "frexp", "ldexp"}
+    found = [f"{path.stem}.{name}" for path in NUMERIC if path.name != "core.py"
+             for name in sorted(_references(_tree(path)) & scaling)]
+    assert found == []
 
 
 def _references(tree: ast.AST, skip: str | None = None) -> set[str]:
