@@ -15,7 +15,7 @@ import time
 
 import numpy as np
 
-from .core import _band_exponents, _checked_total, _coerce_pair, _rescaled
+from .core import _band_exponents, _checked_total, _coerce_pair, _count, _rescaled
 from .report import ApproxReport
 
 __all__ = ["randomized_outer_product_multiply"]
@@ -63,6 +63,7 @@ def randomized_outer_product_multiply(A, B, c: int, seed):
     scaled (core._rescaled), which leaves p unchanged.
     """
     A, B = _coerce_pair(A, B)
+    c = _count(c, "c")
     if c < 1:
         raise ValueError("c must be >= 1")
     n = A.shape[1]

@@ -42,6 +42,7 @@ from .core import (
     _band_exponents,
     _checked_total,
     _coerce_pair,
+    _count,
     _rescaled,
     _roll_columns,
     cycle_reorder,
@@ -147,6 +148,7 @@ def circulant_select(spectrum: CirculantSpectrum, k: int) -> CirculantSpectrum:
     of a pair its conjugate is kept too (k + 1 in all).
     """
     n = spectrum.n
+    k = _count(k, "k")
     if not 0 <= k <= n:
         raise ValueError(f"k={k} out of range [0, {n}]")
     t = np.arange(n)
@@ -247,6 +249,7 @@ def circulant_first_order_multiply(A, B, k: int, order: int):
     core._BAND reruns the product scaled (core._rescaled).
     """
     A, B = _coerce_pair(A, B)
+    k = _count(k, "k")
     n = A.shape[0]
     if A.shape[1] != n or B.shape != (n, n):
         raise ValueError(f"two square n x n matrices required, got {A.shape} x {B.shape}")

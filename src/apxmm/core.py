@@ -8,6 +8,8 @@ Validation: the first pass that reads every entry of a factor is its NaN/inf
 check. A norm or a sum of squares is finite only when every entry is
 (_checked_total), and the cycle gather and sfft's top-k selection check the
 slabs they read. Only code that makes no such pass calls as_matrix up front.
+Every count parameter (a budget k, s or c) is checked once, where it
+enters, by _count.
 Norms are summed from unscaled squares. A product whose factor norms leave
 _BAND, where such sums may overflow or underflow, runs once more on factors
 scaled exactly by powers of two and scales M and its norms back
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import os
 import threading
 import time
@@ -61,7 +64,7 @@ CHUNKS = 64
 # the widest slab of the dense operand one CSR product call takes (rows of B
 # in B @ S, columns of X in S @ X): scipy copies its dense operand, and on a
 # few rows or columns the copy and the result stay in cache; also the most
-# rows one top-k selection call sorts
+# rows one piece of a top-k selection takes
 SUB_ROWS = 64
 # rows per block of a fixed-order sum (circulant magnitudes, report._fro):
 # each block's partial sum and the order they add in do not depend on the
@@ -169,6 +172,19 @@ def as_matrix(a) -> np.ndarray:
     if not all(finite):
         raise ValueError(NOT_FINITE)
     return m
+
+
+def _count(value, name: str) -> int:
+    """``value`` as a Python int, the one check of every count parameter (a
+    budget k, s or c, a component count). Python and numpy integers pass
+    through operator.index; a bool, a float or a sequence raises TypeError
+    naming the parameter. The range check stays with the caller."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"{name} must be an integer, not {type(value).__name__}")
 
 
 def _coerce_pair(A, B) -> tuple[np.ndarray, np.ndarray]:

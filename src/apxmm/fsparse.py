@@ -29,6 +29,7 @@ from .core import (
     _band_exponents,
     _coerce,
     _coerce_pair,
+    _count,
     _rescaled,
     as_matrix,
     for_sub_blocks,
@@ -89,43 +90,53 @@ class SparseRowMatrix:
 def topk_sparsify(M, k: int) -> SparseRowMatrix:
     """Keep the k largest-modulus entries of each row, zeroing the rest.
 
-    Ties are broken toward the lower column index. k above the column count
-    is clamped. One partial sort selects every row of a piece of at most
-    core.SUB_ROWS rows at once (core.for_sub_blocks), so its moduli and sort
-    indices stay that small even on one thread; only rows with a tie at the
-    cut are redone. Deterministic, and row by row, so the pieces of a large
-    M select exactly what one call over M would.
+    k is one integer budget shared by every row (core._count); above the
+    column count it is clamped. Ties are broken toward the lower column
+    index. Each piece of at most core.SUB_ROWS rows (core.for_sub_blocks)
+    selects by threshold: one partition of its moduli gives each row's
+    k-th largest modulus, the cut, and one mask of the moduli at or above
+    it lists every candidate in row-major order, so each row's columns come
+    out ascending with no sort. A row with more than k candidates has a
+    tie at the cut. Only then does the lower-column rule run, and only on
+    the candidate list: a row keeps every candidate above its cut, then the
+    first k - above equal to it. Every temporary stays one piece in size
+    even on one thread. Deterministic, and row by row, so the pieces of a
+    large M select exactly what one call over M would.
     Non-finite entries raise as_matrix's ValueError; each block reads them
-    off the moduli it sorts, so M takes no separate isfinite pass.
+    off the moduli it selects on, so M takes no separate isfinite pass.
     """
     M = _coerce(M)
-    if not np.isscalar(k):
-        raise TypeError("k must be one budget shared by every row")
+    k = _count(k, "k")
     if k < 0:
         raise ValueError("k must be >= 0")
     rows, cols = M.shape
-    k = min(int(k), cols)
+    k = min(k, cols)
     keep = np.empty((rows, k), dtype=np.intp)
     vals = np.empty((rows, k), dtype=np.complex128)
 
     def block(lo, hi):
-        mag = np.abs(M[lo:hi])
+        X = M[lo:hi]
+        mag = np.abs(X)
         # the max propagates NaN and inf; a finite entry's modulus can still
         # overflow (|1e308 + 1e308j|), so the entries themselves decide
-        if not np.isfinite(mag.max()) and not np.isfinite(M[lo:hi]).all():
+        if not np.isfinite(mag.max()) and not np.isfinite(X).all():
             raise ValueError(NOT_FINITE)
-        kb = np.argpartition(mag, cols - k, axis=1)[:, cols - k:]
-        cut = np.take_along_axis(mag, kb[:, :1], axis=1)
-        # rows with a tie at the cut take every entry above it and then the
-        # lowest columns among those equal to it
-        tied = np.flatnonzero(np.count_nonzero(mag >= cut, axis=1) > k)
-        above, at_cut = mag[tied] > cut[tied], mag[tied] == cut[tied]
-        room = k - np.count_nonzero(above, axis=1)
-        pick = above | (at_cut & (np.cumsum(at_cut, axis=1) <= room[:, None]))
-        kb[tied] = np.nonzero(pick)[1].reshape(-1, k)
-        kb.sort(axis=1)
+        # a copy, so the partitioned moduli are freed at once
+        cut = np.partition(mag, cols - k, axis=1)[:, cols - k].copy()
+        # every row has at least k candidates, the k largest among them
+        flat = np.flatnonzero(mag >= cut[:, None])
+        if flat.size > (hi - lo) * k:
+            row = flat // cols
+            at = np.take(mag, flat) == cut[row]
+            counts = np.bincount(row, minlength=hi - lo)
+            # the running count of candidates at the cut that row r may
+            # reach: those of the rows before it, plus its k - above
+            seen = np.cumsum(at)
+            limit = seen[np.cumsum(counts) - 1] + k - counts
+            flat = flat[~at | (seen <= limit[row])]
+        kb = (flat % cols).reshape(-1, k)
         keep[lo:hi] = kb
-        vals[lo:hi] = np.take_along_axis(M[lo:hi], kb, axis=1)
+        vals[lo:hi] = np.take_along_axis(X, kb, axis=1)
 
     if k > 0:
         for_sub_blocks(block, rows, M.size, _CHUNKS)
@@ -242,6 +253,7 @@ def fft_sparse_first_order_multiply(A, B, k: int, order: int,
     core.NOT_FINITE, with rows or cols truncation and at k = 0 alike.
     """
     A, B = _coerce_pair(A, B)
+    k = _count(k, "k")
     if sparsify_b not in ("rows", "cols"):
         raise ValueError(f"unknown sparsify_b {sparsify_b!r}")
     # k entries of each row of Atil and of each row (or column) of Btil

@@ -137,7 +137,11 @@ def generate(spec: MatrixSpec) -> np.ndarray:
     if kind == "kappa":
         i, j = np.indices((n, n))
         # sin argument indexes the entry's upper-triangle representative row
-        return np.exp(-0.5 * np.abs(i - j)) * np.sin(np.minimum(i, j) + 1.0)
+        K = np.exp(-0.5 * np.abs(i - j)) * np.sin(np.minimum(i, j) + 1.0)
+        # entries below the normal range (from n = 1416 on) read 0.0: BLAS
+        # multiplies subnormal numbers several times slower
+        K[np.abs(K) < np.finfo(float).tiny] = 0.0
+        return K
     if kind == "type1":
         s = np.exp(-np.arange(n) / n)
         return _haar_spectrum_matrix(rng, s)

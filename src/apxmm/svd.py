@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _band_exponents, _checked_total, _coerce, _coerce_pair, _rescaled
+from .core import _band_exponents, _checked_total, _coerce, _coerce_pair, _count, _rescaled
 from .report import estimated_report
 
 __all__ = [
@@ -74,6 +74,7 @@ class TruncatedSVD:
 
 def component_count(n: int, s: int) -> int:
     """Retained rank k = min(s * floor(log2 n) + 1, n) for an oversampling level s."""
+    n, s = _count(n, "n"), _count(s, "s")
     if n < 1:
         raise ValueError("n must be >= 1")
     if s < 1:
@@ -91,6 +92,9 @@ def randomized_partial_svd(A, s: int, seed,
     squares, and the product reruns when it leaves core._BAND.
     """
     A = _coerce(A)
+    s = _count(s, "s")
+    if components is not None:
+        components = _count(components, "components")
     if np.iscomplexobj(A):
         raise ValueError("randomized_partial_svd expects a real matrix")
     # the norm reads every entry: it is A's finiteness check
@@ -163,6 +167,7 @@ def svd_first_order_multiply(A, B, s: int, order: int, seed):
     filled in.
     """
     A, B = _coerce_pair(A, B)
+    s = _count(s, "s")
     if order not in (0, 1):
         raise ValueError("order must be 0 or 1")
 

@@ -4,6 +4,7 @@ import re
 import sys
 import threading
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -61,6 +62,50 @@ def test_coerce_pair_validation():
     A, B = core._coerce_pair([[1, 2]], [[1j], [2]])
     assert A.dtype == np.float64 and B.dtype == np.complex128
     assert A.shape == (1, 2) and B.shape == (2, 1)
+
+
+def _counted_calls():
+    """(parameter, call) for every count parameter of the package: each call
+    takes the count and returns what it computed, comparable with ==."""
+    rng = np.random.default_rng(4)
+    A, B = rng.standard_normal((2, 16, 16))
+    spectrum = circulant.circulant_decompose(A)
+
+    def product(result):
+        M, report = result
+        return M.tobytes(), replace(report, wall_time=0.0), type(report.k)
+
+    def decomposition(d):
+        return d.U.tobytes(), d.sigma.tobytes(), d.V.tobytes()
+
+    return {
+        "svd-s": ("s", lambda v: product(svd.svd_first_order_multiply(A, B, v, 1, 0))),
+        "cd-k": ("k", lambda v: product(circulant.circulant_first_order_multiply(A, B, v, 1))),
+        "sfft-k": ("k", lambda v: product(fsparse.fft_sparse_first_order_multiply(A, B, v, 1))),
+        "lowrank-c": ("c", lambda v: product(
+            baseline.randomized_outer_product_multiply(A, B, v, 0))),
+        "topk_sparsify-k": ("k", lambda v: fsparse.topk_sparsify(A, v).to_dense().tobytes()),
+        "circulant_select-k": ("k", lambda v: circulant.circulant_select(spectrum, v).selected),
+        "randomized_partial_svd-s": ("s", lambda v: decomposition(
+            svd.randomized_partial_svd(A, v, 0))),
+        "randomized_partial_svd-components": ("components", lambda v: decomposition(
+            svd.randomized_partial_svd(A, 1, 0, components=v))),
+        "component_count-n": ("n", lambda v: svd.component_count(v, 1)),
+        "component_count-s": ("s", lambda v: svd.component_count(16, v)),
+    }
+
+
+@pytest.mark.parametrize("label", list(_counted_calls()))
+def test_counts_are_integers(label):
+    # a fractional budget is refused, not truncated where it is used (sfft
+    # would keep 2 entries and report k = 2.5; lowrank would draw 3 samples
+    # and scale each by 1 / (2.5 p)), and so is a bool, which would pass as 1
+    name, call = _counted_calls()[label]
+    for bad in (2.5, True, np.float64(2.0), "2"):
+        with pytest.raises(TypeError, match=f"^{name} must be an integer"):
+            call(bad)
+    # a numpy integer is the Python int it holds, so a report's k is an int
+    assert call(np.int64(2)) == call(2)
 
 
 # every product of the package on a square pair, k = 5 where it takes one

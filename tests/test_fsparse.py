@@ -181,6 +181,72 @@ def test_tie_heavy_inputs_tie_at_the_cut(kind):
         assert np.any(np.count_nonzero(mag >= ranked[:, k - 1:k], axis=1) > k)
 
 
+def _odd_budget_input(kind):
+    """Inputs at the products' own budgets: the rows of A W* and of the
+    F-order (W B).T that sparsify_b="cols" selects on, for real factors, are
+    conjugate-symmetric, so an odd k splits a pair in most rows. n = 130
+    leaves a partial last piece. "piece-boundary" has distinct moduli in
+    every row but 63 and 64, the last row of one 64-row piece and the first
+    of the next, whose 9th and 10th largest moduli tie."""
+    if kind == "piece-boundary":
+        rng = np.random.default_rng(24)
+        M = rng.permuted(np.tile(np.arange(1.0, 25.0), (130, 1)), axis=1)
+        M[63:65][M[63:65] == 15.0] = -16.0
+        return M
+    name, n = kind.rsplit("-", 1)
+    X = np.random.default_rng(int(n)).standard_normal((int(n), int(n)))
+    if name == "AW*":
+        return unitary_dft(X, "inverse", axis=1)
+    return unitary_dft(X, "forward", axis=0).T
+
+
+@pytest.mark.parametrize("kind", ["AW*-130", "AW*-512", "(WB).T-130", "(WB).T-512",
+                                  "piece-boundary"])
+@pytest.mark.parametrize("k", [9, 11])
+def test_topk_odd_budgets_match_per_row_stable_argsort(kind, k, one_and_split):
+    M = _odd_budget_input(kind)
+    rows = M.shape[0]
+    mag = np.abs(M)
+    tied = np.count_nonzero(mag >= -np.sort(-mag, axis=1)[:, k - 1:k], axis=1) > k
+    if kind == "piece-boundary":
+        assert np.flatnonzero(tied).tolist() == ([63, 64] if k == 9 else [])
+    else:
+        assert tied.any() and not tied.all()
+        assert M.flags.c_contiguous != kind.startswith("(WB).T")
+    one, split = one_and_split(lambda: topk_sparsify(M, k))
+    assert _csr_bytes(one) == _csr_bytes(split)
+    want_cols, want_vals = _oracle_topk(M, k)
+    np.testing.assert_array_equal(one.csr.indptr, np.arange(rows + 1) * k)
+    np.testing.assert_array_equal(one.csr.indices.reshape(want_cols.shape), want_cols)
+    assert one.csr.data.tobytes() == want_vals.tobytes()
+
+
+def test_topk_peak_memory_is_a_few_pieces():
+    # a one-thread selection at n = 512 holds temporaries of one 64-row
+    # piece, not n x n ones. Above the output CSR, an argpartition per piece
+    # with a full-row tie redo peaked at 2.06-2.13 pieces of 64 x 512
+    # complex entries on these inputs, and the threshold selection at 1.0;
+    # the bound is 2.13 plus 0.37 pieces. Selecting the whole matrix at once
+    # holds its moduli alone in 4 pieces.
+    n = 512
+    assert core.pass_workers(n * n) == 1
+    rng = np.random.default_rng(25)
+    piece = core.SUB_ROWS * n * 16
+    for M in (_tie_heavy_input("conj-symmetric-512"),
+              rng.integers(-2, 3, (n, n)) + 1j * rng.integers(-2, 3, (n, n))):
+        for k in (9, 11):
+            topk_sparsify(M, k)  # warm caches outside the trace
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                S = topk_sparsify(M, k)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            out = S.csr.data.nbytes + S.csr.indices.nbytes + S.csr.indptr.nbytes
+            assert peak - out <= 2.5 * piece, (k, (peak - out) / piece)
+
+
 def test_disjoint_support_energy_identity():
     # residual energy equals total energy minus kept energy
     rng = np.random.default_rng(8)

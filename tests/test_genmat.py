@@ -36,6 +36,19 @@ def test_kappa_seed_independent():
     )
 
 
+def test_kappa_has_no_subnormal_entries():
+    # exp(-|i - j| / 2) sin(min(i, j) + 1) falls below the normal range from
+    # n = 1416 on; those entries read 0.0 and every other is the formula's
+    n = 1500
+    i, j = np.indices((n, n))
+    formula = np.exp(-0.5 * np.abs(i - j)) * np.sin(np.minimum(i, j) + 1.0)
+    normal = np.abs(formula) >= np.finfo(float).tiny
+    K = generate(MatrixSpec("kappa", n))
+    assert np.count_nonzero(formula[~normal]) > 0
+    assert K[normal].tobytes() == formula[normal].tobytes()
+    assert K[~normal].tobytes() == np.zeros(np.count_nonzero(~normal)).tobytes()
+
+
 def test_type1_singular_values():
     n = 4
     A = generate(MatrixSpec("type1", n, seed=3))
