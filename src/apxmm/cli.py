@@ -2,8 +2,9 @@
 
 Subcommands: gen (write a generated matrix), multiply (run one method on one
 pair), sweep (minimal s reaching a tolerance), spectra (singular values or
-circulant magnitudes to CSV), bench (batch runs to a fixed-schema CSV), and
-estimate (error-model numbers without running a product).
+circulant magnitudes to CSV), bench (batch runs to a fixed-schema CSV and a
+JSON record of the run, each row with its ratio to the exact product's
+time), and estimate (error-model numbers without running a product).
 
 One table, _METHODS, states and runs each method of multiply, sweep and
 bench. Its naive row, a timed BLAS A @ B of operands that core.as_matrix
@@ -24,7 +25,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import astuple, dataclass, replace
+from dataclasses import asdict, astuple, dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -461,6 +462,15 @@ def cmd_bench(args, parser) -> int:
             fh.write(BENCH_HEADER + "\n")
         for row, _ in results:
             fh.write(row.to_csv_line() + "\n")
+
+    # the record of this run: its config, its environment and each row it
+    # wrote with its wall time over its pair's naive time
+    with open(args.out.removesuffix(".csv") + ".json", "w", encoding="ascii") as fh:
+        json.dump({"config": conf, "environment": _environment(),
+                   "rows": [{**asdict(row), "over_naive": row.wall_time_s / naive_wall}
+                            for row, naive_wall in results]},
+                  fh, default=float, allow_nan=False, indent=1)
+        fh.write("\n")
 
     if args.ratios:
         ratios: dict = {}

@@ -223,7 +223,8 @@ def unitary_dft(x, direction: str = "forward", axis: int = -1) -> np.ndarray:
     input, and an output that is exactly rfft's plus its conjugate mirror,
     so conjugate-symmetric bit for bit. It costs about as much as a complex
     transform, not half the arithmetic, but an rfft followed by a numpy
-    mirror is no faster, so the transform stays one call.
+    mirror is no faster, so the transform stays one call. sfft, which needs
+    a real factor's half alone, takes it alone (fsparse._inverse_rows).
     """
     x = np.asarray(x)
     if x.ndim == 0 or x.shape[axis] < 1:
@@ -299,17 +300,6 @@ def _largest_part(X: np.ndarray) -> float:
     return max(float(np.abs(part).max(initial=0.0)) for part in parts)
 
 
-def _scaled_norm(X: np.ndarray) -> tuple[float, float]:
-    """(s, r) with ||X||_F = s * r for any finite X, whatever its scale:
-    s is X's largest real or imaginary part and r = ||X / s||_F, which lies
-    in [1, sqrt(2 X.size)]. One pass for s and one over a scaled copy of X.
-    r is 1.0 when s is 0, inf or NaN."""
-    s = _largest_part(X)
-    if not 0.0 < s < math.inf:
-        return s, 1.0
-    return s, float(np.linalg.norm(X / s))
-
-
 # factor norms a product's plain run stands on: for ||A|| and ||B|| in this
 # band no sum of squares it forms leaves the normal range, since
 # ||M|| <= 2 ||A|| ||B|| for every first-order form
@@ -360,22 +350,30 @@ def relative_error(M, C_ref) -> float:
     The two norms are the finiteness checks of C_ref and M (_checked_total).
     Norms that neither overflow nor underflow are used as they are. When a
     norm of finite entries overflows, or ||C_ref|| underflows to 0 although
-    an entry is not 0, C_ref - M is formed over the largest real or
-    imaginary part s of either matrix, and each norm is taken over the
-    largest part of the matrix it sums (_scaled_norm).
+    an entry is not 0, the ratio is taken once more on matrices scaled by
+    powers of two, the scale rule of the products (_rescaled): C_ref - M is
+    formed on both scaled by 2^-e, e the _exponent of the one with the
+    larger part, so no entry overflows, and each of the two norms is taken
+    on its matrix scaled to its own _exponent, so no square of a largest
+    part leaves the normal range; the ratio is scaled back by the
+    exponents. Scaling by a power of two is exact, so the ratio is the
+    unscaled one bit for bit wherever the scaled entries stay normal. A
+    ratio beyond the float range reads inf or 0.
     """
     M, C_ref = _coerce(M), _coerce(C_ref)
     if M.shape != C_ref.shape:
         raise ValueError(f"shape mismatch: {M.shape} vs {C_ref.shape}")
-    denom = _checked_total(C_ref, np.linalg.norm(C_ref))
-    diff = _checked_total(M, np.linalg.norm(C_ref - M))
+    with np.errstate(over="ignore"):  # out of range: the ratio is taken again
+        denom = _checked_total(C_ref, np.linalg.norm(C_ref))
+        diff = _checked_total(M, np.linalg.norm(C_ref - M))
     if 0.0 < denom < math.inf and diff < math.inf:
         return float(diff / denom)
-    c, ref = _scaled_norm(C_ref)
+    c, m = _largest_part(C_ref), _largest_part(M)
     if c == 0.0:
         raise ValueError("zero-norm reference")
-    s = max(c, _largest_part(M))
-    t, d = _scaled_norm(C_ref / s - M / s)
-    if t == 0.0:
-        return 0.0
-    return float(d / ref * (t * (s / c)))
+    e = _exponent(C_ref if c >= m else M)
+    D = _ldexp(C_ref, -e) - _ldexp(M, -e)
+    ed, ec = _exponent(D), _exponent(C_ref)
+    ratio = np.linalg.norm(_ldexp(D, -ed)) / np.linalg.norm(_ldexp(C_ref, -ec))
+    with np.errstate(over="ignore", under="ignore"):
+        return float(np.ldexp(ratio, e + ed - ec))

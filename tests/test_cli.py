@@ -19,6 +19,7 @@ from apxmm.baseline import randomized_outer_product_multiply
 from apxmm.cli import (
     BENCH_HEADER,
     BenchRow,
+    _cell,
     build_parser,
     components_for,
     main,
@@ -666,6 +667,35 @@ def test_bench_ratios_file(tmp_path, capsys):
     assert lines[0] == "method,order,n,kind_a,kind_b,s,k,naive_over_method"
     assert len(lines) == 2
     assert float(lines[1].split(",")[-1]) > 0
+
+
+def test_bench_json_record(tmp_path, capsys):
+    # <out stem>.json holds the parsed config, the environment and each row
+    # of this run with its wall time over its pair's naive time
+    conf = tmp_path / "b.conf"
+    conf.write_text("methods = naive, cd:first, sfft:zeroth\n"
+                    "kinds = general:toeplitz\nsizes = 16, 32\ns = 1\ntrials = 2\n",
+                    encoding="ascii")
+    out = tmp_path / "rows.csv"
+    code, stdout, _ = run_cli(capsys, "bench", "--config", str(conf), "--out", str(out))
+    assert code == 0
+    record = json.loads((tmp_path / "rows.json").read_text())
+    assert set(record) == {"config", "environment", "rows"}
+    assert record["config"] == json.loads(json.dumps(parse_bench_config(conf)))
+    assert record["environment"] == last_json(stdout)["environment"]
+    rows = record["rows"]
+    lines = out.read_text().strip().splitlines()[1:]
+    assert len(rows) == len(lines) == 12
+    fields = BENCH_HEADER.split(",")
+    naive = {}
+    for row, line in zip(rows, lines):
+        assert list(row) == fields + ["over_naive"]
+        assert [_cell(row[f]) for f in fields] == line.split(",")
+        if row["method"] == "naive":
+            naive[row["n"], row["seed"]] = row["wall_time_s"]
+    assert len(naive) == 4
+    for row in rows:
+        assert row["over_naive"] == row["wall_time_s"] / naive[row["n"], row["seed"]]
 
 
 def test_bench_lowrank_rows_and_ratios(tmp_path, capsys):

@@ -444,3 +444,17 @@ def test_relative_error():
             np.sqrt(5), abs=0)
         tiny = np.full((4, 4), 1e-200)
         assert relative_error(0.5 * tiny, tiny) == pytest.approx(0.5, abs=0)
+
+
+@pytest.mark.parametrize("complex_input", [False, True])
+def test_relative_error_is_scale_equivariant_bitwise(complex_input):
+    # at 2^600 the norms overflow and at 2^-600 the reference's underflows
+    # to 0: the rerun on power-of-two scaled matrices gives the unscaled
+    # ratio bit for bit, with no warning of the overflow it handles
+    rng = np.random.default_rng(26)
+    M, C = rng.standard_normal((2, 20, 30))
+    if complex_input:
+        M, C = M + 1j * rng.standard_normal((20, 30)), C + 1j * rng.standard_normal((20, 30))
+    want = relative_error(M, C)
+    for e in (600, -600):
+        assert relative_error(M * 2.0**e, C * 2.0**e) == want

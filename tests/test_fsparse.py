@@ -16,6 +16,7 @@ from apxmm.fsparse import (
     sparse_dense_multiply,
     topk_sparsify,
 )
+from apxmm.genmat import MatrixSpec, generate
 
 from oracles import matmul_naive
 
@@ -657,21 +658,105 @@ def test_split_fft_multiply_bit_identical(shape, complex_input, sparsify_b, orde
         assert M1.tobytes() == whole.tobytes()
 
 
+def _half_spectrum_factors(p, complex_input):
+    """A's of 70 rows (two 64-row pieces on one thread) and p columns, and
+    one B of p x (p + 2): normal entries, integer ones, whose rows of A W*
+    tie at the cut beyond the conjugate pairs, and rows of a type1 matrix."""
+    rng = np.random.default_rng([27, p, complex_input])
+    m = 70
+    parts = [{"normal": rng.standard_normal((m, p)),
+              "integer": rng.integers(-3, 4, (m, p)).astype(float),
+              "type1": generate(MatrixSpec("type1", max(m, p), seed=p + part))[:m, :p]}
+             for part in range(1 + complex_input)]
+    As = {kind: parts[0][kind] + (1j * parts[1][kind] if complex_input else 0)
+          for kind in parts[0]}
+    return As, rng.standard_normal((p, p + 2))
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 16, 17, 130])
+@pytest.mark.parametrize("complex_input", [False, True], ids=["real", "complex"])
+def test_fft_multiply_half_spectrum_bit_identical(p, complex_input, one_and_split):
+    # a real A's A W* is held as its first p // 2 + 1 columns: they, SA's
+    # CSR and M at both orders equal, byte for byte, what the public calls
+    # build from the full transforms, on one thread and split
+    As, B = _half_spectrum_factors(p, complex_input)
+    budgets = sorted({0, 1, 2, p // 2, p // 2 + 1, p - 1, p} & set(range(p + 1)))
+    cases = [(A, k, order) for A in As.values() for k in budgets for order in (0, 1)]
+
+    def run():
+        R = [fsparse._inverse_rows(A) for A in As.values()]
+        SA = [_csr_bytes(fsparse._topk_rows(r, p, k, residue=True)[0])
+              for r in R for k in budgets]
+        M = [fft_sparse_first_order_multiply(A, B, k, order)[0].tobytes()
+             for A, k, order in cases]
+        return [r.tobytes() for r in R], SA, M
+
+    one, split = one_and_split(run)
+    want = [], [], []
+    Btil = unitary_dft(B, "forward", axis=0)
+    for A in As.values():
+        Atil = unitary_dft(A, "inverse", axis=1)
+        want[0].append(Atil[:, :p // 2 + 1 if not complex_input else p].tobytes())
+        want[1].extend(_csr_bytes(topk_sparsify(Atil, k)) for k in budgets)
+    for A, k, order in cases:
+        Atil = unitary_dft(A, "inverse", axis=1)
+        SA, SB = topk_sparsify(Atil, k), topk_sparsify(Btil, k)
+        if order == 0:
+            ref = (SA.csr @ SB.csr).toarray()
+        else:
+            ref = (sparse_dense_multiply(SA, Btil)
+                   + sparse_dense_multiply(SB, Atil - SA.to_dense(), "right"))
+        want[2].append(ref.tobytes())
+    assert one == split == want
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("complex_input", [False, True], ids=["real", "complex"])
+def test_fft_multiply_rejects_non_finite_a_in_any_piece(bad, complex_input, one_and_split):
+    # A's transform is selected one 64-row piece at a time: a bad entry in
+    # the first, a middle or the last piece of 150 rows raises at k = 0,
+    # where no entry is kept, and at k > 0, at both orders
+    rng = np.random.default_rng(28)
+    A = rng.standard_normal((150, 17)) + (1j * rng.standard_normal((150, 17))
+                                          if complex_input else 0)
+    B = rng.standard_normal((17, 17))
+
+    def check():
+        errors = []
+        for row, k, order in itertools.product((0, 100, 149), (0, 3), (0, 1)):
+            X = A.copy()
+            X[row, 16 - row % 17] = bad
+            with pytest.raises(ValueError) as err:
+                fft_sparse_first_order_multiply(X, B, k, order)
+            errors.append(str(err.value))
+        return errors
+
+    one, split = one_and_split(check)
+    assert one == split == [core.NOT_FINITE] * 12
+
+
 def test_split_first_order_peak_memory(monkeypatch):
-    # two n x n complex arrays and one block are live: Atil (then dAt in
-    # place) and Btil, which turns into M one 64-column block of SA @ Btil
-    # at a time; then each 64-row block of dAt @ SB is added into M. The
-    # selections allocate per 64-row piece. Every pass split (GRAIN = 1) at
-    # n = 1024 gives 64-wide blocks, and the blocks and their slabs' copies
-    # bring the peak to 2.105 arrays. At n = 512 and the default GRAIN the
-    # product runs on one thread, which also takes 64-wide blocks: 2.437
-    # arrays, where a block as wide as M read 3.31
+    # one n x n complex array, Btil, turns into M one 64-column block of
+    # SA @ Btil at a time; then each 64-row block of dAt @ SB is added into
+    # M. A real A's transform is held as its n x (n/2 + 1) half spectrum,
+    # from which each block of dAt is rebuilt into one buffer; a complex
+    # A's is all of Atil, zeroed into dAt in place. The selections allocate
+    # per 64-row piece. Every pass split (GRAIN = 1) at n = 1024 gives
+    # 64-wide blocks; at n = 512 and the default GRAIN the product runs on
+    # one thread, which also takes 64-wide blocks. Peaks in n x n arrays,
+    # at 1024 and 512: a real A 1.668 and 2.064 (the bounds add 0.08 and
+    # 0.086), a complex one 2.103 and 2.437, which is what either read
+    # with Atil held whole; a block as wide as M read 3.31 at 512
     monkeypatch.setattr(core, "WORKERS", 2)
-    for grain, n, bound in ((1, 1024, 2.2), (core.GRAIN, 512, 2.5)):
+    cases = [(False, 1, 1024, 1.75), (False, core.GRAIN, 512, 2.15),
+             (True, 1, 1024, 2.2), (True, core.GRAIN, 512, 2.5)]
+    for complex_input, grain, n, bound in cases:
         monkeypatch.setattr(core, "GRAIN", grain)
         rng = np.random.default_rng(12)
         A = rng.standard_normal((n, n))
         B = rng.standard_normal((n, n))
+        if complex_input:
+            A = A + 1j * rng.standard_normal((n, n))
         fft_sparse_first_order_multiply(A, B, 10, 1)  # warm caches outside the trace
         tracemalloc.start()
         try:
@@ -680,4 +765,4 @@ def test_split_first_order_peak_memory(monkeypatch):
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak <= bound * n * n * 16, (n, peak / (n * n * 16))
+        assert peak <= bound * n * n * 16, (complex_input, n, peak / (n * n * 16))
