@@ -2,9 +2,9 @@
 
 Subcommands: gen (write a generated matrix), multiply (run one method on one
 pair), sweep (minimal s reaching a tolerance), spectra (singular values or
-circulant magnitudes to CSV), bench (batch runs to a fixed-schema CSV and a
-JSON record of the run, each row with its ratio to the exact product's
-time), and estimate (error-model numbers without running a product).
+circulant magnitudes to CSV), bench (batch runs to one JSON record, each row
+with its time over the exact product's), and estimate (error-model numbers
+without running a product).
 
 One table, _METHODS, states and runs each method of multiply, sweep and
 bench. Its naive row, a timed BLAS A @ B of operands that core.as_matrix
@@ -25,7 +25,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, astuple, dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -44,6 +44,7 @@ from .errest import (
 )
 from .fsparse import fft_sparse_first_order_multiply
 from .genmat import (
+    KINDS,
     MatrixSpec,
     generate,
     read_csv,
@@ -53,9 +54,7 @@ from .genmat import (
 from .report import ApproxReport
 from .svd import component_count, svd_first_order_multiply
 
-__all__ = ["main", "pair_seeds", "components_for", "operation_count", "BENCH_HEADER"]
-
-BENCH_HEADER = "method,order,n,kind_a,kind_b,s,k,rel_err,apriori_est,posterior_est,wall_time_s,seed"
+__all__ = ["main", "pair_seeds", "components_for", "operation_count"]
 
 _ORDER_NUM = {"zeroth": 0, "first": 1}
 
@@ -315,7 +314,8 @@ def cmd_spectra(args, parser) -> int:
 
 @dataclass
 class BenchRow:
-    """One benchmark record; column order matches BENCH_HEADER exactly."""
+    """One row of the bench record, its keys in this order (None where the
+    method has none); over_naive is wall_time_s over its pair's naive time."""
 
     method: str
     order: str
@@ -329,18 +329,7 @@ class BenchRow:
     posterior_est: float | None
     wall_time_s: float
     seed: int
-
-    def to_csv_line(self) -> str:
-        return ",".join(map(_cell, astuple(self)))
-
-
-def _cell(v) -> str:
-    """One CSV cell: "-" for None, floats to 17 significant digits."""
-    if v is None:
-        return "-"
-    if isinstance(v, float):
-        return f"{v:.17g}"
-    return str(v)
+    over_naive: float
 
 
 _CONFIG_KEYS = {"methods", "kinds", "sizes", "s", "c", "trials", "seed_base"}
@@ -350,8 +339,8 @@ def parse_bench_config(path) -> dict:
     """Flat key = value config; list values are comma-separated.
 
     methods: entries method:order for svd/cd/sfft, bare for lowrank/naive
-    kinds:   pairs kind_a:kind_b
-    sizes, s, c: integer lists; trials, seed_base: integers
+    kinds:   pairs kind_a:kind_b of generator kinds, haar-spectrum excepted
+    sizes, s, c: lists of integers >= 1; trials, seed_base: integers
     """
     conf: dict = {}
     with open(path, "r", encoding="ascii") as fh:
@@ -388,10 +377,15 @@ def parse_bench_config(path) -> dict:
         ka, sep, kb = entry.strip().partition(":")
         if not sep:
             raise ValueError(f"kind pair {entry!r} must be kind_a:kind_b")
+        if not {ka, kb} <= set(KINDS) - {"haar-spectrum"}:  # bench has no spectrum
+            raise ValueError(f"kind pair {entry!r}: unknown kind, or haar-spectrum")
         kinds.append((ka, kb))
 
     def int_list(key):
-        return [int(v) for v in conf[key].split(",")] if key in conf else []
+        values = [int(v) for v in conf[key].split(",")] if key in conf else []
+        if min(values, default=1) < 1:
+            raise ValueError(f"every {key} value must be >= 1")
+        return values
 
     parsed = {
         "methods": methods,
@@ -412,6 +406,8 @@ def parse_bench_config(path) -> dict:
 
 
 def cmd_bench(args, parser) -> int:
+    if not args.out.endswith(".json"):
+        parser.error("--out must end in .json")
     conf = parse_bench_config(args.config)
     # jobs grouped by (kind pair, n, trial): each pair and its exact product
     # are made once, and the rows are written back in the config's order
@@ -447,43 +443,19 @@ def cmd_bench(args, parser) -> int:
                 M, report = AB, naive_report
             else:
                 M, report = m.run(A, B, order_name, **{m.flags[0]: sel}, seed=t)
-            row = BenchRow(method=method, order=order_name, n=n, kind_a=kind_a,
-                           kind_b=kind_b, s=sel if m.keeps else None,
-                           k=None if method == "naive" else report.k,
-                           rel_err=relative_error(M, AB),
-                           apriori_est=report.apriori_estimate,
-                           posterior_est=report.posterior_estimate,
-                           wall_time_s=report.wall_time, seed=t)
-            results[i] = (row, naive_report.wall_time)
+            results[i] = BenchRow(
+                method=method, order=order_name, n=n, kind_a=kind_a, kind_b=kind_b,
+                s=sel if m.keeps else None, k=None if method == "naive" else report.k,
+                rel_err=relative_error(M, AB), apriori_est=report.apriori_estimate,
+                posterior_est=report.posterior_estimate, wall_time_s=report.wall_time,
+                seed=t, over_naive=report.wall_time / naive_report.wall_time)
 
-    need_header = not os.path.exists(args.out) or os.path.getsize(args.out) == 0
-    with open(args.out, "a", encoding="ascii") as fh:
-        if need_header:
-            fh.write(BENCH_HEADER + "\n")
-        for row, _ in results:
-            fh.write(row.to_csv_line() + "\n")
-
-    # the record of this run: its config, its environment and each row it
-    # wrote with its wall time over its pair's naive time
-    with open(args.out.removesuffix(".csv") + ".json", "w", encoding="ascii") as fh:
+    # the record of this run, replacing any earlier one
+    with open(args.out, "w", encoding="ascii") as fh:
         json.dump({"config": conf, "environment": _environment(),
-                   "rows": [{**asdict(row), "over_naive": row.wall_time_s / naive_wall}
-                            for row, naive_wall in results]},
+                   "rows": list(map(asdict, results))},
                   fh, default=float, allow_nan=False, indent=1)
         fh.write("\n")
-
-    if args.ratios:
-        ratios: dict = {}
-        for row, naive_wall in results:
-            if row.method == "naive" or row.wall_time_s <= 0:
-                continue
-            key = (row.method, row.order, row.n, row.kind_a, row.kind_b, row.s, row.k)
-            ratios.setdefault(key, []).append(naive_wall / row.wall_time_s)
-        with open(args.out.removesuffix(".csv") + ".ratios.csv", "w",
-                  encoding="ascii") as fh:
-            fh.write("method,order,n,kind_a,kind_b,s,k,naive_over_method\n")
-            for key, vals in ratios.items():
-                fh.write(",".join(map(_cell, (*key, float(np.mean(vals))))) + "\n")
 
     print(_json_line({"rows": len(results), "out": args.out,
                       "environment": _environment()}))
@@ -624,11 +596,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_operand_args(p, "a")
     p.set_defaults(func=cmd_spectra)
 
-    p = command("bench", help="batch-run methods into a fixed-schema CSV")
+    p = command("bench", help="batch-run methods into one JSON record")
     p.add_argument("--config", required=True, help="key = value config file")
-    p.add_argument("--out", required=True)
-    p.add_argument("--ratios", action="store_true",
-                   help="also write <out>.ratios.csv with BLAS/method wall-time ratios")
+    p.add_argument("--out", required=True, help="the record, a .json file")
     p.set_defaults(func=cmd_bench)
 
     p = command("estimate", help="evaluate error-model numbers directly")

@@ -53,6 +53,21 @@ def test_decompose_rejects_rectangular():
         circulant_decompose(np.ones((3, 4)))
 
 
+@pytest.mark.parametrize("half,field,value,message", [
+    (False, "columns", np.zeros((3, 4), complex), r"columns must be 4 x n"),
+    (True, "columns", np.zeros((4, 4), complex), r"columns must be 3 x n"),
+    (False, "magnitudes", np.zeros(3), "one magnitude per component"),
+    (False, "selected", [0, 4], "selected index out of range"),
+    (True, "selected", [-1], "selected index out of range"),
+])
+def test_spectrum_validates_its_fields(half, field, value, message):
+    fields = dict(n=4, columns=np.zeros((3 if half else 4, 4), complex),
+                  magnitudes=np.zeros(4), selected=[0, 3], half=half)
+    CirculantSpectrum(**fields)
+    with pytest.raises(ValueError, match=message):
+        CirculantSpectrum(**{**fields, field: value})
+
+
 def test_component_identity_cases():
     assert_allclose(circulant_component(np.eye(4), 0), np.eye(4)[:, 0], atol=1e-14)
     assert np.max(np.abs(circulant_component(np.eye(4), 1))) < 1e-14

@@ -17,9 +17,6 @@ import apxmm
 from apxmm import core
 from apxmm.baseline import randomized_outer_product_multiply
 from apxmm.cli import (
-    BENCH_HEADER,
-    BenchRow,
-    _cell,
     build_parser,
     components_for,
     main,
@@ -69,16 +66,6 @@ def test_operation_count_forms():
             operation_count(method, 8)
 
 
-def test_bench_row_formatting():
-    row = BenchRow(method="cd", order="first", n=16, kind_a="toeplitz",
-                   kind_b="general", s=None, k=4, rel_err=0.25,
-                   apriori_est=None, posterior_est=0.5, wall_time_s=0.125,
-                   seed=3)
-    line = row.to_csv_line()
-    assert line == "cd,first,16,toeplitz,general,-,4,0.25,-,0.5,0.125,3"
-    assert len(line.split(",")) == len(BENCH_HEADER.split(","))
-
-
 # ----------------------------------------------------------------------- gen
 
 def test_gen_writes_deterministic_matrix(tmp_path, capsys):
@@ -118,6 +105,20 @@ def test_gen_unknown_kind_fails(tmp_path, capsys):
                            "--out", str(tmp_path / "x.csv"))
     assert code == 1
     assert "error:" in err
+
+
+@pytest.mark.parametrize("cells,message", [
+    ("3,2\n1,0.5\n", "must be a single row or column"),
+    ("3+1j,2,1\n", "spectrum values must be real"),
+])
+def test_gen_spectrum_must_be_a_real_vector(tmp_path, capsys, cells, message):
+    spath = tmp_path / "spec.csv"
+    spath.write_text(cells, encoding="ascii")
+    code, _, err = run_cli(capsys, "gen", "--kind", "haar-spectrum", "--n", "3",
+                           "--spectrum", str(spath), "--out", str(tmp_path / "m.csv"))
+    assert code == 1
+    assert message in err
+    assert not (tmp_path / "m.csv").exists()
 
 
 # ------------------------------------------------------------------ multiply
@@ -342,6 +343,17 @@ def test_multiply_rejects_file_and_kind(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("operands,message", [
+    (["--kind-b", "general", "--n", "8"], "matrix a: need --a FILE or --kind-a KIND"),
+    (["--kind-a", "general", "--kind-b", "general"], "--n is required with --kind-a"),
+])
+def test_multiply_operand_needs_a_source_and_size(capsys, operands, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["multiply", "--method", "naive", *operands])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 # --------------------------------------------------------------------- sweep
 
 def test_sweep_vacuous_tolerance(capsys):
@@ -386,6 +398,21 @@ def test_sweep_s_max_exhaustion(capsys):
                            "--n", "64", "--trials", "1", "--s-max", "2")
     assert code == 0
     assert out.strip() == "-"
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--tol", "0", "--tol must be > 0"),
+    ("--tol", "-0.5", "--tol must be > 0"),
+    ("--trials", "0", "--trials and --s-max must be >= 1"),
+    ("--s-max", "0", "--trials and --s-max must be >= 1"),
+])
+def test_sweep_refuses_bounds_out_of_range(capsys, flag, value, message):
+    argv = {"--method": "cd", "--order": "first", "--tol": "0.5", "--kind-a": "general",
+            "--kind-b": "general", "--n": "8", flag: value}
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", *(word for item in argv.items() for word in item)])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_sweep_reproducible(capsys):
@@ -540,36 +567,51 @@ def test_spectra_cd_needs_square(tmp_path, capsys):
 
 # --------------------------------------------------------------------- bench
 
-def test_bench_naive_rows(tmp_path, capsys):
+ROW_KEYS = ["method", "order", "n", "kind_a", "kind_b", "s", "k", "rel_err",
+            "apriori_est", "posterior_est", "wall_time_s", "seed", "over_naive"]
+
+
+def run_bench(tmp_path, capsys, config: str, out: str = "rows.json"):
+    """Run bench on a config text; (exit code, stdout summary, record or None)."""
     conf = tmp_path / "b.conf"
-    conf.write_text("methods = naive\nkinds = general:general\n"
-                    "sizes = 8\ntrials = 2\n", encoding="ascii")
-    out = tmp_path / "rows.csv"
+    conf.write_text(config, encoding="ascii")
     code, stdout, _ = run_cli(capsys, "bench", "--config", str(conf),
-                              "--out", str(out))
+                              "--out", str(tmp_path / out))
+    record = tmp_path / out
+    return code, stdout, json.loads(record.read_text()) if record.exists() else None
+
+
+def count_naive_calls(monkeypatch) -> list:
+    """A list that grows by one at each exact product the CLI runs."""
+    from apxmm import cli
+
+    calls = []
+    naive = cli._METHODS["naive"]
+    monkeypatch.setitem(cli._METHODS, "naive", naive._replace(
+        product=lambda A, B: calls.append(1) or naive.product(A, B)))
+    return calls
+
+
+def test_bench_naive_rows(tmp_path, capsys):
+    code, stdout, record = run_bench(tmp_path, capsys, "methods = naive\n"
+                                     "kinds = general:general\nsizes = 8\ntrials = 2\n")
     assert code == 0
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == BENCH_HEADER
-    assert len(lines) == 3
-    for ln in lines[1:]:
-        cells = ln.split(",")
-        assert cells[0] == "naive"
-        assert float(cells[7]) == 0.0
+    assert len(record["rows"]) == 2
+    for row in record["rows"]:
+        assert row["method"] == "naive" and row["order"] == "-"
+        assert row["s"] is None and row["k"] is None
+        assert row["rel_err"] == 0.0 and row["over_naive"] == 1.0
     assert last_json(stdout)["rows"] == 2
 
 
 def test_bench_reports_environment(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("OMP_NUM_THREADS", "3")
     monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
-    conf = tmp_path / "b.conf"
-    conf.write_text("methods = naive\nkinds = general:general\n"
-                    "sizes = 8\ntrials = 1\n", encoding="ascii")
-    out = tmp_path / "rows.csv"
-    code, stdout, _ = run_cli(capsys, "bench", "--config", str(conf), "--out", str(out))
+    code, stdout, record = run_bench(tmp_path, capsys, "methods = naive\n"
+                                     "kinds = general:general\nsizes = 8\ntrials = 1\n")
     assert code == 0
-    assert out.read_text().splitlines()[0] == BENCH_HEADER
     env = last_json(stdout)["environment"]
-    assert env == {
+    assert env == record["environment"] == {
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         "cpu_count": os.cpu_count(),
@@ -581,116 +623,104 @@ def test_bench_reports_environment(tmp_path, capsys, monkeypatch):
     assert env["workers"] >= 1
 
 
-def test_bench_append_keeps_single_header(tmp_path, capsys):
-    conf = tmp_path / "b.conf"
-    conf.write_text("methods = naive\nkinds = general:general\n"
-                    "sizes = 8\ntrials = 1\n", encoding="ascii")
-    out = tmp_path / "rows.csv"
-    run_cli(capsys, "bench", "--config", str(conf), "--out", str(out))
-    run_cli(capsys, "bench", "--config", str(conf), "--out", str(out))
-    lines = out.read_text().strip().splitlines()
-    assert lines.count(BENCH_HEADER) == 1
-    assert len(lines) == 3
+def test_bench_second_run_replaces_record(tmp_path, capsys):
+    config = "methods = naive\nkinds = general:general\nsizes = 8\ntrials = {}\n"
+    assert run_bench(tmp_path, capsys, config.format(2))[0] == 0
+    code, _, record = run_bench(tmp_path, capsys, config.format(1))
+    assert code == 0
+    assert record["config"]["trials"] == 1
+    assert len(record["rows"]) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["b.conf", "rows.json"]
 
 
 def test_bench_combination_count(tmp_path, capsys):
-    conf = tmp_path / "b.conf"
-    conf.write_text("methods = cd:first, sfft:zeroth\n"
-                    "kinds = toeplitz:toeplitz\n"
-                    "sizes = 8, 16\n"
-                    "s = 1\n"
-                    "trials = 2\n"
-                    "seed_base = 0\n", encoding="ascii")
-    out = tmp_path / "rows.csv"
-    code, stdout, _ = run_cli(capsys, "bench", "--config", str(conf),
-                              "--out", str(out))
+    code, stdout, record = run_bench(tmp_path, capsys,
+                                     "methods = cd:first, sfft:zeroth\n"
+                                     "kinds = toeplitz:toeplitz\n"
+                                     "sizes = 8, 16\n"
+                                     "s = 1\n"
+                                     "trials = 2\n"
+                                     "seed_base = 0\n")
     assert code == 0
     # 2 methods x 1 kind pair x 2 sizes x 1 s x 2 trials
     assert last_json(stdout)["rows"] == 8
-    lines = out.read_text().strip().splitlines()
-    assert len(lines) == 9
+    assert len(record["rows"]) == 8
 
 
 def test_bench_exact_product_once_per_pair(tmp_path, capsys, monkeypatch):
     # 14 rows on 2 distinct (kind pair, n, trial) pairs: each pair's exact
     # product runs three times, for the median of its wall times
-    from apxmm import cli
-
-    calls = []
-    naive = cli._METHODS["naive"]
-    monkeypatch.setitem(cli._METHODS, "naive", naive._replace(
-        product=lambda A, B: calls.append(1) or naive.product(A, B)))
-    conf = tmp_path / "b.conf"
-    conf.write_text("methods = naive, cd:zeroth, cd:first, svd:first\n"
-                    "kinds = general:toeplitz\nsizes = 8\ns = 1, 2\ntrials = 2\n",
-                    encoding="ascii")
-    out = tmp_path / "rows.csv"
-    code, stdout, _ = run_cli(capsys, "bench", "--config", str(conf), "--out", str(out))
+    calls = count_naive_calls(monkeypatch)
+    code, stdout, record = run_bench(tmp_path, capsys,
+                                     "methods = naive, cd:zeroth, cd:first, svd:first\n"
+                                     "kinds = general:toeplitz\nsizes = 8\ns = 1, 2\n"
+                                     "trials = 2\n")
     assert code == 0
     assert len(calls) == 6
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == BENCH_HEADER
     # rows keep the config's order: method, then kind pair, n, s, trial
-    expected = [("naive", "-", "-", str(t)) for t in (0, 1)]
+    expected = [("naive", "-", None, t) for t in (0, 1)]
     for method, order in (("cd", "zeroth"), ("cd", "first"), ("svd", "first")):
-        expected += [(method, order, str(s), str(t)) for s in (1, 2) for t in (0, 1)]
-    rows = [ln.split(",") for ln in lines[1:]]
-    assert [(r[0], r[1], r[5], r[11]) for r in rows] == expected
-    assert all(r[3:5] == ["general", "toeplitz"] for r in rows)
+        expected += [(method, order, s, t) for s in (1, 2) for t in (0, 1)]
+    rows = record["rows"]
+    assert [(r["method"], r["order"], r["s"], r["seed"]) for r in rows] == expected
+    assert all((r["kind_a"], r["kind_b"]) == ("general", "toeplitz") for r in rows)
     assert last_json(stdout)["rows"] == 14
+
+
+@pytest.mark.parametrize("config", [
+    "kinds = general:general, general:bogus\nsizes = 8\n",
+    "kinds = general:general, general:haar-spectrum\nsizes = 8\n",
+    "kinds = general:general\nsizes = 8, 0\n",
+])
+def test_bench_config_checked_before_first_pair(tmp_path, capsys, monkeypatch, config):
+    # a bad value anywhere in the config fails before any product runs
+    calls = count_naive_calls(monkeypatch)
+    code, _, record = run_bench(tmp_path, capsys, f"methods = naive\n{config}trials = 1\n")
+    assert code == 1
+    assert calls == [] and record is None
+
+
+@pytest.mark.parametrize("out,extra", [("rows.csv", []), ("rows.json", ["--ratios"])])
+def test_bench_refuses_csv_and_ratios(tmp_path, capsys, monkeypatch, out, extra):
+    # the record is the one output: a CSV path or --ratios is a usage error
+    calls = count_naive_calls(monkeypatch)
+    conf = tmp_path / "b.conf"
+    conf.write_text("methods = naive\nkinds = general:general\nsizes = 8\ntrials = 1\n",
+                    encoding="ascii")
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--config", str(conf), "--out", str(tmp_path / out), *extra])
+    assert exc.value.code == 2
+    assert calls == []
+    assert [p.name for p in tmp_path.iterdir()] == ["b.conf"]
+    capsys.readouterr()
 
 
 def test_bench_k_column_is_the_k_used(tmp_path, capsys):
     # svd counts its rank as s * floor(log2 n) + 1 = 10 at n=512, s=1,
     # not the ceil(s * log2 n) = 9 budget handed to cd and sfft
-    conf = tmp_path / "b.conf"
-    conf.write_text("methods = svd:zeroth\nkinds = general:general\n"
-                    "sizes = 512\ns = 1\ntrials = 1\n", encoding="ascii")
-    out = tmp_path / "rows.csv"
-    code, _, _ = run_cli(capsys, "bench", "--config", str(conf), "--out", str(out))
+    code, _, record = run_bench(tmp_path, capsys, "methods = svd:zeroth\n"
+                                "kinds = general:general\nsizes = 512\ns = 1\ntrials = 1\n")
     assert code == 0
-    row = out.read_text().strip().splitlines()[1].split(",")
-    assert row[0] == "svd" and row[2] == "512" and row[5] == "1"
-    assert row[6] == "10"
-
-
-def test_bench_ratios_file(tmp_path, capsys):
-    conf = tmp_path / "b.conf"
-    conf.write_text("methods = cd:first\nkinds = toeplitz:toeplitz\n"
-                    "sizes = 16\ns = 1\ntrials = 2\n", encoding="ascii")
-    out = tmp_path / "rows.csv"
-    code, _, _ = run_cli(capsys, "bench", "--config", str(conf),
-                         "--out", str(out), "--ratios")
-    assert code == 0
-    ratio_path = tmp_path / "rows.ratios.csv"
-    lines = ratio_path.read_text().strip().splitlines()
-    assert lines[0] == "method,order,n,kind_a,kind_b,s,k,naive_over_method"
-    assert len(lines) == 2
-    assert float(lines[1].split(",")[-1]) > 0
+    [row] = record["rows"]
+    assert (row["method"], row["n"], row["s"], row["k"]) == ("svd", 512, 1, 10)
 
 
 def test_bench_json_record(tmp_path, capsys):
-    # <out stem>.json holds the parsed config, the environment and each row
-    # of this run with its wall time over its pair's naive time
-    conf = tmp_path / "b.conf"
-    conf.write_text("methods = naive, cd:first, sfft:zeroth\n"
-                    "kinds = general:toeplitz\nsizes = 16, 32\ns = 1\ntrials = 2\n",
-                    encoding="ascii")
-    out = tmp_path / "rows.csv"
-    code, stdout, _ = run_cli(capsys, "bench", "--config", str(conf), "--out", str(out))
+    # --out holds the parsed config, the environment and each row of this
+    # run with its wall time over its pair's naive time; no other file
+    config = ("methods = naive, cd:first, sfft:zeroth\n"
+              "kinds = general:toeplitz\nsizes = 16, 32\ns = 1\ntrials = 2\n")
+    code, stdout, record = run_bench(tmp_path, capsys, config)
     assert code == 0
-    record = json.loads((tmp_path / "rows.json").read_text())
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["b.conf", "rows.json"]
     assert set(record) == {"config", "environment", "rows"}
-    assert record["config"] == json.loads(json.dumps(parse_bench_config(conf)))
+    assert record["config"] == json.loads(json.dumps(parse_bench_config(tmp_path / "b.conf")))
     assert record["environment"] == last_json(stdout)["environment"]
     rows = record["rows"]
-    lines = out.read_text().strip().splitlines()[1:]
-    assert len(rows) == len(lines) == 12
-    fields = BENCH_HEADER.split(",")
+    assert len(rows) == 12
     naive = {}
-    for row, line in zip(rows, lines):
-        assert list(row) == fields + ["over_naive"]
-        assert [_cell(row[f]) for f in fields] == line.split(",")
+    for row in rows:
+        assert list(row) == ROW_KEYS
         if row["method"] == "naive":
             naive[row["n"], row["seed"]] = row["wall_time_s"]
     assert len(naive) == 4
@@ -699,41 +729,58 @@ def test_bench_json_record(tmp_path, capsys):
 
 
 def test_bench_lowrank_rows_and_ratios(tmp_path, capsys):
-    conf = tmp_path / "b.conf"
-    conf.write_text("methods = lowrank, naive\nkinds = general:general\n"
-                    "sizes = 16\nc = 8\ntrials = 2\n", encoding="ascii")
-    out = tmp_path / "rows.csv"
-    code, _, _ = run_cli(capsys, "bench", "--config", str(conf),
-                         "--out", str(out), "--ratios")
+    code, _, record = run_bench(tmp_path, capsys, "methods = lowrank, naive\n"
+                                "kinds = general:general\nsizes = 16\nc = 8\ntrials = 2\n")
     assert code == 0
-    rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
-    assert [(r[0], r[6]) for r in rows] == [("lowrank", "8")] * 2 + [("naive", "-")] * 2
-    ratios = (tmp_path / "rows.ratios.csv").read_text().strip().splitlines()[1:]
-    assert [line.split(",")[:7] for line in ratios] == [
-        ["lowrank", "-", "16", "general", "general", "-", "8"]]
+    rows = record["rows"]
+    assert [(r["method"], r["s"], r["k"]) for r in rows] == (
+        [("lowrank", None, 8)] * 2 + [("naive", None, None)] * 2)
+    for low, naive in zip(rows[:2], rows[2:]):
+        assert low["over_naive"] == low["wall_time_s"] / naive["wall_time_s"]
 
 
 def test_bench_config_errors(tmp_path, capsys):
     bad = [
-        "methods = naive\nkinds = general:general\nsizes = 8\ntrials = 2\ncolor = red\n",
-        "methods = naive\nsizes = 8\ntrials = 2\n",
-        "methods = cd\nkinds = general:general\nsizes = 8\ns = 1\ntrials = 2\n",
-        "methods = cd:second\nkinds = general:general\nsizes = 8\ns = 1\ntrials = 2\n",
-        "methods = lowrank\nkinds = general:general\nsizes = 8\ntrials = 2\n",
-        "methods = naive:first\nkinds = general:general\nsizes = 8\ntrials = 2\n",
-        "methods = cd:first\nkinds = general:general\nsizes = 8\ntrials = 2\n",
-        "methods = naive\nkinds = generalgeneral\nsizes = 8\ntrials = 2\n",
-        "methods = naive\nkinds = general:general\nsizes = 8\ntrials = 0\n",
-        # cd reads s only through its k rule, which refuses s < 1 as svd does
-        "methods = cd:first\nkinds = general:toeplitz\nsizes = 8\ns = 0\ntrials = 1\n",
+        ("methods = naive\nkinds = general:general\nsizes = 8\ntrials = 2\ncolor = red\n",
+         "unknown key 'color'"),
+        ("methods = naive\nsizes = 8\ntrials = 2\n", "missing required key 'kinds'"),
+        ("methods = cd\nkinds = general:general\nsizes = 8\ns = 1\ntrials = 2\n",
+         "needs :zeroth or :first"),
+        ("methods = cd:second\nkinds = general:general\nsizes = 8\ns = 1\ntrials = 2\n",
+         "needs :zeroth or :first"),
+        ("methods = lowrank\nkinds = general:general\nsizes = 8\ntrials = 2\n",
+         "config needs c = ... for lowrank"),
+        ("methods = naive:first\nkinds = general:general\nsizes = 8\ntrials = 2\n",
+         "takes no order"),
+        ("methods = cd:first\nkinds = general:general\nsizes = 8\ntrials = 2\n",
+         "config needs s = ... for cd"),
+        ("methods = naive\nkinds = generalgeneral\nsizes = 8\ntrials = 2\n",
+         "must be kind_a:kind_b"),
+        ("methods = naive\nkinds = general:general\nsizes = 8\ntrials = 0\n",
+         "trials must be >= 1"),
+        ("methods = cd:first\nkinds = general:toeplitz\nsizes = 8\ns = 0\ntrials = 1\n",
+         "every s value must be >= 1"),
+        ("methods = svd:first\nkinds = general:toeplitz\nsizes = 8\ns = 1, -1\ntrials = 1\n",
+         "every s value must be >= 1"),
+        ("methods = lowrank\nkinds = general:general\nsizes = 8\nc = 0\ntrials = 1\n",
+         "every c value must be >= 1"),
+        ("methods = naive\nkinds = general:general\nsizes = -8\ntrials = 1\n",
+         "every sizes value must be >= 1"),
+        ("methods = naive\nkinds = wavelet:general\nsizes = 8\ntrials = 1\n",
+         "unknown kind, or haar-spectrum"),
+        ("methods = naive\nkinds = general:general\nsizes 8\ntrials = 1\n",
+         "config line 3: expected key = value"),
+        ("methods = magic\nkinds = general:general\nsizes = 8\ntrials = 1\n",
+         "unknown method 'magic'"),
     ]
-    for i, text in enumerate(bad):
+    for i, (text, message) in enumerate(bad):
         conf = tmp_path / f"bad{i}.conf"
         conf.write_text(text, encoding="ascii")
         code, _, err = run_cli(capsys, "bench", "--config", str(conf),
-                               "--out", str(tmp_path / f"o{i}.csv"))
+                               "--out", str(tmp_path / f"o{i}.json"))
         assert code == 1, f"config {i} should fail"
-        assert "error:" in err
+        assert err.startswith("error:") and message in err, (i, err)
+        assert not (tmp_path / f"o{i}.json").exists()
 
 
 def test_bench_config_parse_values(tmp_path):

@@ -26,8 +26,9 @@ def test_component_count():
     assert component_count(64, 2) == 13
     assert component_count(4, 100) == 4  # capped at n
     assert component_count(1, 3) == 1
-    with pytest.raises(ValueError):
-        component_count(64, 0)
+    for n, s in ((64, 0), (0, 1)):
+        with pytest.raises(ValueError, match=f"{'s' if s < 1 else 'n'} must be >= 1"):
+            component_count(n, s)
 
 
 def test_rank_one_captured_exactly():
@@ -86,6 +87,21 @@ def test_residual_norm_arithmetic():
         source_frobenius=5.0,
     )
     assert svd_residual_norm(d) == pytest.approx(3.0)
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("U", np.ones(2), "must be 2-D"),
+    ("V", np.ones((2, 1, 1)), "must be 2-D"),
+    ("U", np.ones((2, 2)), "inconsistent component counts"),
+    ("V", np.ones((3, 2)), "inconsistent component counts"),
+    ("source_frobenius", -1.0, "source_frobenius must be >= 0"),
+])
+def test_truncated_svd_validates_its_fields(field, value, message):
+    fields = dict(U=np.ones((2, 1)), sigma=np.ones(1), V=np.ones((3, 1)),
+                  source_frobenius=1.0)
+    TruncatedSVD(**fields)
+    with pytest.raises(ValueError, match=message):
+        TruncatedSVD(**{**fields, field: value})
 
 
 def test_residual_clamped_at_zero():
