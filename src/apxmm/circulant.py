@@ -257,11 +257,10 @@ def circulant_first_order_multiply(A, B, k: int, order: int):
         raise ValueError(f"k={k} out of range [0, {n}]")
     if order not in (0, 1):
         raise ValueError("order must be 0 or 1")
+    t0 = time.perf_counter()
     if order == 0:
         # B's one pass before its column FFTs, and its finiteness check
         norm_b = math.sqrt(_checked_total(B, _square_sum(B)))
-
-    t0 = time.perf_counter()
     spec_a = circulant_select(circulant_decompose(A), k)
     norm_a, norm_da = _norms(spec_a)
     if order == 1:

@@ -315,7 +315,8 @@ def cmd_spectra(args, parser) -> int:
 @dataclass
 class BenchRow:
     """One row of the bench record, its keys in this order (None where the
-    method has none); over_naive is wall_time_s over its pair's naive time."""
+    method has none); wall_time_s is the median of three runs
+    (_median_of_three), over_naive that over its pair's naive time."""
 
     method: str
     order: str
@@ -405,6 +406,14 @@ def parse_bench_config(path) -> dict:
     return parsed
 
 
+def _median_of_three(run):
+    """run()'s first (M, report), its wall_time the median of three runs:
+    no row then reads a process's first call of a method or its first GEMM."""
+    M, report = run()
+    walls = [report.wall_time] + [run()[1].wall_time for _ in range(2)]
+    return M, replace(report, wall_time=float(np.median(walls)))
+
+
 def cmd_bench(args, parser) -> int:
     if not args.out.endswith(".json"):
         parser.error("--out must end in .json")
@@ -429,12 +438,7 @@ def cmd_bench(args, parser) -> int:
         seed_a, seed_b = pair_seeds(conf["seed_base"], t)
         A = _generated(kind_a, n, seed_a, None)
         B = _generated(kind_b, n, seed_b, None)
-        # the exact product's time is the median of three runs, so that no
-        # ratio divides by the process's first GEMM; M is the first run's
-        AB, naive_report = _METHODS["naive"].run(A, B)
-        walls = [naive_report.wall_time]
-        walls += [_METHODS["naive"].run(A, B)[1].wall_time for _ in range(2)]
-        naive_report = replace(naive_report, wall_time=float(np.median(walls)))
+        AB, naive_report = _median_of_three(lambda: _METHODS["naive"].run(A, B))
         for shared in (A, B, AB):  # no method may change another's operands
             shared.flags.writeable = False
         for i, method, order_name, sel in jobs:
@@ -442,7 +446,8 @@ def cmd_bench(args, parser) -> int:
             if method == "naive":
                 M, report = AB, naive_report
             else:
-                M, report = m.run(A, B, order_name, **{m.flags[0]: sel}, seed=t)
+                M, report = _median_of_three(
+                    lambda: m.run(A, B, order_name, **{m.flags[0]: sel}, seed=t))
             results[i] = BenchRow(
                 method=method, order=order_name, n=n, kind_a=kind_a, kind_b=kind_b,
                 s=sel if m.keeps else None, k=None if method == "naive" else report.k,

@@ -8,15 +8,16 @@ first-order form corrects with the exact Btil against the truncation error
 of Atil. The selections run in pieces of at most core.SUB_ROWS rows, and
 the CSR products in slabs of the dense operand (core.for_sub_blocks, the one
 rule cd follows too), on every CPU above core.GRAIN entries, bit-identical
-to one thread. Each row of a real A's A W* is conjugate-symmetric, so the
-product holds only its first p // 2 + 1 columns, from one real-input
-transform, selects SA and sums ||dAt|| on them with topk_sparsify's own
-rule, and rebuilds dAt one block of rows at a time. So the first order
-holds one n x n complex array (Btil, into which it writes SA @ Btil one
-block of columns at a time, 64 columns wide where the product runs on one
-thread and as wide as the pool needs where it does not), one
-n x (p // 2 + 1) array and a block of dAt; a complex A's transform is
-whole and turns into dAt in place.
+to one thread, and each selection sums the squares it drops, so its result
+carries its own residual norm. Each row of a real A's A W* is
+conjugate-symmetric, so the product holds only its first p // 2 + 1
+columns, from one real-input transform, selects SA and sums ||dAt|| on
+them with topk_sparsify's own rule, and rebuilds dAt one block of rows at
+a time. So the first order holds one n x n complex array (Btil, into which
+it writes SA @ Btil one block of columns at a time, 64 columns wide where
+the product runs on one thread and as wide as the pool needs where it does
+not), one n x (p // 2 + 1) array and a block of dAt; a complex A's
+transform is whole and turns into dAt in place.
 """
 
 from __future__ import annotations
@@ -63,9 +64,13 @@ class SparseRowMatrix:
 
     Column indices are strictly increasing within a row and the stored values
     are exactly the source entries at those positions (no rescaling).
+    residual_norm is the Frobenius norm of what the top-k selection that
+    made the matrix dropped from its source, None for a matrix no selection
+    made (sfft's zeroth-order product).
     """
 
     csr: sp.csr_array
+    residual_norm: float | None = None
 
     def __post_init__(self):
         if not isinstance(self.csr, sp.csr_array):
@@ -108,35 +113,31 @@ def topk_sparsify(M, k: int) -> SparseRowMatrix:
     the candidate list: a row keeps every candidate above its cut, then the
     first k - above equal to it. Every temporary stays one piece in size
     even on one thread. Deterministic, and row by row, so the pieces of a
-    large M select exactly what one call over M would.
-    Non-finite entries raise as_matrix's ValueError; each block reads them
-    off the moduli it selects on, so M takes no separate isfinite pass.
+    large M select exactly what one call over M would. The result's
+    residual_norm is ||M - dense(S)||_F, summed from the same moduli.
+    Non-finite entries raise core.NOT_FINITE at every k; each piece reads
+    them off the moduli it selects on, so M takes no separate isfinite pass.
     """
     M = _coerce(M)
     k = _count(k, "k")
     if k < 0:
         raise ValueError("k must be >= 0")
-    k = min(k, M.shape[1])
-    if k == 0:
-        as_matrix(M)  # no block runs to check the entries
-    return _topk_rows(M, M.shape[1], k)[0]
+    return _topk_rows(M, M.shape[1], min(k, M.shape[1]))
 
 
-def _topk_rows(R: np.ndarray, cols: int, k: int,
-               residue: bool = False) -> tuple[SparseRowMatrix, float | None]:
-    """(topk_sparsify(T, k), ||T - dense(S)||_F if residue else None) for the
-    m x cols matrix T whose first h = R.shape[1] columns are R's and whose
-    column j >= h is the conjugate of column cols - j: T is R when h = cols,
-    a real A's A W* when R is its half spectrum (_inverse_rows).
+def _topk_rows(R: np.ndarray, cols: int, k: int) -> SparseRowMatrix:
+    """topk_sparsify(T, k), residual_norm included, for the m x cols matrix
+    T whose first h = R.shape[1] columns are R's and whose column j >= h is
+    the conjugate of column cols - j: T is R when h = cols, a real A's
+    A W* when R is its half spectrum (_inverse_rows).
 
     The one selection rule, topk_sparsify's, for 0 <= k <= cols. Each piece
     takes R's moduli, its finiteness check, mirrors them to T's cols
     columns in cache (|conj z| = |z| bit for bit) and selects on them; a
     kept column j >= h takes the conjugate of R's entry cols - j, so S holds
-    T's own entries. With residue, the kept moduli are then zeroed and each
-    row sums the squares of the rest. The row sums add in one fixed order,
-    so the norm does not depend on the piece boundaries. The pieces run
-    when k > 0 or residue is asked for; otherwise nothing reads R.
+    T's own entries. The kept moduli are then zeroed and each row sums the
+    squares of the rest. The row sums add in one fixed order, so
+    residual_norm does not depend on the piece boundaries.
     """
     rows, h = R.shape
     keep = np.empty((rows, k), dtype=np.intp)
@@ -173,20 +174,15 @@ def _topk_rows(R: np.ndarray, cols: int, k: int,
             mirrored = kb >= h
             kept = np.take_along_axis(X, np.where(mirrored, cols - kb, kb), axis=1)
             vals[lo:hi] = np.conjugate(kept, out=kept, where=mirrored)
-            if residue:
-                np.put_along_axis(mag, kb, 0.0, axis=1)
-        if residue:
-            with np.errstate(over="ignore"):  # out of band: the product reruns
-                sums[lo:hi] = np.square(mag, out=mag).sum(axis=1)
+            np.put_along_axis(mag, kb, 0.0, axis=1)
+        with np.errstate(over="ignore"):  # out of band: the product reruns
+            sums[lo:hi] = np.square(mag, out=mag).sum(axis=1)
 
-    if k or residue:
-        for_sub_blocks(block, rows, rows * cols, _CHUNKS)
+    for_sub_blocks(block, rows, rows * cols, _CHUNKS)
     csr = sp.csr_array((vals.ravel(), keep.ravel(), np.arange(rows + 1) * k),
                        shape=(rows, cols))
-    if not residue:
-        return SparseRowMatrix(csr), None
     with np.errstate(over="ignore"):
-        return SparseRowMatrix(csr), math.sqrt(sums.sum())
+        return SparseRowMatrix(csr, math.sqrt(sums.sum()))
 
 
 def sparse_dense_multiply(S: SparseRowMatrix, B, side: str = "left") -> np.ndarray:
@@ -217,13 +213,6 @@ def sparse_dense_multiply(S: SparseRowMatrix, B, side: str = "left") -> np.ndarr
 
     for_sub_blocks(slab, B.shape[1] if left else B.shape[0], out.size, _CHUNKS)
     return out
-
-
-def _zero_kept(X: np.ndarray, S: SparseRowMatrix) -> np.ndarray:
-    """X with the entries S keeps set to zero, in place: X - dense(S) bit for
-    bit when S holds X's own entries."""
-    X[S.positions()] = 0.0
-    return X
 
 
 def _inverse_rows(A: np.ndarray) -> np.ndarray:
@@ -305,37 +294,35 @@ def fft_sparse_first_order_multiply(A, B, k: int, order: int,
     conjugate-symmetric, so R determines it bit for bit. A complex A's R is
     all of Atil. SA and ||dAt|| come from R one piece of rows at a time
     (_topk_rows, topk_sparsify's selection on the mirrored moduli), and dAt
-    is never held whole. Btil's residue is Btil with the kept entries
-    zeroed in place. With the kept entries' norms, the residue norms give
+    is never held whole; SB and ||dBt|| come from topk_sparsify on Btil (or
+    on its transpose), which nothing writes before order 1's product. With
+    the kept entries' norms, the residual norms the selections carry give
     ||A|| and ||B||: a norm out of core._BAND reruns the product scaled
-    (core._rescaled). Order 1 then writes SB's entries back into Btil and
-    forms SA @ Btil one block of columns at a time, each copied into the
-    columns of Btil it was read from, so M is Btil itself when m = n
-    (otherwise one fresh M). dAt @ SB is added into M one block of rows at
-    a time, each block of dAt rebuilt from R into one reused buffer
-    (_residue_rows). Each block is one sparse_dense_multiply call of
-    _block_width columns or rows: core.SUB_ROWS where M's product runs on
-    the calling thread, else the fewest that run on the pool. So the first
-    order of a real A holds one n x n complex array (Btil, turning into M),
-    the n x (p // 2 + 1) R, the dAt buffer and one block's product; a
-    complex A's R is n x n. Order 0 drops Btil and R before its product.
-    The result is complex; residual norms in the report are those of the
-    transformed factors, which equal the untransformed ones by unitarity.
-    So do ||A|| and ||B|| of the a-priori estimate: the kept entries and
-    the residue split each transformed factor,
-    ||Atil||^2 = ||SA||^2 + ||dAt||^2, so neither operand is read again
-    for its norm.
+    (core._rescaled). Order 1 forms SA @ Btil one block of columns at a
+    time, each copied into the columns of Btil it was read from, so M is
+    Btil itself when m = n (otherwise one fresh M). dAt @ SB is added into
+    M one block of rows at a time, each block of dAt rebuilt from R into
+    one reused buffer (_residue_rows). Each block is one
+    sparse_dense_multiply call of _block_width columns or rows:
+    core.SUB_ROWS where M's product runs on the calling thread, else the
+    fewest that run on the pool. So the first order of a real A holds one
+    n x n complex array (Btil, turning into M), the n x (p // 2 + 1) R,
+    the dAt buffer and one block's product; a complex A's R is n x n.
+    Order 0 drops Btil and R before its product. The result is complex;
+    residual norms in the report are those of the transformed factors,
+    which equal the untransformed ones by unitarity. So do ||A|| and ||B||
+    of the a-priori estimate: the kept entries and the residue split each
+    transformed factor, ||Atil||^2 = ||SA||^2 + ||dAt||^2, so neither
+    operand is read again for its norm.
 
     Every pass over n^2 >= core.GRAIN entries runs as contiguous blocks on
-    every CPU: the two transforms, both top-k selections (with ||dAt||),
-    SA @ Btil, the rebuilt dAt blocks, dAt @ SB and the norms of dBt and M
-    (report._fro, which calls no BLAS there, so dAt @ SB does not start
-    beside a spinning BLAS worker). Within a block, both CSR products take
-    slabs of at most core.SUB_ROWS columns of Btil or rows of dAt even on
-    one thread, the rule cd's products follow. The block loops, the O(k n)
-    scatters that zero and restore B's kept entries and the norms of the
-    kept entries stay on the calling thread. Each entry is computed as one
-    call over the whole array computes it, so M and the report are
+    every CPU: the two transforms, both top-k selections (with their
+    residual norms), SA @ Btil, the rebuilt dAt blocks, dAt @ SB and the
+    norm of M (report._fro). Within a block, both CSR products take slabs
+    of at most core.SUB_ROWS columns of Btil or rows of dAt even on one
+    thread, the rule cd's products follow. The block loops and the norms of
+    the kept entries stay on the calling thread. Each entry is computed as
+    one call over the whole array computes it, so M and the report are
     bit-identical at any thread count and block width, and M equals the
     product of the full transforms bit for bit.
 
@@ -358,12 +345,13 @@ def fft_sparse_first_order_multiply(A, B, k: int, order: int,
     t0 = time.perf_counter()
     R = _inverse_rows(A)
     Btil = unitary_dft(B, "forward", axis=0)
-    SA, norm_da = _topk_rows(R, A.shape[1], k, residue=True)
+    SA = _topk_rows(R, A.shape[1], k)
     if sparsify_b == "rows":
         SB = topk_sparsify(Btil, k)
     else:
-        SB = SparseRowMatrix(topk_sparsify(Btil.T, k).csr.T.tocsr())
-    norm_db = _fro(_zero_kept(Btil, SB))
+        ST = topk_sparsify(Btil.T, k)
+        SB = SparseRowMatrix(ST.csr.T.tocsr(), ST.residual_norm)
+    norm_da, norm_db = SA.residual_norm, SB.residual_norm
     norm_a = math.hypot(_kept_norm(SA), norm_da)
     norm_b = math.hypot(_kept_norm(SB), norm_db)
     exponents = _band_exponents(A, B, norm_a, norm_b)
@@ -378,7 +366,6 @@ def fft_sparse_first_order_multiply(A, B, k: int, order: int,
         prod.sort_indices()
         M = SparseRowMatrix(prod).to_dense()
     else:
-        Btil[SB.positions()] = SB.csr.data  # Btil again
         # column block j of M = SA @ Btil reads column block j of Btil only
         M = Btil if Btil.shape[0] == rows else np.empty((rows, cols), np.complex128)
         width = _block_width(rows, cols)

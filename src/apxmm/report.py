@@ -71,15 +71,15 @@ def _square_sum(X: np.ndarray) -> float:
 
 
 def _fro(X: np.ndarray) -> float:
-    """Frobenius norm of a 2-D array, the one norm helper of the products.
+    """Frobenius norm of a 2-D array: ||M|| at the end of cd and sfft.
 
     Below core.GRAIN entries it is one dot (np.linalg.norm takes two strided
     passes over a complex array). From GRAIN on it is the square root of
     _square_sum, which makes no BLAS call and is bit-identical at any
     worker count. A threaded BLAS call leaves its worker spinning for a
-    while after it returns, and a pooled pass that follows it then shares a
-    core with that worker. An in-band building block: the squares are
-    unscaled, right when the factor norms lie in core._BAND.
+    while after it returns, and the pooled passes of a later call would
+    then share a core with that worker. An in-band building block: the
+    squares are unscaled, right when the factor norms lie in core._BAND.
     """
     if X.size < core.GRAIN:
         with np.errstate(over="ignore", invalid="ignore"):  # out of band: the product reruns

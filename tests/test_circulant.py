@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import time
 import tracemalloc
 
 import numpy as np
@@ -450,6 +451,22 @@ def test_zeroth_order_decomposes_a_only(monkeypatch):
         circulant_first_order_multiply(A, B, 3, order)
         assert len(calls) == len(decomposed)
         assert all(a is b for a, b in zip(calls, decomposed))
+
+
+def test_zeroth_order_times_the_pass_over_b(monkeypatch):
+    # B's sum of squares is order 0's first pass over B, so its wall time
+    # counts it, as every product times its operands' first pass
+    square_sum = circulant._square_sum
+
+    def slow(X):
+        time.sleep(0.05)
+        return square_sum(X)
+
+    monkeypatch.setattr(circulant, "_square_sum", slow)
+    rng = np.random.default_rng(29)
+    A, B = rng.standard_normal((2, 64, 64))
+    _, report = circulant_first_order_multiply(A, B, 5, 0)
+    assert report.wall_time >= 0.05
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

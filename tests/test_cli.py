@@ -7,6 +7,7 @@ import re
 import shlex
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -665,6 +666,30 @@ def test_bench_exact_product_once_per_pair(tmp_path, capsys, monkeypatch):
     assert [(r["method"], r["order"], r["s"], r["seed"]) for r in rows] == expected
     assert all((r["kind_a"], r["kind_b"]) == ("general", "toeplitz") for r in rows)
     assert last_json(stdout)["rows"] == 14
+
+
+def test_bench_rows_take_the_median_of_three_runs(tmp_path, capsys, monkeypatch):
+    # every product, exact or not, runs three times; its row keeps the
+    # first run's report and the median of the three wall times
+    from apxmm import cli
+
+    script = {"naive": [(4.0, 0.1), (1.0, 0.2), (2.0, 0.3)],
+              "cd": [(9.0, 0.4), (3.0, 0.5), (6.0, 0.6)]}
+    for name, runs in script.items():
+        method = cli._METHODS[name]
+
+        def product(*args, method=method, runs=runs):
+            M, report = method.product(*args)
+            wall, posterior = runs.pop(0)
+            return M, replace(report, wall_time=wall, posterior_estimate=posterior)
+
+        monkeypatch.setitem(cli._METHODS, name, method._replace(product=product))
+    code, _, record = run_bench(tmp_path, capsys, "methods = naive, cd:first\n"
+                                "kinds = general:general\nsizes = 8\ns = 1\ntrials = 1\n")
+    assert code == 0
+    assert [(r["method"], r["wall_time_s"], r["posterior_est"], r["over_naive"])
+            for r in record["rows"]] == [("naive", 2.0, 0.1, 1.0), ("cd", 6.0, 0.4, 3.0)]
+    assert script == {"naive": [], "cd": []}
 
 
 @pytest.mark.parametrize("config", [

@@ -150,13 +150,14 @@ def test_finite_operands_reach_no_as_matrix(label, dtype, monkeypatch):
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_pooled_products_reject_non_finite_operands(bad, one_and_split):
+def test_pooled_products_reject_non_finite_operands(bad, one_and_split, monkeypatch):
     # cd and sfft make no up-front pass over their operands: a NaN or an inf
     # at the first or the last entry of either factor, real or complex,
     # fails the first pass that reads it (cd's cycle gather, or the sum of
     # B's squares at order 0; sfft's top-k selection of the transformed row
-    # or column it spreads over, or as_matrix of the transform at k = 0), at
+    # or column it spreads over, at k = 0 too, with no as_matrix pass), at
     # n = 37, a Bluestein length, on one thread and split
+    monkeypatch.setattr(fsparse, "as_matrix", None)
     n = 37
     rng = np.random.default_rng(23)
     pairs = []

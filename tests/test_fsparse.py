@@ -471,7 +471,8 @@ def test_fft_multiply_apriori_takes_operand_norms_from_truncation(
         k, complex_input, sparsify_b, order):
     # ||A|| and ||B|| come from the kept entries and the residues, which
     # split the transformed factors' energy; k = 0 keeps nothing and
-    # k = n keeps everything
+    # k = n keeps everything. Both residue norms are the selections' own
+    # and equal the dense ||Atil - dense(SA)|| and ||Btil - dense(SB)||
     n = 24
     rng = np.random.default_rng([17, k, complex_input])
     A = rng.standard_normal((n, n))
@@ -481,6 +482,13 @@ def test_fft_multiply_apriori_takes_operand_norms_from_truncation(
     _, report = fft_sparse_first_order_multiply(A, B, k, order, sparsify_b)
     expect = report.norm_da * report.norm_db / (np.linalg.norm(A) * np.linalg.norm(B))
     assert report.apriori_estimate == pytest.approx(expect, rel=1e-13, abs=0)
+    Atil = unitary_dft(A, "inverse", axis=1)
+    Btil = unitary_dft(B, "forward", axis=0)
+    SA = topk_sparsify(Atil, k).to_dense()
+    SB = (topk_sparsify(Btil, k).to_dense() if sparsify_b == "rows"
+          else topk_sparsify(Btil.T, k).to_dense().T)
+    for norm, X, S in ((report.norm_da, Atil, SA), (report.norm_db, Btil, SB)):
+        assert abs(norm - np.linalg.norm(X - S)) <= 1e-12 * np.linalg.norm(X)
 
 
 @pytest.mark.parametrize("n, complex_input", [(32, False), (33, True)])
@@ -528,20 +536,31 @@ def _csr_bytes(S):
 
 @pytest.mark.parametrize("kind", ["conj-symmetric-16", "conj-symmetric-512",
                                   "integer", "complex"])
-@pytest.mark.parametrize("budget", ["0", "1", "cols"])
+@pytest.mark.parametrize("budget", ["0", "1", "half", "cols"])
 def test_split_topk_bit_identical(kind, budget, one_and_split):
+    # the selection and its residual norm, the norm of what it drops, are
+    # the same bits on one thread and split
     M = _tie_heavy_input(kind)
-    k = {"0": 0, "1": 1, "cols": M.shape[1]}[budget]
-    one, split = one_and_split(lambda: _csr_bytes(topk_sparsify(M, k)))
+    k = {"0": 0, "1": 1, "half": M.shape[1] // 2, "cols": M.shape[1]}[budget]
+
+    def run():
+        S = topk_sparsify(M, k)
+        return _csr_bytes(S), S.residual_norm
+
+    one, split = one_and_split(run)
     assert one == split
+    dropped = np.linalg.norm(M - topk_sparsify(M, k).to_dense())
+    assert abs(one[1] - dropped) <= 1e-12 * np.linalg.norm(M)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("dtype", [float, complex])
-def test_split_topk_rejects_non_finite(bad, dtype, one_and_split):
+def test_split_topk_rejects_non_finite(bad, dtype, one_and_split, monkeypatch):
     # each block reads finiteness off the moduli it sorts: a bad entry in the
-    # first row, the last row or a row tied at the cut, and a k = 0 call,
-    # which runs no block, raise as_matrix's error on one thread and split
+    # first row, the last row or a row tied at the cut, and in a k = 0 call,
+    # whose blocks still sum the residue, raise core.NOT_FINITE on one
+    # thread and split, with no as_matrix pass
+    monkeypatch.setattr(fsparse, "as_matrix", None)
     M = _tie_heavy_input("integer").astype(dtype)
     rows, cols = M.shape
     mag = np.abs(M)
@@ -685,19 +704,22 @@ def test_fft_multiply_half_spectrum_bit_identical(p, complex_input, one_and_spli
 
     def run():
         R = [fsparse._inverse_rows(A) for A in As.values()]
-        SA = [_csr_bytes(fsparse._topk_rows(r, p, k, residue=True)[0])
-              for r in R for k in budgets]
+        SA = [fsparse._topk_rows(r, p, k) for r in R for k in budgets]
         M = [fft_sparse_first_order_multiply(A, B, k, order)[0].tobytes()
              for A, k, order in cases]
-        return [r.tobytes() for r in R], SA, M
+        return ([r.tobytes() for r in R], list(map(_csr_bytes, SA)), M,
+                [S.residual_norm for S in SA])
 
     one, split = one_and_split(run)
-    want = [], [], []
+    assert one == split
+    want = [], [], [], []
     Btil = unitary_dft(B, "forward", axis=0)
     for A in As.values():
         Atil = unitary_dft(A, "inverse", axis=1)
         want[0].append(Atil[:, :p // 2 + 1 if not complex_input else p].tobytes())
         want[1].extend(_csr_bytes(topk_sparsify(Atil, k)) for k in budgets)
+        want[3].extend(np.linalg.norm(Atil - topk_sparsify(Atil, k).to_dense())
+                       for k in budgets)
     for A, k, order in cases:
         Atil = unitary_dft(A, "inverse", axis=1)
         SA, SB = topk_sparsify(Atil, k), topk_sparsify(Btil, k)
@@ -707,7 +729,10 @@ def test_fft_multiply_half_spectrum_bit_identical(p, complex_input, one_and_spli
             ref = (sparse_dense_multiply(SA, Btil)
                    + sparse_dense_multiply(SB, Atil - SA.to_dense(), "right"))
         want[2].append(ref.tobytes())
-    assert one == split == want
+    assert one[:3] == want[:3]
+    # the residual norm of the selection on the half spectrum is that of
+    # the whole transform's; k = 0 is a budget, so want[3] holds ||Atil||
+    np.testing.assert_allclose(one[3], want[3], rtol=0, atol=1e-12 * max(want[3]))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -15,8 +15,9 @@ patch them on core. No numeric module but core takes a largest part or
 scales by a power of two: core alone decides scale. The
 products whose norms follow pooled passes (cd and sfft) call no BLAS norm
 and take ||A|| and ||B|| from their truncations, not from a pass over the
-operands; the products that end in BLAS (svd and lowrank) take no pooled
-norm; and the column roll and circulant_materialize make no matrix product.
+operands, and _fro of M alone; the products that end in BLAS (svd and
+lowrank) take no pooled norm; and the column roll and
+circulant_materialize make no matrix product.
 """
 
 import ast
@@ -206,12 +207,11 @@ def test_pooled_products_call_no_blas_norm(name):
 def test_pooled_products_read_no_operand_for_its_norm(name):
     # ||A|| and ||B|| of the a-priori estimate come from the truncation:
     # the kept part's norm and the residue's norm, which split the factor's
-    # energy, so no n^2 pass reads an operand again for its norm
-    calls = [ast.unparse(node) for node in ast.walk(_tree(ROOT / "src" / "apxmm" / name))
-             if isinstance(node, ast.Call) and ast.unparse(node.func) == "_fro"
-             and any(isinstance(sub, ast.Name) and sub.id in ("A", "B")
-                     for arg in node.args for sub in ast.walk(arg))]
-    assert calls == []
+    # energy, and the residue norms from the truncation too, so no n^2 pass
+    # reads an operand or a residue for its norm: _fro takes M only
+    calls = {ast.unparse(node) for node in ast.walk(_tree(ROOT / "src" / "apxmm" / name))
+             if isinstance(node, ast.Call) and ast.unparse(node.func) == "_fro"}
+    assert calls == {"_fro(M)"}
 
 
 @pytest.mark.parametrize("name", ["svd.py", "baseline.py"])
